@@ -23,7 +23,7 @@ def main():
     for tier in ("random", "medium", "medium_replay", "medium_expert"):
         recipe = data.DatasetRecipe(tier=tier, n_records=5_000, seed=0)
         datasets[tier] = data.generate_dataset(env, recipe, refs=refs)
-        rewards = datasets[tier].arrays()[2]
+        rewards = datasets[tier].R
         print(
             f"{tier:14s} {len(datasets[tier])} records, "
             f"goal hits {(rewards > 0).sum():4d}, mean reward {rewards.mean():+.3f}"

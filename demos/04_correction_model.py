@@ -15,8 +15,7 @@ from hybench import agents, data, models
 from hybench.models import encode_model_input
 
 
-def state_mse(pred_next, records):
-    truth = np.stack([r.next_obs for r in records])
+def state_mse(pred_next, truth):
     return float(np.mean(np.sum((pred_next - truth) ** 2, axis=1)))
 
 
@@ -25,26 +24,25 @@ def main():
     policy = agents.UniformPolicy(tuple(np.linspace(-2, 2, 9)), seed=0)
     ds = data.collect_dataset(env, policy, 20_000, "observed", seed=0)
     train = data.Dataset(
-        dataclasses.replace(ds.meta, record_count=18_000), ds.records[:18_000]
+        dataclasses.replace(ds.meta, record_count=18_000),
+        *(col[:18_000] for col in ds.arrays()),
     )
-    held_out = ds.records[18_000:]
-    O = np.stack([r.obs for r in held_out])
-    A = np.asarray([r.action for r in held_out])
+    O, A, _, O2, _ = (col[18_000:] for col in ds.arrays())
 
     cfg = dataclasses.replace(agents.default_agent_config(env).model, seed=17)
     sim = hb.with_transition_error(hb.make_env("pendulum"), {"gravity": 19.62})
 
     sim_next = np.stack([sim.simulate_step(o, a)[0] for o, a in zip(O, A)])
-    print(f"raw doubled-gravity simulator MSE: {state_mse(sim_next, held_out):.5f}")
+    print(f"raw doubled-gravity simulator MSE: {state_mse(sim_next, O2):.5f}")
 
     ens = models.fit_correction_ensemble(models.augment_with_sim(train, sim), cfg)
     X = encode_model_input(O, A, ens.action_space, ens.action_encoding)
     corr = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
-    print(f"simulator + learned correction MSE: {state_mse(sim_next + corr, held_out):.2e}")
+    print(f"simulator + learned correction MSE: {state_mse(sim_next + corr, O2):.2e}")
 
     direct = models.fit_direct_ensemble(train, cfg)
     pred = np.stack([m.predict_mean(X) for m in direct.members]).mean(axis=0)[:, :3]
-    print(f"unanchored direct model MSE:        {state_mse(pred, held_out):.2e}")
+    print(f"unanchored direct model MSE:        {state_mse(pred, O2):.2e}")
 
     perfect = hb.make_env("pendulum")
     ens0 = models.fit_correction_ensemble(models.augment_with_sim(train, perfect), cfg)

@@ -37,7 +37,6 @@ from .data import (
     Dataset,
     DatasetMeta,
     DatasetRecipe,
-    TransitionRecord,
     collect_dataset,
     collect_history_confounded,
     corrupt_hide_dims,

@@ -25,13 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, TransitionRecord
+from .data import Dataset
 from .envs import ContinuousActions, DiscreteActions, Environment
 from .models import (
     CorrectionEnsemble,
     FeatureMap,
     ModelConfig,
     augment_with_sim,
+    disagreement,
     fit_correction_ensemble,
     fit_direct_ensemble,
 )
@@ -573,7 +574,7 @@ class OnlineTrainResult:
     policy: QPolicy
     curve: list[tuple[int, float]]  # (env steps, mean eval return) per sweep
     checkpoints: list[dict]  # per sweep: weights, env steps, replay length
-    replay: list[TransitionRecord]
+    replay: tuple  # (O, A, R, O2, D) columns, one row per env step
     features: FeatureMap
     action_grid: tuple
     gamma: float
@@ -586,8 +587,10 @@ class OnlineTrainResult:
                       self.action_design, _action_powers(self.action_grid))
         return QPolicy(q, self.action_grid)
 
-    def replay_records(self, index: int) -> list[TransitionRecord]:
-        return self.replay[: self.checkpoints[index]["replay_len"]]
+    def replay_prefix(self, index: int) -> tuple:
+        """The replay columns as they stood at checkpoint ``index``."""
+        n = self.checkpoints[index]["replay_len"]
+        return tuple(col[:n] for col in self.replay)
 
 
 def train_online_q(
@@ -616,8 +619,9 @@ def train_online_q(
         sweeps = max(1, min(sweeps, int(np.ceil(budget / per_sweep))))
 
     W = None
-    replay: list[TransitionRecord] = []
-    Os, As, Rs, O2s, Ds, Gs = [], [], [], [], [], []
+    grid_arr = np.asarray(grid)
+    replay: list[tuple] = []  # per episode: (O, A, R, O2, D) columns
+    fit_rows: list[tuple] = []  # per episode: n-step (O, A index, R, O2, D, G)
     curve: list[tuple[int, float]] = []
     checkpoints: list[dict] = []
     steps = 0
@@ -660,37 +664,32 @@ def train_online_q(
                 else:
                     a_idx = greedy_index(obs)
                 res = env.step(grid[a_idx])
-                replay.append(
-                    TransitionRecord(obs, _grid_action(grid[a_idx]), res.reward,
-                                     res.obs, res.done)
-                )
                 ep_a.append(a_idx)
                 ep_r.append(res.reward)
                 ep_obs.append(res.obs)
                 obs = res.obs
                 done = res.done
                 steps += 1
+            T = len(ep_a)
+            rew = np.asarray(ep_r)
+            ep_O = np.stack(ep_obs)
+            t = np.arange(T)
+            replay.append((ep_O[:-1], grid_arr[ep_a], rew, ep_O[1:], t == T - 1))
             # n-step rows: discounted reward window plus bootstrap n steps
             # ahead; windows hitting the episode end take the full remaining
             # return with no bootstrap (zero at done)
-            T = len(ep_a)
-            rew = np.asarray(ep_r)
-            for t in range(T):
-                k = min(n_step, T - t)
-                Os.append(ep_obs[t])
-                As.append(ep_a[t])
-                Rs.append(float(gtail[:k] @ rew[t:t + k]))
-                O2s.append(ep_obs[t + k])
-                Ds.append(t + k == T)
+            ahead = np.minimum(t + n_step, T)
+            rew_n = np.array([gtail[:k - i] @ rew[i:k] for i, k in zip(t, ahead)])
             g = 0.0
             tail: list[float] = []
             for r in reversed(ep_r):
                 g = r + config.gamma * g
                 tail.append(g)
-            Gs.extend(reversed(tail))
-        block = _Block(fm, powers, np.stack(Os), np.asarray(As), np.asarray(Rs),
-                       np.stack(O2s), np.asarray(Ds),
-                       mc_returns=np.asarray(Gs) if config.mc_lower_bound else None,
+            fit_rows.append((ep_O[:-1], np.asarray(ep_a), rew_n, ep_O[ahead], ahead == T,
+                             np.asarray(tail[::-1])))
+        O, A, R, O2, D, G = (np.concatenate(col) for col in zip(*fit_rows))
+        block = _Block(fm, powers, O, A, R, O2, D,
+                       mc_returns=G if config.mc_lower_bound else None,
                        boot_gamma=config.gamma ** n_step)
         W = _bellman_iterate([block], [1.0 / block.n], F, powers, config.gamma,
                              config.q_ridge, config.q_iterations, W,
@@ -702,7 +701,7 @@ def train_online_q(
                                    derived_seed(seed, EVAL_ENV, sweep))
         curve.append((steps, score))
         checkpoints.append({"weights": W.copy(), "steps": steps,
-                            "replay_len": len(replay)})
+                            "replay_len": steps})
 
     # batch fitted-Q is not monotone across sweeps; deliver the latest tail
     # checkpoint whose score is within a whisker of the tail's best, i.e. the
@@ -713,7 +712,8 @@ def train_online_q(
     tail = scores[tail_start:]
     near_best = np.nonzero(tail >= tail.max() - tol)[0]
     best = tail_start + int(near_best[-1])
-    result = OnlineTrainResult(None, curve, checkpoints, replay, fm, grid,
+    replay_cols = tuple(np.concatenate(col) for col in zip(*replay))
+    result = OnlineTrainResult(None, curve, checkpoints, replay_cols, fm, grid,
                                config.gamma, config.q_action_design, best)
     result.policy = result.checkpoint_policy(best)
     return result
@@ -763,7 +763,7 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0
     grid = _grid_from_dataset(dataset, config)
     powers = _action_powers(grid)
     K = len(grid)
-    fm = _build_q_features(dataset.records[0].obs.shape[0], config, seed)
+    fm = _build_q_features(dataset.O.shape[1], config, seed)
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
 
     onehot = np.zeros((len(idx), K))
@@ -855,7 +855,7 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
     grid = _grid_from_dataset(dataset, config)
     powers = _action_powers(grid)
     K = len(grid)
-    obs_dim = dataset.records[0].obs.shape[0]
+    obs_dim = dataset.O.shape[1]
     fm = _build_q_features(obs_dim, config, seed)
     F = fm.output_dim
 
@@ -913,7 +913,10 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                     sim_next = None
                     next_obs = delta_or_next
 
-                pen = ens.penalty_batch(cur, a_model, mode=config.penalty_mode)
+                if config.penalty_mode == "disagreement":
+                    pen = disagreement(mus)  # the same means the draw used
+                else:
+                    pen = ens.penalty_batch(cur, a_model, mode=config.penalty_mode)
                 r_tilde = r_sample - config.lam * pen
 
                 syn_O.append(cur.copy())

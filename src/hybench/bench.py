@@ -91,17 +91,17 @@ def compute_reference_pair(
 ) -> ReferencePair:
     """Mean returns of the uniform policy and of a trained expert policy.
 
-    Cached per (environment signature, seed, episodes, budget) so repeated
-    normalization reuses one expert training run per process.
+    Cached per (environment signature, seed, episodes, budget, agent config)
+    so repeated normalization reuses one expert training run per process.
     """
     from .wrappers import env_signature
 
     if budget is None:
         budget = DEFAULT_TIER_BUDGET.get(env.name, 20_000)
-    key = (env_signature(env), seed, episodes, budget)
+    cfg = config if config is not None else agents.default_agent_config(env)
+    key = (env_signature(env), seed, episodes, budget, cfg)
     if key in _REF_CACHE:
         return _REF_CACHE[key]
-    cfg = config if config is not None else agents.default_agent_config(env)
     uniform = agents.UniformPolicy(agents.resolve_action_grid(env, cfg), seed=seed)
     random_ref, _ = agents.evaluate_policy(
         clone_env(env), uniform, episodes, derived_seed(seed, REFS, 0)

@@ -1,8 +1,8 @@
 """Offline dataset generation, corruption and serialization.
 
-Datasets are ordered collections of (obs, action, reward, next_obs, done)
-records labeled with how they were produced: which environment, which
-behavior-policy tier (random / medium / medium_replay / medium_expert /
+Datasets are ordered (obs, action, reward, next_obs, done) records, stored
+as five columns and labeled with how they were produced: which environment,
+which behavior-policy tier (random / medium / medium_replay / medium_expert /
 expert), whether the behavior policy acted on the recorded observation
 ("observed") or on privileged full state ("privileged"), and which
 corruptions were applied afterwards.
@@ -60,28 +60,8 @@ class TierError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Records and metadata
+# Metadata and columns
 # ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class TransitionRecord:
-    obs: np.ndarray
-    action: int | float | np.ndarray
-    reward: float
-    next_obs: np.ndarray
-    done: bool
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransitionRecord):
-            return NotImplemented
-        return (
-            np.array_equal(self.obs, other.obs)
-            and np.array_equal(np.asarray(self.action), np.asarray(other.action))
-            and self.reward == other.reward
-            and np.array_equal(self.next_obs, other.next_obs)
-            and self.done == other.done
-        )
 
 
 def _jsonify(value):
@@ -138,45 +118,82 @@ class DatasetMeta:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
+    """Metadata plus five read-only columns of equal length n: observations
+    ``O`` (n, obs_dim), actions ``A`` (int64 on discrete grids, float64 for
+    continuous controls), rewards ``R`` (float64), next observations ``O2``
+    (n, obs_dim) and done flags ``D`` (bool)."""
+
     meta: DatasetMeta
-    records: list[TransitionRecord]
+    O: np.ndarray
+    A: np.ndarray
+    R: np.ndarray
+    O2: np.ndarray
+    D: np.ndarray
 
     def __post_init__(self):
-        if not self.records:
+        for name, dtype in (("O", float), ("A", None), ("R", float), ("O2", float),
+                            ("D", bool)):
+            # a view: freezing it leaves the caller's own array writable
+            col = np.asarray(getattr(self, name), dtype=dtype).view()
+            col.flags.writeable = False
+            setattr(self, name, col)
+        n = len(self.R)
+        if n == 0:
             raise ValueError("datasets must be non-empty")
-        dim = self.records[0].obs.shape[0]
-        for i, rec in enumerate(self.records):
-            if rec.obs.shape[0] != dim or rec.next_obs.shape[0] != dim:
-                raise ValueError(f"record {i}: inconsistent observation dimensions")
-        if self.meta.record_count != len(self.records):
+        if self.O.ndim != 2 or self.O2.shape != self.O.shape:
+            raise ValueError(
+                f"observations {self.O.shape} and next observations "
+                f"{self.O2.shape} must share one (n, obs_dim) shape"
+            )
+        if (self.R.shape, self.D.shape, len(self.A), len(self.O)) != ((n,), (n,), n, n):
+            raise ValueError("dataset columns must all hold the same number of records")
+        if self.meta.record_count != n:
             raise ValueError(
                 f"meta.record_count={self.meta.record_count} but dataset holds "
-                f"{len(self.records)} records"
+                f"{n} records"
             )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.R)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.meta == other.meta and self.records == other.records
+        return self.meta == other.meta and all(
+            np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays())
+        )
 
     def arrays(self):
-        """(O, A, R, O2, D) as stacked numpy arrays."""
-        O = np.stack([r.obs for r in self.records])
-        A = np.asarray([r.action for r in self.records])
-        R = np.asarray([r.reward for r in self.records], dtype=float)
-        O2 = np.stack([r.next_obs for r in self.records])
-        D = np.asarray([r.done for r in self.records], dtype=bool)
-        return O, A, R, O2, D
+        """(O, A, R, O2, D), the stored read-only columns."""
+        return self.O, self.A, self.R, self.O2, self.D
+
+
+def _stack_rows(rows) -> tuple:
+    """Columns from (obs, action, reward, next_obs, done) row tuples."""
+    O, A, R, O2, D = zip(*rows)
+    return (np.stack(O), np.asarray(A), np.asarray(R, dtype=float), np.stack(O2),
+            np.asarray(D, dtype=bool))
+
+
+def _env_dataset(env: Environment, columns, tier: str, behavior_mode: str, seed: int,
+                 corruption: tuple = ()) -> Dataset:
+    meta = DatasetMeta(
+        env_name=env.name,
+        env_params=env_params_dict(env),
+        tier=tier,
+        corruption=corruption,
+        behavior_mode=behavior_mode,
+        seed=seed,
+        record_count=len(columns[2]),
+    )
+    return Dataset(meta, *columns)
 
 
 def concat_datasets(parts: list[Dataset], tier: str, seed: int) -> Dataset:
     """Concatenate record streams; behavior mode is privileged if any part is."""
-    records = [rec for part in parts for rec in part.records]
+    columns = [np.concatenate(cols) for cols in zip(*(p.arrays() for p in parts))]
     corruption = tuple(c for part in parts for c in part.meta.corruption)
     mode = (
         "privileged"
@@ -189,9 +206,9 @@ def concat_datasets(parts: list[Dataset], tier: str, seed: int) -> Dataset:
         seed=seed,
         corruption=corruption,
         behavior_mode=mode,
-        record_count=len(records),
+        record_count=len(columns[2]),
     )
-    return Dataset(meta, records)
+    return Dataset(meta, *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +237,14 @@ def collect_dataset(
         raise ValueError("n_records must be >= 1")
     policy.reseed(derived_seed(seed, COLLECT_POLICY))
     obs = env.reset(seed=derived_seed(seed, COLLECT_ENV) % 2**31)
-    records: list[TransitionRecord] = []
-    while len(records) < n_records:
+    rows = []
+    while len(rows) < n_records:
         decision_input = env.full_state() if behavior_mode == "privileged" else obs
         action = policy.act(decision_input)
         res = env.step(action)
-        records.append(
-            TransitionRecord(obs, _plain_action(action), res.reward, res.obs, res.done)
-        )
+        rows.append((obs, _plain_action(action), res.reward, res.obs, res.done))
         obs = env.reset() if res.done else res.obs
-    meta = DatasetMeta(
-        env_name=env.name,
-        env_params=env_params_dict(env),
-        tier=tier,
-        behavior_mode=behavior_mode,
-        seed=seed,
-        record_count=len(records),
-    )
-    return Dataset(meta, records)
+    return _env_dataset(env, _stack_rows(rows), tier, behavior_mode, seed)
 
 
 def _plain_action(action):
@@ -273,13 +280,11 @@ def collect_history_confounded(
     dim = env.obs_dim
     window = np.zeros((k, dim))
     window[-1] = obs
-    records: list[TransitionRecord] = []
-    while len(records) < n_records:
+    rows = []
+    while len(rows) < n_records:
         action = policy_over_history.act(window.reshape(-1))
         res = env.step(action)
-        records.append(
-            TransitionRecord(obs, _plain_action(action), res.reward, res.obs, res.done)
-        )
+        rows.append((obs, _plain_action(action), res.reward, res.obs, res.done))
         if res.done:
             obs = env.reset()
             window = np.zeros((k, dim))
@@ -288,22 +293,18 @@ def collect_history_confounded(
             obs = res.obs
             window = np.roll(window, -1, axis=0)
             window[-1] = obs
-    meta = DatasetMeta(
-        env_name=env.name,
-        env_params=env_params_dict(env),
-        tier=tier,
+    return _env_dataset(
+        env, _stack_rows(rows), tier, "privileged" if k > 1 else "observed", seed,
         corruption=({"kind": "history_confounded", "k": int(k)},),
-        behavior_mode="privileged" if k > 1 else "observed",
-        seed=seed,
-        record_count=len(records),
     )
-    return Dataset(meta, records)
 
 
 class HistoryStack(EnvWrapper):
     """Observation wrapper exposing the concatenation of the last k
     observations (zero-padded after reset).  Used to train history-aware
     behavior policies; not an error-injection wrapper."""
+
+    _args = ("k",)
 
     def __init__(self, env: Environment, k: int):
         if k < 1:
@@ -315,9 +316,6 @@ class HistoryStack(EnvWrapper):
     @property
     def obs_dim(self) -> int:  # type: ignore[override]
         return self.env.obs_dim * self.k
-
-    def _rebuild(self, inner: Environment) -> "HistoryStack":
-        return HistoryStack(inner, self.k)
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         obs = self.env.reset(seed)
@@ -346,9 +344,6 @@ class FullStateObservation(EnvWrapper):
     def obs_dim(self) -> int:  # type: ignore[override]
         return self._state_dim
 
-    def _rebuild(self, inner: Environment) -> "FullStateObservation":
-        return FullStateObservation(inner)
-
     def reset(self, seed: int | None = None) -> np.ndarray:
         self.env.reset(seed)
         return self.env.full_state()
@@ -363,19 +358,21 @@ class FullStateObservation(EnvWrapper):
 # ---------------------------------------------------------------------------
 
 
-def _records_changed(old: list[TransitionRecord], new: list[TransitionRecord]) -> bool:
-    return any(
-        not (np.array_equal(a.obs, b.obs) and np.array_equal(a.next_obs, b.next_obs))
-        for a, b in zip(old, new)
-    )
-
-
 def _corrupted_mode(dataset: Dataset, changed: bool) -> str:
     # Once stored observations diverge from what the behavior policy saw, the
     # dataset is effectively privileged: actions depend on hidden information.
     if dataset.meta.behavior_mode == "privileged" or changed:
         return "privileged"
     return "observed"
+
+
+def _with_observations(dataset: Dataset, O, O2, tag: dict, changed: bool) -> Dataset:
+    meta = replace(
+        dataset.meta,
+        corruption=dataset.meta.corruption + (tag,),
+        behavior_mode=_corrupted_mode(dataset, changed),
+    )
+    return Dataset(meta, O, dataset.A, dataset.R, O2, dataset.D)
 
 
 def corrupt_obs_noise(dataset: Dataset, sigma: float, seed: int) -> Dataset:
@@ -388,24 +385,14 @@ def corrupt_obs_noise(dataset: Dataset, sigma: float, seed: int) -> Dataset:
     """
     if sigma < 0:
         raise ValueError(f"observation noise sigma must be >= 0, got {sigma}")
-    n = len(dataset.records)
-    dim = dataset.records[0].obs.shape[0]
     tag = {"kind": "obs_noise", "sigma": float(sigma), "seed": int(seed)}
-    if sigma == 0.0:
-        new_records = [replace(r) for r in dataset.records]
-    else:
-        noise = sigma * derived_rng(seed, DATA_NOISE).standard_normal((n + 1, dim))
-        new_records = [
-            replace(r, obs=r.obs + noise[i], next_obs=r.next_obs + noise[i + 1])
-            for i, r in enumerate(dataset.records)
-        ]
-    changed = sigma != 0.0
-    meta = replace(
-        dataset.meta,
-        corruption=dataset.meta.corruption + (tag,),
-        behavior_mode=_corrupted_mode(dataset, changed),
-    )
-    return Dataset(meta, new_records)
+    O, O2 = dataset.O, dataset.O2
+    if sigma != 0.0:
+        noise = sigma * derived_rng(seed, DATA_NOISE).standard_normal(
+            (len(O) + 1, O.shape[1])
+        )
+        O, O2 = O + noise[:-1], O2 + noise[1:]
+    return _with_observations(dataset, O, O2, tag, changed=sigma != 0.0)
 
 
 def corrupt_hide_dims(dataset: Dataset, indices) -> Dataset:
@@ -416,29 +403,17 @@ def corrupt_hide_dims(dataset: Dataset, indices) -> Dataset:
     keeps the dataset's observed/privileged label intact.
     """
     idx = tuple(sorted({int(i) for i in indices}))
-    dim = dataset.records[0].obs.shape[0]
+    dim = dataset.O.shape[1]
     for i in idx:
         if not 0 <= i < dim:
             raise ValueError(f"hidden index {i} out of range for observation dim {dim}")
     cols = list(idx)
-    new_records = []
-    changed = False
-    for r in dataset.records:
-        obs, next_obs = r.obs.copy(), r.next_obs.copy()
-        if cols:
-            changed = changed or bool(
-                np.any(obs[cols] != 0.0) or np.any(next_obs[cols] != 0.0)
-            )
-            obs[cols] = 0.0
-            next_obs[cols] = 0.0
-        new_records.append(replace(r, obs=obs, next_obs=next_obs))
+    O, O2 = dataset.O.copy(), dataset.O2.copy()
+    changed = bool(np.any(O[:, cols] != 0.0) or np.any(O2[:, cols] != 0.0))
+    O[:, cols] = 0.0
+    O2[:, cols] = 0.0
     tag = {"kind": "hidden_dims", "indices": list(idx)}
-    meta = replace(
-        dataset.meta,
-        corruption=dataset.meta.corruption + (tag,),
-        behavior_mode=_corrupted_mode(dataset, changed),
-    )
-    return Dataset(meta, new_records)
+    return _with_observations(dataset, O, O2, tag, changed)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +537,13 @@ def train_tier_policy(
 # ---------------------------------------------------------------------------
 
 
+# post-hoc corruption kind -> (required keys, optional keys)
+_CORRUPTION_KEYS = {
+    "obs_noise": ({"sigma"}, {"seed"}),
+    "hidden_dims": ({"indices"}, set()),
+}
+
+
 @dataclass(frozen=True)
 class DatasetRecipe:
     """Declarative description of how to produce one dataset.
@@ -593,6 +575,20 @@ class DatasetRecipe:
             self, "hidden_during_collection", tuple(int(i) for i in self.hidden_during_collection)
         )
         object.__setattr__(self, "corruption", tuple(dict(c) for c in self.corruption))
+        for tag in self.corruption:
+            kind = tag.get("kind")
+            if kind not in _CORRUPTION_KEYS:
+                raise ValueError(
+                    f"unknown corruption kind {kind!r}; valid: {sorted(_CORRUPTION_KEYS)}"
+                )
+            required, optional = _CORRUPTION_KEYS[kind]
+            keys = set(tag) - {"kind"}
+            missing = sorted(required - keys)
+            if missing:
+                raise ValueError(f"missing keys {missing} for corruption kind {kind!r}")
+            unknown = sorted(keys - required - optional)
+            if unknown:
+                raise ValueError(f"unknown keys {unknown} for corruption kind {kind!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -622,17 +618,14 @@ class DatasetRecipe:
 
 
 def _apply_corruptions(dataset: Dataset, corruption) -> Dataset:
+    # tags were checked against _CORRUPTION_KEYS when the recipe was built
     for tag in corruption:
-        tag = dict(tag)
-        kind = tag.pop("kind", None)
-        if kind == "obs_noise":
+        if tag["kind"] == "obs_noise":
             dataset = corrupt_obs_noise(
                 dataset, tag["sigma"], tag.get("seed", dataset.meta.seed)
             )
-        elif kind == "hidden_dims":
-            dataset = corrupt_hide_dims(dataset, tag["indices"])
         else:
-            raise ValueError(f"unknown corruption kind {kind!r}")
+            dataset = corrupt_hide_dims(dataset, tag["indices"])
     return dataset
 
 
@@ -665,17 +658,9 @@ def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Data
         if recipe.history_k is not None and recipe.history_k > 1:
             raise ValueError("history-aware collection is not defined for medium_replay")
         tp = train_tier_policy(policy_env, "medium", budget, recipe.seed, refs=refs)
-        replay = tp.train_result.replay_records(tp.checkpoint_index)
-        records = replay[-n_records:]
-        meta = DatasetMeta(
-            env_name=env.name,
-            env_params=env_params_dict(env),
-            tier="medium_replay",
-            behavior_mode=recipe.behavior_mode,
-            seed=recipe.seed,
-            record_count=len(records),
-        )
-        dataset = Dataset(meta, records)
+        replay = tp.train_result.replay_prefix(tp.checkpoint_index)
+        dataset = _env_dataset(env, [col[-n_records:] for col in replay], "medium_replay",
+                               recipe.behavior_mode, recipe.seed)
     elif recipe.tier == "medium_expert":
         half = n_records // 2
         parts = []
@@ -720,34 +705,26 @@ _META_KEYS = {
 _RECORD_KEYS = {"o", "a", "r", "o2", "d"}
 
 
-def _action_to_json(action):
-    if isinstance(action, np.ndarray):
-        return action.tolist()
-    return action
-
-
 def write_dataset(dataset: Dataset, path) -> None:
     """Line-delimited text: one metadata object, then one object per record
     with keys o, a, r, o2, d.  Reals are written with full round-trip
-    precision, so read(write(d)) == d bit-exactly."""
-    for i, rec in enumerate(dataset.records):
-        if not np.isfinite(rec.reward):
-            raise ValueError(f"record {i}: non-finite reward cannot be serialized")
+    precision, so read(write(d)) == d bit-exactly.  Non-finite values have
+    no JSON spelling and are rejected before the file is opened."""
+    O, A, R, O2, D = dataset.arrays()
+    finite = {
+        name: np.isfinite(col).all(axis=tuple(range(1, col.ndim)))
+        for name, col in (("obs", O), ("action", A), ("reward", R), ("next_obs", O2))
+    }
+    ok = np.logical_and.reduce(list(finite.values()))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bad = ", ".join(name for name, col_ok in finite.items() if not col_ok[i])
+        raise ValueError(f"record {i}: non-finite {bad} cannot be serialized")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(dataset.meta.to_dict()) + "\n")
-        for rec in dataset.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "o": rec.obs.tolist(),
-                        "a": _action_to_json(rec.action),
-                        "r": rec.reward,
-                        "o2": rec.next_obs.tolist(),
-                        "d": rec.done,
-                    }
-                )
-                + "\n"
-            )
+        for o, a, r, o2, d in zip(O.tolist(), A.tolist(), R.tolist(), O2.tolist(),
+                                  D.tolist()):
+            fh.write(json.dumps({"o": o, "a": a, "r": r, "o2": o2, "d": d}) + "\n")
 
 
 def read_dataset(path) -> Dataset:
@@ -787,12 +764,12 @@ def read_dataset(path) -> Dataset:
         except ValueError as exc:
             raise DatasetParseError(str(exc), line=1)
 
-        records: list[TransitionRecord] = []
+        rows = []
         dim = None
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 raise DatasetParseError("blank record line", line=line_no)
-            if len(records) >= meta.record_count:
+            if len(rows) >= meta.record_count:
                 raise DatasetParseError(
                     f"more records than the declared record_count={meta.record_count}",
                     line=line_no,
@@ -819,12 +796,10 @@ def read_dataset(path) -> Dataset:
             action = rec_d["a"]
             if isinstance(action, list):
                 action = np.asarray(action, dtype=float)
-            records.append(
-                TransitionRecord(obs, action, float(rec_d["r"]), next_obs, bool(rec_d["d"]))
-            )
-        if len(records) != meta.record_count:
+            rows.append((obs, action, float(rec_d["r"]), next_obs, bool(rec_d["d"])))
+        if len(rows) != meta.record_count:
             raise DatasetParseError(
-                f"expected {meta.record_count} records, file ends after {len(records)}",
-                line=len(records) + 2,
+                f"expected {meta.record_count} records, file ends after {len(rows)}",
+                line=len(rows) + 2,
             )
-    return Dataset(meta, records)
+    return Dataset(meta, *_stack_rows(rows))

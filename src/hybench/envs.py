@@ -268,7 +268,6 @@ class PendulumEnv(Environment):
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 _MOVES = ((0, 1), (0, -1), (-1, 0), (1, 0))
-WINDYGRID_ACTION_NAMES = ("up", "down", "left", "right")
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,16 @@ class FeatureMap:
                 if self._within_caps(exps)
             ]
             self.output_dim = len(self._exponents)
+            # each monomial is a product of entries of a power table whose
+            # column 0 is all ones and column k is Xs[:, dim] ** e for the
+            # k-th distinct (dim, e); short monomials pad with column 0
+            self._powers = sorted({p for exps in self._exponents for p in exps})
+            slot = {p: k + 1 for k, p in enumerate(self._powers)}
+            width = max(1, max(len(exps) for exps in self._exponents))
+            self._factors = np.array(
+                [[slot[p] for p in exps] + [0] * (width - len(exps))
+                 for exps in self._exponents], dtype=np.intp
+            ).T
         elif kind == "random_fourier":
             rng = derived_rng(int(seed))
             self._freqs = rng.standard_normal((count, self.input_dim)) / bandwidth
@@ -113,12 +123,13 @@ class FeatureMap:
             )
         Xs = (X + self.shift) * self.scale
         if self.kind == "polynomial":
-            cols = np.empty((X.shape[0], self.output_dim))
-            for j, exps in enumerate(self._exponents):
-                col = np.ones(X.shape[0])
-                for dim, e in exps:
-                    col = col * Xs[:, dim] ** e
-                cols[:, j] = col
+            table = np.empty((X.shape[0], len(self._powers) + 1))
+            table[:, 0] = 1.0
+            for k, (dim, e) in enumerate(self._powers, 1):
+                table[:, k] = Xs[:, dim] ** e
+            cols = table[:, self._factors[0]]
+            for idx in self._factors[1:]:
+                cols *= table[:, idx]
             return cols
         Z = Xs @ self._freqs.T + self._phases
         phi = math.sqrt(2.0 / self.count) * np.cos(Z)
@@ -168,12 +179,6 @@ def _exponent_tuples(dim: int, degree: int):
 # ---------------------------------------------------------------------------
 # Model input encoding
 # ---------------------------------------------------------------------------
-
-
-def model_input_dim(obs_dim: int, action_space, encoding: str = "onehot") -> int:
-    if isinstance(action_space, DiscreteActions):
-        return obs_dim + (action_space.count if encoding == "onehot" else 1)
-    return obs_dim + action_space.dim
 
 
 def encode_model_input(obs: np.ndarray, actions, action_space,
@@ -288,6 +293,13 @@ class ModelConfig:
         )
 
 
+def disagreement(mus: np.ndarray) -> np.ndarray:
+    """Largest member deviation from the ensemble mean, per row of the
+    (N, n, T) member means."""
+    center = mus.mean(axis=0)
+    return np.linalg.norm(mus - center, axis=2).max(axis=0)
+
+
 @dataclass
 class CorrectionEnsemble:
     """Ensemble over targets (state-part, reward); ``mode`` fixes whether the
@@ -367,9 +379,7 @@ class CorrectionEnsemble:
             worst = max(float(np.sqrt(m.noise_var.sum())) for m in self.members)
             return np.full(n, worst)
         if mode == "disagreement":
-            mus = np.stack([m.predict_mean(X) for m in self.members])
-            center = mus.mean(axis=0)
-            return np.linalg.norm(mus - center, axis=2).max(axis=0)
+            return disagreement(np.stack([m.predict_mean(X) for m in self.members]))
         raise ValueError(f"unknown penalty mode {mode!r}")
 
     def __eq__(self, other) -> bool:
@@ -401,9 +411,10 @@ def augment_with_sim(dataset: Dataset, simulator: Environment) -> AugmentedDatas
     Deterministic: repeated calls produce identical augmentations.  Raises if
     an observation cannot be decoded into a simulator state.
     """
-    preds = np.empty((len(dataset.records), dataset.records[0].obs.shape[0]))
-    for i, rec in enumerate(dataset.records):
-        preds[i], _ = simulator.simulate_step(rec.obs, rec.action)
+    O, A = dataset.O, dataset.A
+    preds = np.empty(O.shape)
+    for i in range(len(O)):
+        preds[i], _ = simulator.simulate_step(O[i], A[i])
     return AugmentedDataset(dataset, preds)
 
 

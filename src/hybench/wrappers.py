@@ -28,9 +28,12 @@ from .seeding import ACTION_NOISE, OBS_NOISE, derived_rng
 
 
 class EnvWrapper(Environment):
-    """Delegating base wrapper.  Subclasses store their own arguments and
-    implement ``_rebuild`` so a wrapper chain can be reconstructed around a
-    replacement inner environment."""
+    """Delegating base wrapper.  Subclasses take ``(env, *args)``, store each
+    argument under its name and list those names in ``_args``: that is what
+    rebuilds a wrapper chain around a replacement inner environment, and what
+    cache keys see (never run-time state)."""
+
+    _args: tuple[str, ...] = ()
 
     def __init__(self, env: Environment):
         self.env = env
@@ -56,7 +59,7 @@ class EnvWrapper(Environment):
         return self.env.unwrapped
 
     def _rebuild(self, inner: Environment) -> "EnvWrapper":
-        raise NotImplementedError
+        return type(self)(inner, *(getattr(self, name) for name in self._args))
 
     def with_params(self, **overrides) -> Environment:
         return self._rebuild(self.env.with_params(**overrides))
@@ -92,13 +95,8 @@ def env_signature(env: Environment) -> tuple:
         return repr(value)
 
     if isinstance(env, EnvWrapper):
-        inner = env_signature(env.env)
-        extras = tuple(
-            (k, _freeze(v))
-            for k, v in sorted(vars(env).items())
-            if k != "env" and not k.startswith("_")
-        )
-        return (type(env).__name__, extras, inner)
+        args = tuple((name, _freeze(getattr(env, name))) for name in env._args)
+        return (type(env).__name__, args, env_signature(env.env))
     return (type(env).__name__, repr(env.params))
 
 
@@ -122,15 +120,14 @@ class ObsNoiseWrapper(EnvWrapper):
     inner dynamics see exactly the seed an unwrapped environment would.
     """
 
+    _args = ("sigma",)
+
     def __init__(self, env: Environment, sigma: float):
         if sigma < 0:
             raise ValueError(f"observation noise sigma must be >= 0, got {sigma}")
         super().__init__(env)
         self.sigma = float(sigma)
         self._noise_rng = None
-
-    def _rebuild(self, inner: Environment) -> "ObsNoiseWrapper":
-        return ObsNoiseWrapper(inner, self.sigma)
 
     def _noisy(self, obs: np.ndarray) -> np.ndarray:
         if self.sigma == 0.0:
@@ -161,6 +158,8 @@ class HiddenDimsWrapper(EnvWrapper):
     consumers keep a single observation definition.
     """
 
+    _args = ("indices",)
+
     def __init__(self, env: Environment, indices):
         idx = tuple(sorted({int(i) for i in indices}))
         for i in idx:
@@ -170,9 +169,6 @@ class HiddenDimsWrapper(EnvWrapper):
                 )
         super().__init__(env)
         self.indices = idx
-
-    def _rebuild(self, inner: Environment) -> "HiddenDimsWrapper":
-        return HiddenDimsWrapper(inner, self.indices)
 
     def _mask(self, obs: np.ndarray) -> np.ndarray:
         if not self.indices:
@@ -201,6 +197,8 @@ class ActionNoiseWrapper(EnvWrapper):
     actually ran, for diagnostics only.
     """
 
+    _args = ("sigma",)
+
     def __init__(self, env: Environment, sigma: float):
         if sigma < 0:
             raise ValueError(f"action noise sigma must be >= 0, got {sigma}")
@@ -210,9 +208,6 @@ class ActionNoiseWrapper(EnvWrapper):
         self.sigma = float(sigma)
         self._noise_rng = None
         self.last_executed_action: np.ndarray | None = None
-
-    def _rebuild(self, inner: Environment) -> "ActionNoiseWrapper":
-        return ActionNoiseWrapper(inner, self.sigma)
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         obs = self.env.reset(seed)
@@ -242,15 +237,14 @@ class ActionDelayWrapper(EnvWrapper):
     """Delays action execution by ``delay`` steps through a FIFO queue that
     starts filled with zero-actions at every reset."""
 
+    _args = ("delay",)
+
     def __init__(self, env: Environment, delay: int):
         if delay < 0:
             raise ValueError(f"action delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = int(delay)
         self._queue: deque = deque()
-
-    def _rebuild(self, inner: Environment) -> "ActionDelayWrapper":
-        return ActionDelayWrapper(inner, self.delay)
 
     def _zero_action(self):
         space = self.env.action_space

@@ -126,10 +126,8 @@ def test_criterion_1_confounding_reversal_exact():
     report(1, f"exact reversal a1->a0, Monte Carlo 3 seeds ({t.elapsed:.1f}s)")
 
 
-def _held_out_state_mse(ensemble, simulator, records):
-    O = np.stack([r.obs for r in records])
-    A = np.asarray([r.action for r in records])
-    O2 = np.stack([r.next_obs for r in records])
+def _held_out_state_mse(ensemble, simulator, held_out):
+    O, A, _, O2, _ = held_out
     sim_next = np.stack([simulator.simulate_step(o, a)[0] for o, a in zip(O, A)])
     X = encode_model_input(O, A, ensemble.action_space, ensemble.action_encoding)
     corr = np.stack([m.predict_mean(X) for m in ensemble.members]).mean(axis=0)[:, :3]
@@ -143,9 +141,10 @@ def test_criterion_2_correction_model_recovery(pendulum_medium_dataset):
         ds = pendulum_medium_dataset
         n_train = 18_000
         train = data.Dataset(
-            dataclasses.replace(ds.meta, record_count=n_train), ds.records[:n_train]
+            dataclasses.replace(ds.meta, record_count=n_train),
+            *(col[:n_train] for col in ds.arrays()),
         )
-        held_out = ds.records[n_train:]
+        held_out = [col[n_train:] for col in ds.arrays()]
         sim = hb.with_transition_error(hb.make_env("pendulum"), {"gravity": 19.62})
         cfg = dataclasses.replace(
             agents.default_agent_config(hb.make_env("pendulum")).model, seed=17
@@ -162,17 +161,15 @@ def test_criterion_3_identity_simulator_null(pendulum_medium_dataset):
         ds = pendulum_medium_dataset
         n_train = 18_000
         train = data.Dataset(
-            dataclasses.replace(ds.meta, record_count=n_train), ds.records[:n_train]
+            dataclasses.replace(ds.meta, record_count=n_train),
+            *(col[:n_train] for col in ds.arrays()),
         )
-        held_out = ds.records[n_train:]
         sim = hb.make_env("pendulum")
         cfg = dataclasses.replace(
             agents.default_agent_config(hb.make_env("pendulum")).model, seed=17
         )
         ens = models.fit_correction_ensemble(models.augment_with_sim(train, sim), cfg)
-        O = np.stack([r.obs for r in held_out])
-        A = np.asarray([r.action for r in held_out])
-        O2 = np.stack([r.next_obs for r in held_out])
+        O, A, _, O2, _ = (col[n_train:] for col in ds.arrays())
         X = encode_model_input(O, A, ens.action_space, ens.action_encoding)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
         ratio = float(

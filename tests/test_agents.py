@@ -93,15 +93,16 @@ class TestOnlineQ:
         cfg = dataclasses.replace(default_agent_config(grid_env), sweeps=5)
         res = train_online_q(hb.make_env("windygrid"), cfg, seed=1, budget=3_000)
         assert len(res.curve) == len(res.checkpoints) == 5
-        assert res.checkpoints[-1]["replay_len"] == len(res.replay)
+        assert res.checkpoints[-1]["replay_len"] == len(res.replay[2])
+        first = res.replay_prefix(0)
+        assert len(first[0]) == res.checkpoints[0]["replay_len"]
+        assert all(np.array_equal(p, r[:len(p)]) for p, r in zip(first, res.replay))
 
     def test_myopic_gamma_zero_fits_immediate_reward(self, grid_env):
         cfg = dataclasses.replace(default_agent_config(grid_env), gamma=0.0,
                                   sweeps=8, episodes_per_sweep=15, q_iterations=4)
         res = train_online_q(hb.make_env("windygrid"), cfg, seed=0, budget=10_000)
-        O = np.stack([r.obs for r in res.replay])
-        A = np.asarray([r.action for r in res.replay])
-        R = np.asarray([r.reward for r in res.replay])
+        O, A, R, _, _ = res.replay
         q = res.policy.q
         preds = q.values(O)[np.arange(len(A)), actions_to_indices(A, res.action_grid)]
         assert np.sqrt(np.mean((preds - R) ** 2)) <= 0.1
@@ -129,7 +130,7 @@ class TestOfflineBCQ:
                                   "observed", seed=0)
         cfg = dataclasses.replace(default_agent_config(grid_env), bc_threshold=0.5)
         res = train_offline_bcq(ds, cfg, seed=0)
-        seen = {tuple(rec.obs) for rec in ds.records}
+        seen = {tuple(obs) for obs in ds.O}
         match = [
             res.policy.action_index(np.array(obs)) == fn(np.array(obs))
             for obs in seen
@@ -157,7 +158,7 @@ class TestOfflineBCQ:
             ds = data.generate_dataset(
                 grid_env, data.DatasetRecipe(tier="random", n_records=10, seed=0)
             )
-            ds.records = []
+            ds.O, ds.A, ds.R, ds.O2, ds.D = (col[:0] for col in ds.arrays())
             train_offline_bcq(ds, default_agent_config(grid_env), seed=0)
 
 
@@ -237,6 +238,11 @@ class TestModelBased:
             assert t.penalized_reward == t.reward - cfg.lam * t.penalty
             assert t.penalty >= 0.0
             assert t.penalized_reward <= t.reward
+        # the penalty is the ensemble's disagreement at the rollout input
+        head = res.trace[:500]
+        pen = res.ensemble.penalty_batch(np.stack([t.obs for t in head]),
+                                         [t.action_index for t in head])
+        assert np.allclose([t.penalty for t in head], pen, rtol=1e-9, atol=1e-12)
 
     def test_perfect_sim_hybrid_at_least_mopo(self):
         # three-seed mean comparison on the pendulum with an exact simulator

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestReferencePair:
         b = bench.compute_reference_pair(env, seed=0)
         assert a == b
 
+    def test_cache_keyed_on_config(self):
+        # a non-default config must not answer a later default lookup
+        from hybench import agents
+
+        env = hb.make_env("windygrid")
+        myopic = dataclasses.replace(agents.default_agent_config(env), gamma=0.0)
+        other = bench.compute_reference_pair(env, seed=7, budget=3000, config=myopic)
+        default = bench.compute_reference_pair(env, seed=7, budget=3000)
+        assert default.random_ref == other.random_ref
+        assert default.expert_ref != other.expert_ref
+
 
 class TestConfigParsing:
     BASE = {
@@ -81,6 +93,23 @@ class TestConfigParsing:
         bad = dict(self.BASE, dataset={"tier": "medium", "n_rec": 10})
         with pytest.raises(ValueError):
             BenchConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("tag", [
+        {"kind": "teleport"},
+        {"kind": "obs_noise"},
+        {"kind": "obs_noise", "sigma": 0.1, "typo": 1},
+        {"kind": "hidden_dims", "sigma": 0.1},
+    ])
+    def test_bad_corruption_rejected_at_load(self, tag):
+        bad = dict(self.BASE, dataset={"tier": "medium", "n_records": 10, "corruption": [tag]})
+        with pytest.raises(ValueError, match="corruption kind"):
+            BenchConfig.from_dict(bad)
+
+    def test_corruption_keys_accepted(self):
+        tags = [{"kind": "obs_noise", "sigma": 0.1}, {"kind": "obs_noise", "sigma": 0.1, "seed": 3},
+                {"kind": "hidden_dims", "indices": [2]}]
+        cfg = BenchConfig.from_dict(dict(self.BASE, dataset={"tier": "medium", "corruption": tags}))
+        assert list(cfg.dataset_recipe.corruption) == tags
 
     def test_agent_dataset_coherence(self):
         missing = dict(self.BASE, agent={"name": "offline_bcq"})

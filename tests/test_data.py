@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 import hybench as hb
-from hybench import agents, data, oracle
+from hybench import agents, bench, data, oracle
 from hybench.data import (
     DatasetDimensionError,
     DatasetMeta,
     DatasetParseError,
     DatasetVersionError,
-    TransitionRecord,
 )
 
 
 def random_policy(env, seed=0):
     return agents.UniformPolicy(agents.resolve_action_grid(
         env, agents.default_agent_config(env)), seed=seed)
+
+
+def same_columns(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+
+
+def chains_within_episodes(ds):
+    """Each next_obs of a record not marked done equals the next record's obs."""
+    live = ~ds.D[:-1]
+    return np.array_equal(ds.O2[:-1][live], ds.O[1:][live])
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +42,7 @@ class TestCollection:
         assert ds.meta.record_count == 1000
 
     def test_records_chain_within_episodes(self, grid_dataset):
-        recs = grid_dataset.records
-        for prev, cur in zip(recs, recs[1:]):
-            if not prev.done:
-                assert np.array_equal(prev.next_obs, cur.obs)
+        assert chains_within_episodes(grid_dataset)
 
     def test_deterministic(self):
         env = hb.make_env("windygrid")
@@ -58,7 +64,7 @@ class TestCollection:
         pol = agents.FunctionPolicy(probe, (0, 1, 2, 3))
         ds = data.collect_dataset(env, pol, 200, "privileged", seed=2)
         assert set(wind_seen) == {0.0, 1.0}
-        assert all(rec.obs[2] == 0.0 for rec in ds.records)
+        assert np.all(ds.O[:, 2] == 0.0)
         assert ds.meta.behavior_mode == "privileged"
 
     def test_observed_mode_has_no_hidden_dependence(self):
@@ -105,9 +111,9 @@ class TestCollection:
 
         def action_table(ds):
             table = {}
-            for rec in ds.records:
-                key = (rec.obs[0], rec.obs[1])
-                table.setdefault(key, []).append(int(rec.action))
+            for obs, action in zip(ds.O, ds.A):
+                key = (obs[0], obs[1])
+                table.setdefault(key, []).append(int(action))
             return table
 
         t_priv, t_blind = action_table(priv), action_table(blind)
@@ -137,7 +143,7 @@ class TestHistoryCollection:
         env2 = hb.make_env("windygrid")
         pol2 = agents.UniformPolicy((0, 1, 2, 3), seed=0)
         b = data.collect_dataset(env2, pol2, 300, "observed", seed=4)
-        assert a.records == b.records
+        assert same_columns(a, b)
 
     def test_window_zero_padded_at_episode_start(self):
         env = hb.make_env("windygrid")
@@ -158,7 +164,7 @@ class TestHistoryCollection:
         env = hb.make_env("pendulum", {"horizon": 20})
         pol = agents.UniformPolicy(tuple(np.linspace(-2, 2, 9)), seed=1)
         ds = data.collect_history_confounded(env, 3, pol, 100, seed=6)
-        assert ds.records[0].obs.shape == (3,)
+        assert ds.O.shape == ds.O2.shape == (100, 3)
         assert ds.meta.corruption == ({"kind": "history_confounded", "k": 3},)
         assert ds.meta.behavior_mode == "privileged"
 
@@ -166,7 +172,7 @@ class TestHistoryCollection:
 class TestObsNoiseCorruption:
     def test_sigma_zero_identity_with_meta_update(self, grid_dataset):
         out = data.corrupt_obs_noise(grid_dataset, 0.0, seed=1)
-        assert out.records == grid_dataset.records
+        assert same_columns(out, grid_dataset)
         assert out.meta.corruption[-1]["kind"] == "obs_noise"
         assert out.meta.behavior_mode == "observed"
 
@@ -174,9 +180,7 @@ class TestObsNoiseCorruption:
         env = hb.make_env("pendulum", {"horizon": 50})
         ds = data.collect_dataset(env, random_policy(env), 33_500, "observed", seed=2)
         out = data.corrupt_obs_noise(ds, 0.05, seed=3)
-        diffs = np.concatenate(
-            [rec_c.obs - rec.obs for rec, rec_c in zip(ds.records, out.records)]
-        )
+        diffs = (out.O - ds.O).ravel()
         assert abs(diffs.std() - 0.05) / 0.05 < 0.05
 
     def test_same_seed_identical(self, grid_dataset):
@@ -186,9 +190,7 @@ class TestObsNoiseCorruption:
 
     def test_within_episode_consistency(self, grid_dataset):
         out = data.corrupt_obs_noise(grid_dataset, 0.1, seed=4)
-        for prev, cur in zip(out.records, out.records[1:]):
-            if not prev.done:
-                assert np.array_equal(prev.next_obs, cur.obs)
+        assert chains_within_episodes(out)
 
     def test_corruption_is_per_index(self, grid_dataset):
         # corrupting a prefix equals the prefix of the corrupted dataset
@@ -201,11 +203,12 @@ class TestObsNoiseCorruption:
                 seed=grid_dataset.meta.seed,
                 record_count=1000,
             ),
-            grid_dataset.records[:1000],
+            *(col[:1000] for col in grid_dataset.arrays()),
         )
         full = data.corrupt_obs_noise(grid_dataset, 0.05, seed=5)
         part = data.corrupt_obs_noise(prefix, 0.05, seed=5)
-        assert part.records == full.records[:1000]
+        assert all(np.array_equal(x, y[:1000])
+                   for x, y in zip(part.arrays(), full.arrays()))
 
     def test_marks_privileged(self, grid_dataset):
         out = data.corrupt_obs_noise(grid_dataset, 0.05, seed=1)
@@ -219,20 +222,20 @@ class TestObsNoiseCorruption:
 class TestHideDimsCorruption:
     def test_zeroes_columns(self, grid_dataset):
         out = data.corrupt_hide_dims(grid_dataset, [2])
-        assert all(r.obs[2] == 0.0 and r.next_obs[2] == 0.0 for r in out.records)
+        assert np.all(out.O[:, 2] == 0.0) and np.all(out.O2[:, 2] == 0.0)
         assert out.meta.corruption[-1] == {"kind": "hidden_dims", "indices": [2]}
         assert out.meta.behavior_mode == "privileged"
 
     def test_empty_identity(self, grid_dataset):
         out = data.corrupt_hide_dims(grid_dataset, [])
-        assert out.records == grid_dataset.records
+        assert same_columns(out, grid_dataset)
         assert out.meta.behavior_mode == "observed"
 
     def test_already_zero_column_stays_observed(self):
         env = hb.with_hidden_dims(hb.make_env("windygrid"), [2])
         ds = data.collect_dataset(env, random_policy(env), 300, "observed", seed=1)
         out = data.corrupt_hide_dims(ds, [2])
-        assert out.records == ds.records
+        assert same_columns(out, ds)
         assert out.meta.behavior_mode == "observed"
 
     def test_out_of_range_rejected(self, grid_dataset):
@@ -274,10 +277,10 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         ds = data.read_dataset(path)
         assert len(ds) == 2
-        assert ds.records[0] == TransitionRecord(
-            np.array([0.0, 4.0, 1.0]), 3, -1.0, np.array([1.0, 3.0, 0.0]), False
-        )
-        assert ds.records[1].done
+        assert np.array_equal(ds.O[0], [0.0, 4.0, 1.0])
+        assert ds.A[0] == 3 and ds.R[0] == -1.0 and not ds.D[0]
+        assert np.array_equal(ds.O2[0], [1.0, 3.0, 0.0])
+        assert ds.D[1]
 
     def test_truncated_file_names_line(self, grid_dataset, tmp_path):
         path = tmp_path / "trunc.ds"
@@ -326,6 +329,19 @@ class TestSerialization:
             data.read_dataset(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "column, label", [("O", "obs"), ("A", "action"), ("R", "reward"), ("O2", "next_obs")]
+    )
+    def test_non_finite_rejected_naming_record(self, column, label, tmp_path):
+        env = hb.make_env("pendulum", {"horizon": 25})
+        ds = data.collect_dataset(env, random_policy(env), 50, "observed", seed=8)
+        cols = dict(zip(("O", "A", "R", "O2", "D"), (col.copy() for col in ds.arrays())))
+        cols[column][7] = np.nan
+        path = tmp_path / "bad.ds"
+        with pytest.raises(ValueError, match=f"record 7: non-finite {label} "):
+            data.write_dataset(data.Dataset(ds.meta, **cols), path)
+        assert not path.exists()
+
     def test_meta_validation(self):
         with pytest.raises(ValueError):
             DatasetMeta(env_name="x", env_params={}, tier="gold")
@@ -345,8 +361,48 @@ class TestConcat:
             env_name=grid_dataset.meta.env_name, env_params=grid_dataset.meta.env_params,
             tier="expert", record_count=len(grid_dataset) - half,
         )
-        d1 = data.Dataset(m1, grid_dataset.records[:half])
-        d2 = data.Dataset(m2, grid_dataset.records[half:])
+        d1 = data.Dataset(m1, *(col[:half] for col in grid_dataset.arrays()))
+        d2 = data.Dataset(m2, *(col[half:] for col in grid_dataset.arrays()))
         both = data.concat_datasets([d1, d2], "medium_expert", seed=0)
         assert both.meta.tier == "medium_expert"
-        assert both.records == grid_dataset.records
+        assert same_columns(both, grid_dataset)
+
+
+class TestColumns:
+    def test_read_only_columns_with_fixed_dtypes(self, grid_dataset):
+        env = hb.make_env("pendulum", {"horizon": 25})
+        pend = data.collect_dataset(env, random_policy(env), 100, "observed", seed=3)
+        for ds, action_dtype in ((grid_dataset, np.int64), (pend, np.float64)):
+            cols = ds.arrays()
+            assert [c.dtype for c in cols] == [
+                np.float64, action_dtype, np.float64, np.float64, np.bool_
+            ]
+            assert all(not c.flags.writeable for c in cols)
+            assert all(a is b for a, b in zip(cols, ds.arrays()))
+
+    def test_mismatched_columns_rejected(self, grid_dataset):
+        O, A, R, O2, D = grid_dataset.arrays()
+        with pytest.raises(ValueError):
+            data.Dataset(grid_dataset.meta, O, A[:-1], R, O2, D)
+        with pytest.raises(ValueError):
+            data.Dataset(grid_dataset.meta, O, A, R, O2[:, :2], D)
+
+    def test_zero_width_observations(self, tmp_path):
+        # bandit observations are empty: every operation keeps (n, 0) columns
+        env = hb.make_env("bandit")
+        ds = data.collect_dataset(env, random_policy(env), 300, "observed", seed=0)
+        assert ds.O.shape == ds.O2.shape == (300, 0)
+        path = tmp_path / "bandit.ds"
+        data.write_dataset(ds, path)
+        back = data.read_dataset(path)
+        assert back == ds
+        assert back.O.shape == back.O2.shape == (300, 0)
+        assert back.A.dtype == ds.A.dtype
+        assert bench.dataset_hash(back) == bench.dataset_hash(ds)
+        both = data.concat_datasets([ds, back], "medium_expert", seed=0)
+        assert both.O.shape == both.O2.shape == (600, 0)
+        assert bench.dataset_hash(both) != bench.dataset_hash(ds)
+        for out in (data.corrupt_obs_noise(ds, 0.1, seed=1), data.corrupt_hide_dims(ds, [])):
+            assert out.O.shape == out.O2.shape == (300, 0)
+            assert same_columns(out, ds)
+            assert len(bench.dataset_hash(out)) == 16

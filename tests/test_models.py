@@ -25,13 +25,10 @@ def model_config(env_name="pendulum", **over):
 
 def split(ds, n_train):
     tr = data.Dataset(
-        dataclasses.replace(ds.meta, record_count=n_train), ds.records[:n_train]
+        dataclasses.replace(ds.meta, record_count=n_train),
+        *(col[:n_train] for col in ds.arrays()),
     )
-    te = ds.records[n_train:]
-    O = np.stack([r.obs for r in te])
-    A = np.asarray([r.action for r in te])
-    R = np.asarray([r.reward for r in te])
-    O2 = np.stack([r.next_obs for r in te])
+    O, A, R, O2, _ = (col[n_train:] for col in ds.arrays())
     return tr, O, A, R, O2
 
 
@@ -45,6 +42,20 @@ class TestFeatureMap:
     def test_dim_capped_polynomial(self):
         fm = FeatureMap.polynomial(3, 9, dim_degrees=(4, 4, 1))
         assert fm.output_dim == 5 * 5 * 2
+
+    def test_polynomial_columns_are_monomials(self):
+        fm = FeatureMap.polynomial(3, 4, shift=(0.5, 0, -1), scale=(1, 2, 0.5),
+                                   dim_degrees=(4, 2, 1))
+        X = np.random.default_rng(2).normal(size=(6, 3))
+        Xs = (X + fm.shift) * fm.scale
+        Phi = fm.transform(X)
+        assert Phi.shape == (6, fm.output_dim)
+        for j, exps in enumerate(fm._exponents):
+            col = np.ones(len(X))
+            for dim, e in exps:
+                col = col * Xs[:, dim] ** e
+            assert np.array_equal(Phi[:, j], col), exps
+        assert np.array_equal(fm.transform(X[2]), Phi[2:3])
 
     def test_random_fourier_output_dim_and_determinism(self):
         a = FeatureMap.random_fourier(3, 64, 1.0, seed=5)
@@ -70,13 +81,13 @@ class TestFeatureMap:
 class TestAugmentation:
     def test_perfect_simulator_reproduces_next_obs(self, pendulum_random_dataset):
         aug = models.augment_with_sim(pendulum_random_dataset, hb.make_env("pendulum"))
-        O2 = np.stack([r.next_obs for r in pendulum_random_dataset.records])
+        O2 = pendulum_random_dataset.O2
         assert np.abs(aug.sim_next_obs - O2).max() < 1e-9
 
     def test_wrong_simulator_has_gap(self, pendulum_random_dataset):
         sim = hb.with_transition_error(hb.make_env("pendulum"), {"gravity": 19.62})
         aug = models.augment_with_sim(pendulum_random_dataset, sim)
-        O2 = np.stack([r.next_obs for r in pendulum_random_dataset.records])
+        O2 = pendulum_random_dataset.O2
         assert np.linalg.norm(aug.sim_next_obs - O2, axis=1).mean() > 0.01
 
     def test_deterministic(self, pendulum_random_dataset):
@@ -148,11 +159,9 @@ class TestCorrectionEnsemble:
         cfg = model_config()
         aug = models.augment_with_sim(tr, hb.make_env("pendulum"))
         shift = 2.5
-        shifted_records = [
-            dataclasses.replace(r, next_obs=r.next_obs + shift) for r in tr.records
-        ]
         shifted = models.AugmentedDataset(
-            data.Dataset(tr.meta, shifted_records), aug.sim_next_obs + shift
+            data.Dataset(tr.meta, tr.O, tr.A, tr.R, tr.O2 + shift, tr.D),
+            aug.sim_next_obs + shift,
         )
         a = models.fit_correction_ensemble(aug, cfg)
         b = models.fit_correction_ensemble(shifted, cfg)
@@ -203,9 +212,7 @@ class TestCorrectionEnsemble:
 
     def test_training_loss_monotone_in_feature_count(self, pendulum_random_dataset):
         tr, *_ = split(pendulum_random_dataset, 3_000)
-        O = np.stack([r.obs for r in tr.records])
-        A = np.asarray([r.action for r in tr.records])
-        O2 = np.stack([r.next_obs for r in tr.records])
+        O, A, _, O2, _ = tr.arrays()
         X = encode_model_input(O, A, hb.make_env("pendulum").action_space)
         losses = []
         for degree in (1, 2, 3, 4):

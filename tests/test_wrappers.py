@@ -10,6 +10,8 @@ from hybench.wrappers import (
     ObsNoise,
     TransitionParamOverride,
     apply_perturbations,
+    clone_env,
+    env_signature,
     perturb_from_dict,
     perturb_to_dict,
 )
@@ -220,6 +222,15 @@ class TestInvariants:
         assert wrapped.action_space == base.action_space
         assert wrapped.params.horizon == base.params.horizon
         assert wrapped.name == base.name
+
+    def test_signature_ignores_runtime_state(self):
+        env = hb.with_action_noise(hb.make_env("pendulum"), 0.1)
+        before = env_signature(env)
+        env.reset(seed=0)
+        env.step(1.0)
+        assert env_signature(env) == before
+        assert env_signature(clone_env(env)) == before
+        assert env_signature(hb.with_action_noise(hb.make_env("pendulum"), 0.2)) != before
 
     def test_full_state_bypasses_observation_wrappers(self):
         env = hb.with_hidden_dims(hb.with_obs_noise(hb.make_env("windygrid"), 1.0), [2])
