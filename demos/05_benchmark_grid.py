@@ -11,12 +11,11 @@ from pathlib import Path
 
 from hybench import bench
 from hybench.data import DatasetRecipe
-from hybench.wrappers import TransitionParamOverride
 
 
 def main():
     recipe = DatasetRecipe(tier="medium", n_records=20_000, seed=0)
-    sim_gap = [TransitionParamOverride({"wind_prob": 0.4})]
+    sim_gap = [{"kind": "transition_param_override", "overrides": {"wind_prob": 0.4}}]
     configs = bench.grid_configs(
         "windygrid",
         {"wind_prob": 0.3},

@@ -37,6 +37,7 @@ from .data import (
     Dataset,
     DatasetMeta,
     DatasetRecipe,
+    apply_specs,
     collect_dataset,
     collect_history_confounded,
     corrupt_hide_dims,
@@ -86,7 +87,6 @@ from .oracle import (
     windygrid_mdp,
 )
 from .wrappers import (
-    apply_perturbations,
     clone_env,
     with_action_delay,
     with_action_noise,

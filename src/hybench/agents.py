@@ -256,9 +256,6 @@ class QFunction:
             return phi @ self.weights
         return (phi @ self.weights) @ self.action_powers
 
-    def value(self, obs: np.ndarray) -> np.ndarray:
-        return self.values(np.asarray(obs, dtype=float)[None, :])[0]
-
 
 class Policy:
     """Base policy over a fixed action grid with owned exploration RNG."""
@@ -321,9 +318,6 @@ class BehaviorModel:
         uniform = np.full_like(raw, 1.0 / raw.shape[1])
         return np.where(sums > 1e-12, raw / np.where(sums > 0, sums, 1.0), uniform)
 
-    def probs(self, obs) -> np.ndarray:
-        return self.probs_batch(np.asarray(obs, dtype=float)[None, :])[0]
-
 
 class QPolicy(Policy):
     """Greedy/epsilon-soft policy over a QFunction, optionally restricted to
@@ -338,9 +332,10 @@ class QPolicy(Policy):
         self.bc_threshold = float(bc_threshold)
 
     def action_index(self, obs) -> int:
-        scores = self.q.value(obs)
+        row = np.asarray(obs, dtype=float)[None, :]
+        scores = self.q.values(row)[0]
         if self.behavior is not None and self.bc_threshold > 0.0:
-            mask = self.behavior.probs(obs) >= self.bc_threshold
+            mask = self.behavior.probs_batch(row)[0] >= self.bc_threshold
             if mask.any():
                 scores = np.where(mask, scores, -np.inf)
         return int(np.argmax(scores))

@@ -28,19 +28,15 @@ from .data import (
     DEFAULT_TIER_BUDGET,
     Dataset,
     DatasetRecipe,
+    apply_specs,
+    check_spec,
     generate_dataset,
     online_training_run,
     read_dataset,
 )
 from .envs import Environment, make_env
 from .seeding import REFS, derived_seed
-from .wrappers import (
-    PerturbSpec,
-    apply_perturbations,
-    clone_env,
-    perturb_from_dict,
-    perturb_to_dict,
-)
+from .wrappers import clone_env, env_signature
 
 AGENT_NAMES = ("online_q", "offline_bcq", "mopo_lite", "hymopo")
 
@@ -94,8 +90,6 @@ def compute_reference_pair(
     Cached per (environment signature, seed, episodes, budget, agent config)
     so repeated normalization reuses one expert training run per process.
     """
-    from .wrappers import env_signature
-
     if budget is None:
         budget = DEFAULT_TIER_BUDGET.get(env.name, 20_000)
     cfg = config if config is not None else agents.default_agent_config(env)
@@ -125,7 +119,7 @@ class BenchConfig:
     benchmark_id: str
     env_name: str
     env_params: dict
-    sim2real: tuple[PerturbSpec, ...] = ()
+    sim2real: tuple[dict, ...] = ()
     dataset_path: str | None = None
     dataset_recipe: DatasetRecipe | None = None
     agent: str = "offline_bcq"
@@ -135,6 +129,9 @@ class BenchConfig:
     out: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "sim2real", tuple(check_spec(s, "env") for s in self.sim2real)
+        )
         if self.agent not in AGENT_NAMES:
             raise ValueError(f"unknown agent {self.agent!r}; valid: {AGENT_NAMES}")
         uses_dataset = self.agent in ("offline_bcq", "mopo_lite", "hymopo")
@@ -165,7 +162,7 @@ class BenchConfig:
         return {
             "benchmark_id": self.benchmark_id,
             "env": {"name": self.env_name, "params": dict(self.env_params)},
-            "sim2real": [perturb_to_dict(s) for s in self.sim2real],
+            "sim2real": [dict(s) for s in self.sim2real],
             "dataset": dataset,
             "agent": {"name": self.agent, "config": dict(self.agent_overrides or {})},
             "seeds": list(self.seeds),
@@ -208,7 +205,7 @@ class BenchConfig:
             benchmark_id=d["benchmark_id"],
             env_name=env_d["name"],
             env_params=dict(env_d.get("params") or {}),
-            sim2real=tuple(perturb_from_dict(s) for s in d.get("sim2real", [])),
+            sim2real=tuple(d.get("sim2real", [])),
             dataset_path=dataset_path,
             dataset_recipe=recipe,
             agent=agent_d["name"],
@@ -323,17 +320,15 @@ def _run_single_seed(config: BenchConfig, seed: int, dataset: Dataset | None
     cfg = _agent_config(true_env, config.agent_overrides)
     refs = compute_reference_pair(true_env)
 
+    # the training simulator: the true environment with the sim2real gap
+    sim = apply_specs(make_env(config.env_name, config.env_params), config.sim2real, "env")
     if config.agent == "online_q":
-        sim = apply_perturbations(make_env(config.env_name, config.env_params),
-                                  config.sim2real)
         policy = agents.train_online_q(sim, cfg, seed).policy
     elif config.agent == "offline_bcq":
         policy = agents.train_offline_bcq(dataset, cfg, seed).policy
     elif config.agent == "mopo_lite":
         policy = agents.train_mopo_lite(dataset, cfg, seed).policy
     else:  # hymopo
-        sim = apply_perturbations(make_env(config.env_name, config.env_params),
-                                  config.sim2real)
         policy = agents.train_hymopo(dataset, sim, cfg, seed).policy
 
     raw, _ = agents.evaluate_policy(true_env, policy, config.eval_episodes, seed)

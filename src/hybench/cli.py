@@ -15,6 +15,7 @@ stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -55,17 +56,9 @@ def cmd_gen_data(args) -> int:
 def cmd_run(args) -> int:
     configs = bench.load_configs(args.config)
     if args.seed is not None:
-        configs = [
-            bench.BenchConfig.from_dict(
-                {**c.to_dict(), "seeds": [args.seed]}
-            )
-            for c in configs
-        ]
+        configs = [dataclasses.replace(c, seeds=(args.seed,)) for c in configs]
     if args.out is not None:
-        configs = [
-            bench.BenchConfig.from_dict({**c.to_dict(), "out": args.out})
-            for c in configs
-        ]
+        configs = [dataclasses.replace(c, out=args.out) for c in configs]
     results, failures = bench.run_benchmarks(configs, jobs=args.jobs)
     for res in results:
         print(

@@ -16,14 +16,25 @@ actual decision input (a window of past observations) is discarded.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
+from numbers import Integral, Real
 
 import numpy as np
 
 from .envs import Environment, StepResult
 from .seeding import COLLECT_ENV, COLLECT_POLICY, DATA_NOISE, derived_rng, derived_seed
-from .wrappers import EnvWrapper
+from .wrappers import (
+    EnvWrapper,
+    clone_env,
+    env_signature,
+    with_action_delay,
+    with_action_noise,
+    with_hidden_dims,
+    with_obs_noise,
+    with_transition_error,
+)
 
 FORMAT_VERSION = "b4mrl-ds/1"
 DATASET_TIERS = ("random", "medium", "medium_replay", "medium_expert", "expert")
@@ -173,8 +184,8 @@ class Dataset:
 def _stack_rows(rows) -> tuple:
     """Columns from (obs, action, reward, next_obs, done) row tuples."""
     O, A, R, O2, D = zip(*rows)
-    return (np.stack(O), np.asarray(A), np.asarray(R, dtype=float), np.stack(O2),
-            np.asarray(D, dtype=bool))
+    return (np.array(O, dtype=float), np.asarray(A), np.asarray(R, dtype=float),
+            np.array(O2, dtype=float), np.asarray(D, dtype=bool))
 
 
 def _env_dataset(env: Environment, columns, tier: str, behavior_mode: str, seed: int,
@@ -375,24 +386,29 @@ def _with_observations(dataset: Dataset, O, O2, tag: dict, changed: bool) -> Dat
     return Dataset(meta, O, dataset.A, dataset.R, O2, dataset.D)
 
 
-def corrupt_obs_noise(dataset: Dataset, sigma: float, seed: int) -> Dataset:
+def corrupt_obs_noise(dataset: Dataset, sigma: float, seed: int | None = None) -> Dataset:
     """Add one fixed Gaussian noise draw per (record index, dimension).
 
     Noise row i perturbs record i's observation and noise row i+1 its next
     observation, so a state appearing as next_obs of record t and obs of
     record t+1 inside one episode receives the same draw.  The whole
-    corruption is a pure function of (seed, record index, dimension).
+    corruption is a pure function of (seed, record index, dimension); the
+    seed defaults to the dataset's own.
     """
     if sigma < 0:
         raise ValueError(f"observation noise sigma must be >= 0, got {sigma}")
+    if seed is None:
+        seed = dataset.meta.seed
     tag = {"kind": "obs_noise", "sigma": float(sigma), "seed": int(seed)}
     O, O2 = dataset.O, dataset.O2
-    if sigma != 0.0:
+    # without observation dimensions there is nothing to perturb
+    changed = sigma != 0.0 and O.shape[1] > 0
+    if changed:
         noise = sigma * derived_rng(seed, DATA_NOISE).standard_normal(
             (len(O) + 1, O.shape[1])
         )
         O, O2 = O + noise[:-1], O2 + noise[1:]
-    return _with_observations(dataset, O, O2, tag, changed=sigma != 0.0)
+    return _with_observations(dataset, O, O2, tag, changed)
 
 
 def corrupt_hide_dims(dataset: Dataset, indices) -> Dataset:
@@ -438,12 +454,6 @@ def clear_training_cache() -> None:
     _TRAIN_CACHE.clear()
 
 
-def _env_cache_key(env: Environment):
-    from .wrappers import env_signature
-
-    return env_signature(env)
-
-
 def online_training_run(env: Environment, budget: int, seed: int, config=None):
     """Cached online training run on a fresh clone of ``env``.
 
@@ -454,10 +464,8 @@ def online_training_run(env: Environment, budget: int, seed: int, config=None):
     from . import agents
 
     cfg = config if config is not None else agents.default_agent_config(env)
-    key = (_env_cache_key(env), budget, seed, cfg)
+    key = (env_signature(env), budget, seed, cfg)
     if key not in _TRAIN_CACHE:
-        from .wrappers import clone_env
-
         _TRAIN_CACHE[key] = agents.train_online_q(
             clone_env(env), cfg, seed, budget=budget
         )
@@ -494,8 +502,6 @@ def train_tier_policy(
 
     if tier == "random":
         policy = agents.UniformPolicy(agents.resolve_action_grid(env, cfg), seed=seed)
-        from .wrappers import clone_env
-
         raw, _ = agents.evaluate_policy(clone_env(env), policy, episodes=100, seed=seed)
         return TierPolicy(
             tier, policy, raw, bench.normalize_score(raw, refs.random_ref, refs.expert_ref)
@@ -533,15 +539,93 @@ def train_tier_policy(
 
 
 # ---------------------------------------------------------------------------
-# Recipes
+# Spec kinds: simulator perturbations and dataset corruptions
 # ---------------------------------------------------------------------------
 
 
-# post-hoc corruption kind -> (required keys, optional keys)
-_CORRUPTION_KEYS = {
-    "obs_noise": ({"sigma"}, {"seed"}),
-    "hidden_dims": ({"indices"}, set()),
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
+        raise ValueError(f"must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
+def _ints(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a list of integers >= 0, got {value!r}")
+    return [_int(i) for i in value]
+
+
+def _params(value) -> dict:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"must be an object of parameter values, got {value!r}")
+    return dict(value)
+
+
+# kind -> stage -> (operator, required fields, optional fields).  Stage "env"
+# perturbs a training simulator (``sim2real``), stage "data" corrupts a
+# generated dataset (``corruption``).  The operator runs as op(target, **fields);
+# each field maps to its JSON value's coercion.  Every number is >= 0.
+SPEC_KINDS = {
+    "transition_param_override": {"env": (with_transition_error, {"overrides": _params}, {})},
+    "obs_noise": {"env": (with_obs_noise, {"sigma": _real}, {}),
+                  "data": (corrupt_obs_noise, {"sigma": _real}, {"seed": _int})},
+    "hidden_dims": {"env": (with_hidden_dims, {"indices": _ints}, {}),
+                    "data": (corrupt_hide_dims, {"indices": _ints}, {})},
+    "action_noise": {"env": (with_action_noise, {"sigma": _real}, {})},
+    "action_delay": {"env": (with_action_delay, {"delay": _int}, {})},
 }
+_STAGE_NOUNS = {"env": "sim2real", "data": "corruption"}
+
+
+def check_spec(spec, stage: str) -> dict:
+    """Validate one spec for ``stage`` and return its canonical form: a new
+    dict of the kind and each given field, coerced to its JSON type."""
+    noun = _STAGE_NOUNS[stage]
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"a {noun} spec must be an object with a 'kind', got {spec!r}")
+    kind = spec.get("kind")
+    stages = SPEC_KINDS.get(kind, {}) if isinstance(kind, str) else {}
+    if stage not in stages:
+        valid = sorted(k for k, by_stage in SPEC_KINDS.items() if stage in by_stage)
+        raise ValueError(f"unknown {noun} kind {kind!r}; valid: {valid}")
+    _, required, optional = stages[stage]
+    keys = set(spec) - {"kind"}
+    missing = sorted(set(required) - keys)
+    if missing:
+        raise ValueError(f"missing keys {missing} for {noun} kind {kind!r}")
+    unknown = sorted(keys - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} for {noun} kind {kind!r}")
+    out = {"kind": kind}
+    for name, coerce in {**required, **optional}.items():
+        if name in spec:
+            try:
+                out[name] = coerce(spec[name])
+            except ValueError as exc:
+                raise ValueError(f"{noun} kind {kind!r}: {name!r} {exc}") from None
+    return out
+
+
+def apply_specs(target, specs, stage: str):
+    """Apply specs in order to an environment (stage "env") or a dataset
+    (stage "data").  Later specs act on the output of earlier ones, so
+    hidden dims listed after observation noise zero the noisy values."""
+    for spec in specs:
+        spec = check_spec(spec, stage)
+        op = SPEC_KINDS[spec.pop("kind")][stage][0]
+        target = op(target, **spec)
+    return target
+
+
+# ---------------------------------------------------------------------------
+# Recipes
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -574,21 +658,9 @@ class DatasetRecipe:
         object.__setattr__(
             self, "hidden_during_collection", tuple(int(i) for i in self.hidden_during_collection)
         )
-        object.__setattr__(self, "corruption", tuple(dict(c) for c in self.corruption))
-        for tag in self.corruption:
-            kind = tag.get("kind")
-            if kind not in _CORRUPTION_KEYS:
-                raise ValueError(
-                    f"unknown corruption kind {kind!r}; valid: {sorted(_CORRUPTION_KEYS)}"
-                )
-            required, optional = _CORRUPTION_KEYS[kind]
-            keys = set(tag) - {"kind"}
-            missing = sorted(required - keys)
-            if missing:
-                raise ValueError(f"missing keys {missing} for corruption kind {kind!r}")
-            unknown = sorted(keys - required - optional)
-            if unknown:
-                raise ValueError(f"unknown keys {unknown} for corruption kind {kind!r}")
+        object.__setattr__(
+            self, "corruption", tuple(check_spec(c, "data") for c in self.corruption)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -609,30 +681,12 @@ class DatasetRecipe:
         unknown = sorted(set(d) - valid)
         if unknown:
             raise ValueError(f"unknown dataset recipe keys {unknown}; valid: {sorted(valid)}")
-        d = dict(d)
-        if "hidden_during_collection" in d:
-            d["hidden_during_collection"] = tuple(d["hidden_during_collection"])
-        if "corruption" in d:
-            d["corruption"] = tuple(d["corruption"])
         return cls(**d)
-
-
-def _apply_corruptions(dataset: Dataset, corruption) -> Dataset:
-    # tags were checked against _CORRUPTION_KEYS when the recipe was built
-    for tag in corruption:
-        if tag["kind"] == "obs_noise":
-            dataset = corrupt_obs_noise(
-                dataset, tag["sigma"], tag.get("seed", dataset.meta.seed)
-            )
-        else:
-            dataset = corrupt_hide_dims(dataset, tag["indices"])
-    return dataset
 
 
 def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Dataset:
     """Materialize a dataset from a recipe on (a clone of) the given true env."""
     from . import agents
-    from .wrappers import clone_env, with_hidden_dims
 
     n_records = recipe.n_records or DEFAULT_DATASET_SIZE.get(env.name, 20_000)
     budget = recipe.train_budget or DEFAULT_TIER_BUDGET.get(env.name, 20_000)
@@ -674,12 +728,10 @@ def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Data
         pol, _ = tier_policy(recipe.tier)
         dataset = _collect(collect_env, pol, n_records, recipe, recipe.tier)
 
-    return _apply_corruptions(dataset, recipe.corruption)
+    return apply_specs(dataset, recipe.corruption, "data")
 
 
 def _collect(collect_env, policy, count, recipe: DatasetRecipe, tier: str) -> Dataset:
-    from .wrappers import clone_env
-
     env = clone_env(collect_env)
     if recipe.history_k is not None and recipe.history_k > 1:
         return collect_history_confounded(
@@ -702,7 +754,25 @@ _META_KEYS = {
     "seed",
     "record_count",
 }
-_RECORD_KEYS = {"o", "a", "r", "o2", "d"}
+# JSON numbers decode to exactly these types, and true/false to bool; the
+# NaN and Infinity tokens decode to strings, as write_dataset refuses them
+_NUMBER_TYPES = frozenset((int, float))
+_RECORD_DECODER = json.JSONDecoder(parse_constant=str)
+
+
+def _is_number_list(value) -> bool:
+    return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
+
+
+# record key -> (check of its decoded JSON value, what the check asks for)
+_RECORD_VALUES = {
+    "o": (_is_number_list, "a list of numbers"),
+    "a": (lambda v: type(v) in _NUMBER_TYPES or _is_number_list(v),
+          "a number or a list of numbers"),
+    "r": (lambda v: type(v) in _NUMBER_TYPES, "a number"),
+    "o2": (_is_number_list, "a list of numbers"),
+    "d": (lambda v: type(v) is bool, "true or false"),
+}
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -775,28 +845,31 @@ def read_dataset(path) -> Dataset:
                     line=line_no,
                 )
             try:
-                rec_d = json.loads(line)
+                rec_d = _RECORD_DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise DatasetParseError(f"record is not valid JSON ({exc.msg})", line=line_no)
-            if not isinstance(rec_d, dict) or set(rec_d) != _RECORD_KEYS:
+            if not isinstance(rec_d, dict) or rec_d.keys() != _RECORD_VALUES.keys():
                 raise DatasetParseError(
-                    f"record must be an object with keys {sorted(_RECORD_KEYS)}",
+                    f"record must be an object with keys {sorted(_RECORD_VALUES)}",
                     line=line_no,
                 )
-            obs = np.asarray(rec_d["o"], dtype=float)
-            next_obs = np.asarray(rec_d["o2"], dtype=float)
+            for key, (ok, expected) in _RECORD_VALUES.items():
+                if not ok(rec_d[key]):
+                    raise DatasetParseError(
+                        f"{key!r} must be {expected}, got {rec_d[key]!r}", line=line_no
+                    )
+            obs, action, next_obs = rec_d["o"], rec_d["a"], rec_d["o2"]
             if dim is None:
-                dim = obs.shape[0]
-            if obs.shape != (dim,) or next_obs.shape != (dim,):
+                dim = len(obs)
+            if len(obs) != dim or len(next_obs) != dim:
                 raise DatasetDimensionError(
-                    f"observation dimensions {obs.shape}/{next_obs.shape} do not "
+                    f"observation dimensions {len(obs)}/{len(next_obs)} do not "
                     f"match the dataset dimension {dim}",
                     line=line_no,
                 )
-            action = rec_d["a"]
-            if isinstance(action, list):
+            if type(action) is list:
                 action = np.asarray(action, dtype=float)
-            rows.append((obs, action, float(rec_d["r"]), next_obs, bool(rec_d["d"])))
+            rows.append((obs, action, rec_d["r"], next_obs, rec_d["d"]))
         if len(rows) != meta.record_count:
             raise DatasetParseError(
                 f"expected {meta.record_count} records, file ends after {len(rows)}",

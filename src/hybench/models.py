@@ -333,39 +333,6 @@ class CorrectionEnsemble:
         X = self._encode(obs, actions)
         return np.stack([m.predict_mean(X) for m in self.members])
 
-    def predict(self, member: int, obs, action, sim_next_obs=None):
-        """Mean next observation, mean reward and per-dimension variance for
-        one member.  Correction mode requires the simulator prediction."""
-        X = self._encode(obs, action)
-        mu = self.members[member].predict_mean(X)[0]
-        state_part, reward = mu[: self.obs_dim], float(mu[self.obs_dim])
-        if self.mode == "correction":
-            if sim_next_obs is None:
-                raise ValueError("correction mode requires the simulator prediction")
-            next_obs = np.asarray(sim_next_obs, dtype=float) + state_part
-        else:
-            next_obs = state_part
-        return next_obs, reward, self.members[member].noise_var.copy()
-
-    def sample(self, member: int, obs, action, rng: np.random.Generator,
-               sim_next_obs=None):
-        """Draw (next_obs, reward, raw_target_draw) from one member's Gaussian."""
-        X = self._encode(obs, action)
-        m = self.members[member]
-        mu = m.predict_mean(X)[0]
-        draw = mu + np.sqrt(m.noise_var) * rng.standard_normal(mu.shape)
-        state_part, reward = draw[: self.obs_dim], float(draw[self.obs_dim])
-        if self.mode == "correction":
-            if sim_next_obs is None:
-                raise ValueError("correction mode requires the simulator prediction")
-            next_obs = np.asarray(sim_next_obs, dtype=float) + state_part
-        else:
-            next_obs = state_part
-        return next_obs, reward, draw
-
-    def penalty(self, obs, action, mode: str = "disagreement") -> float:
-        return float(self.penalty_batch(obs, action, mode)[0])
-
     def penalty_batch(self, obs, actions, mode: str = "disagreement") -> np.ndarray:
         """Uncertainty penalty per input row; always >= 0.
 

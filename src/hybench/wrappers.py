@@ -14,12 +14,15 @@ horizon and done semantics:
 channel used to manufacture confounded datasets.  Every wrapper is the exact
 identity when its parameter is the neutral element (empty override map,
 sigma = 0, delay = 0, empty index set).
+
+The ``with_*`` functions are the operators behind the serializable
+``sim2real`` specs: ``hybench.data.SPEC_KINDS`` names each kind, its fields
+and its operator, and ``hybench.data.apply_specs`` applies a list of specs.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,115 +270,3 @@ class ActionDelayWrapper(EnvWrapper):
 
 def with_action_delay(env: Environment, delay: int) -> ActionDelayWrapper:
     return ActionDelayWrapper(env, delay)
-
-
-# ---------------------------------------------------------------------------
-# Declarative perturbation specs (serializable into benchmark configs)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransitionParamOverride:
-    overrides: dict
-
-    kind = "transition_param_override"
-
-
-@dataclass(frozen=True)
-class ObsNoise:
-    sigma: float
-
-    kind = "obs_noise"
-
-
-@dataclass(frozen=True)
-class HiddenDims:
-    indices: tuple[int, ...]
-
-    kind = "hidden_dims"
-
-
-@dataclass(frozen=True)
-class ActionNoise:
-    sigma: float
-
-    kind = "action_noise"
-
-
-@dataclass(frozen=True)
-class ActionDelay:
-    delay: int
-
-    kind = "action_delay"
-
-
-PerturbSpec = TransitionParamOverride | ObsNoise | HiddenDims | ActionNoise | ActionDelay
-
-
-def apply_perturbation(env: Environment, spec: PerturbSpec) -> Environment:
-    if isinstance(spec, TransitionParamOverride):
-        return with_transition_error(env, spec.overrides)
-    if isinstance(spec, ObsNoise):
-        return with_obs_noise(env, spec.sigma)
-    if isinstance(spec, HiddenDims):
-        return with_hidden_dims(env, spec.indices)
-    if isinstance(spec, ActionNoise):
-        return with_action_noise(env, spec.sigma)
-    if isinstance(spec, ActionDelay):
-        return with_action_delay(env, spec.delay)
-    raise TypeError(f"not a perturbation spec: {spec!r}")
-
-
-def apply_perturbations(env: Environment, specs) -> Environment:
-    """Apply perturbation specs in order; later specs wrap earlier ones, so a
-    hidden-dims spec listed after observation noise zeroes the noisy values."""
-    for spec in specs:
-        env = apply_perturbation(env, spec)
-    return env
-
-
-def perturb_to_dict(spec: PerturbSpec) -> dict:
-    if isinstance(spec, TransitionParamOverride):
-        return {"kind": spec.kind, "overrides": dict(spec.overrides)}
-    if isinstance(spec, ObsNoise):
-        return {"kind": spec.kind, "sigma": spec.sigma}
-    if isinstance(spec, HiddenDims):
-        return {"kind": spec.kind, "indices": list(spec.indices)}
-    if isinstance(spec, ActionNoise):
-        return {"kind": spec.kind, "sigma": spec.sigma}
-    if isinstance(spec, ActionDelay):
-        return {"kind": spec.kind, "delay": spec.delay}
-    raise TypeError(f"not a perturbation spec: {spec!r}")
-
-
-_PERTURB_FIELDS = {
-    "transition_param_override": {"overrides"},
-    "obs_noise": {"sigma"},
-    "hidden_dims": {"indices"},
-    "action_noise": {"sigma"},
-    "action_delay": {"delay"},
-}
-
-
-def perturb_from_dict(record: dict) -> PerturbSpec:
-    record = dict(record)
-    kind = record.pop("kind", None)
-    if kind not in _PERTURB_FIELDS:
-        raise ValueError(
-            f"unknown perturbation kind {kind!r}; valid: {sorted(_PERTURB_FIELDS)}"
-        )
-    unknown = sorted(set(record) - _PERTURB_FIELDS[kind])
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} for perturbation kind {kind!r}")
-    missing = sorted(_PERTURB_FIELDS[kind] - set(record))
-    if missing:
-        raise ValueError(f"missing keys {missing} for perturbation kind {kind!r}")
-    if kind == "transition_param_override":
-        return TransitionParamOverride(dict(record["overrides"]))
-    if kind == "obs_noise":
-        return ObsNoise(float(record["sigma"]))
-    if kind == "hidden_dims":
-        return HiddenDims(tuple(int(i) for i in record["indices"]))
-    if kind == "action_noise":
-        return ActionNoise(float(record["sigma"]))
-    return ActionDelay(int(record["delay"]))

@@ -18,7 +18,7 @@ import hybench as hb
 from hybench import agents, bench, data, models, oracle
 from hybench.data import DatasetRecipe
 from hybench.models import encode_model_input
-from hybench.wrappers import TransitionParamOverride, with_hidden_dims
+from hybench.wrappers import with_hidden_dims
 
 from conftest import FIXTURE_TIMES
 
@@ -392,9 +392,9 @@ def test_criterion_9_hybrid_directional_checks():
         recipe = DatasetRecipe(tier="medium", n_records=20_000, seed=0)
         means = {}
         for agent, sim2real, ds in (
-            ("online_q", (TransitionParamOverride({"wind_prob": 0.4}),), None),
+            ("online_q", ({"kind": "transition_param_override", "overrides": {"wind_prob": 0.4}},), None),
             ("offline_bcq", (), recipe),
-            ("hymopo", (TransitionParamOverride({"wind_prob": 0.4}),), recipe),
+            ("hymopo", ({"kind": "transition_param_override", "overrides": {"wind_prob": 0.4}},), recipe),
         ):
             cfg = bench.BenchConfig(
                 benchmark_id=f"wg-gap-{agent}",

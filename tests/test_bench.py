@@ -8,7 +8,6 @@ import hybench as hb
 from hybench import bench
 from hybench.bench import BenchConfig, RunResult
 from hybench.data import DatasetRecipe
-from hybench.wrappers import ObsNoise, TransitionParamOverride
 
 
 class TestNormalizeScore:
@@ -135,8 +134,8 @@ class TestConfigParsing:
         # 2 discrepancies x (4 dataset tiers) x 3 agents, online_q collapses
         # the dataset axis: 2 x 4 x 2 + 2 x 4 (online per discrepancy) = 24
         sim_options = [
-            ("grav2x", [TransitionParamOverride({"gravity": 19.62})]),
-            ("fric03", [TransitionParamOverride({"friction": 0.015})]),
+            ("grav2x", [{"kind": "transition_param_override", "overrides": {"gravity": 19.62}}]),
+            ("fric03", [{"kind": "transition_param_override", "overrides": {"friction": 0.015}}]),
         ]
         ds_options = [
             (tier, DatasetRecipe(tier=tier, n_records=1000))
@@ -183,6 +182,23 @@ class TestRunBenchmark:
             assert a.normalized_score == b.normalized_score
             assert a.config_hash == b.config_hash
             assert a.dataset_hash == b.dataset_hash
+
+    def test_jobs_2_matches_jobs_1(self):
+        cfg = BenchConfig(
+            benchmark_id="wg-jobs",
+            env_name="windygrid",
+            env_params={},
+            dataset_recipe=DatasetRecipe(tier="random", n_records=1000, seed=0),
+            agent="offline_bcq",
+            seeds=(0, 1),
+            eval_episodes=10,
+        )
+        rows = {}
+        for jobs in (1, 2):
+            results, failures = bench.run_benchmark(cfg, jobs=jobs)
+            assert not failures
+            rows[jobs] = [dataclasses.replace(r, wall_time=0.0) for r in results]
+        assert rows[2] == rows[1] and len(rows[1]) == 2
 
     def test_failures_are_isolated(self, tmp_path):
         cfg = BenchConfig(

@@ -329,6 +329,27 @@ class TestSerialization:
             data.read_dataset(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("o", '["x", 4.0, 1.0]'), ("o", "[null, 4.0, 1.0]"), ("o", "[true, 4.0, 1.0]"),
+        ("o", "[NaN, 4.0, 1.0]"), ("o2", '[1.0, "3", 0.0]'), ("o2", "null"),
+        ("r", '"bad"'), ("r", "null"), ("r", "-Infinity"),
+        ("a", '"x"'), ("a", "true"), ("a", "[[1.0]]"), ("d", '"no"'), ("d", "0"),
+    ])
+    def test_bad_record_value_names_line(self, key, value, tmp_path):
+        meta = {"format_version": "b4mrl-ds/1", "env_name": "windygrid", "env_params": {},
+                "tier": "random", "corruption": [], "behavior_mode": "observed", "seed": 0,
+                "record_count": 2}
+        record = {"o": "[0.0, 4.0, 1.0]", "a": "3", "r": "-1.0", "o2": "[1.0, 3.0, 0.0]",
+                  "d": "false"}
+        good = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
+        record[key] = value
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
+        path = tmp_path / "bad.ds"
+        path.write_text("\n".join([json.dumps(meta), good, bad]) + "\n")
+        with pytest.raises(DatasetParseError, match=f"'{key}' must be") as err:
+            data.read_dataset(path)
+        assert err.value.line == 3
+
     @pytest.mark.parametrize(
         "column, label", [("O", "obs"), ("A", "action"), ("R", "reward"), ("O2", "next_obs")]
     )
@@ -405,4 +426,5 @@ class TestColumns:
         for out in (data.corrupt_obs_noise(ds, 0.1, seed=1), data.corrupt_hide_dims(ds, [])):
             assert out.O.shape == out.O2.shape == (300, 0)
             assert same_columns(out, ds)
+            assert out.meta.behavior_mode == ds.meta.behavior_mode
             assert len(bench.dataset_hash(out)) == 16

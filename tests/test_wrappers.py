@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 import hybench as hb
+from hybench import agents, data
+from hybench.bench import BenchConfig, config_hash
+from hybench.data import SPEC_KINDS, DatasetRecipe, apply_specs, check_spec
 from hybench.envs import EnvError
-from hybench.wrappers import (
-    ActionDelay,
-    ActionNoise,
-    HiddenDims,
-    ObsNoise,
-    TransitionParamOverride,
-    apply_perturbations,
-    clone_env,
-    env_signature,
-    perturb_from_dict,
-    perturb_to_dict,
-)
+from hybench.wrappers import clone_env, env_signature
 
 
 def run_trajectory(env, actions, seed=0):
@@ -241,30 +233,90 @@ class TestInvariants:
         assert float(state[0]).is_integer() and float(state[1]).is_integer()
 
 
-class TestPerturbSpecs:
-    SPECS = [
-        TransitionParamOverride({"gravity": 19.62}),
-        ObsNoise(0.05),
-        HiddenDims((2,)),
-        ActionNoise(0.2),
-        ActionDelay(2),
-    ]
+# one valid pendulum value for every field name that SPEC_KINDS declares
+FIELD_VALUES = {"overrides": {"gravity": 19.62}, "sigma": 0.05, "indices": [2], "delay": 2,
+                "seed": 3}
 
+
+def kind_stages():
+    for kind, stages in SPEC_KINDS.items():
+        for stage, (_, required, optional) in stages.items():
+            spec = {"kind": kind, **{name: FIELD_VALUES[name] for name in required}}
+            yield kind, stage, spec, {**spec, **{name: FIELD_VALUES[name] for name in optional}}
+
+
+def round_trip(spec, stage):
+    """The spec as a config's sim2real or a recipe's corruption, after
+    to_dict and from_dict."""
+    if stage == "env":
+        cfg = BenchConfig("x", "pendulum", {}, sim2real=(spec,), agent="online_q")
+        return BenchConfig.from_dict(cfg.to_dict()).to_dict()["sim2real"][0]
+    recipe = DatasetRecipe(corruption=(spec,))
+    return DatasetRecipe.from_dict(recipe.to_dict()).to_dict()["corruption"][0]
+
+
+@pytest.fixture(scope="module")
+def pendulum_dataset():
+    env = hb.make_env("pendulum")
+    grid = agents.resolve_action_grid(env, agents.default_agent_config(env))
+    return data.collect_dataset(env, agents.UniformPolicy(grid), 50, "observed", seed=0)
+
+
+class TestPerturbSpecs:
     def test_round_trip(self):
-        for spec in self.SPECS:
-            assert perturb_from_dict(perturb_to_dict(spec)) == spec
+        for _, stage, minimal, full in kind_stages():
+            for spec in (minimal, full):
+                assert round_trip(spec, stage) == spec == check_spec(spec, stage)
+
+    def test_every_kind_applies(self, pendulum_dataset):
+        for kind, stage, _, spec in kind_stages():
+            if stage == "env":
+                env = apply_specs(hb.make_env("pendulum"), [spec], "env")
+                assert env.obs_dim == 3 and env.reset(seed=0).shape == (3,)
+            else:
+                ds = apply_specs(pendulum_dataset, [spec], "data")
+                assert len(ds) == len(pendulum_dataset)
+                assert ds.meta.corruption[-1]["kind"] == kind
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            perturb_from_dict({"kind": "teleport", "sigma": 1.0})
-        with pytest.raises(ValueError):
-            perturb_from_dict({"kind": "obs_noise", "sigma": 0.1, "extra": 1})
+        for stage in ("env", "data"):
+            with pytest.raises(ValueError, match="unknown"):
+                check_spec({"kind": "teleport", "sigma": 1.0}, stage)
+        with pytest.raises(ValueError, match="unknown corruption kind"):
+            check_spec({"kind": "action_delay", "delay": 1}, "data")
+        for _, stage, minimal, full in kind_stages():
+            with pytest.raises(ValueError, match="unknown keys"):
+                round_trip({**full, "extra": 1}, stage)
+            for name in set(minimal) - {"kind"}:
+                with pytest.raises(ValueError, match="missing keys"):
+                    round_trip({k: v for k, v in full.items() if k != name}, stage)
 
     def test_apply_in_order(self):
-        env = apply_perturbations(
+        env = apply_specs(
             hb.make_env("pendulum"),
-            [TransitionParamOverride({"gravity": 19.62}), ObsNoise(0.1), HiddenDims((2,))],
+            [{"kind": "transition_param_override", "overrides": {"gravity": 19.62}},
+             {"kind": "obs_noise", "sigma": 0.1}, {"kind": "hidden_dims", "indices": [2]}],
+            "env",
         )
         assert env.params.gravity == 19.62
         obs = env.reset(seed=0)
         assert obs[2] == 0.0
+
+    def test_integer_and_float_values_hash_alike(self):
+        def cfg(sigma):
+            recipe = DatasetRecipe(corruption=({"kind": "obs_noise", "sigma": sigma},))
+            return BenchConfig("x", "pendulum", {}, dataset_recipe=recipe)
+
+        assert config_hash(cfg(1)) == config_hash(cfg(1.0))
+        for bad in ("abc", "1.0", None, True, float("nan"), -0.5):
+            with pytest.raises(ValueError, match="'sigma' must be a finite number >= 0"):
+                cfg(bad)
+
+    def test_indices_must_be_a_list(self):
+        spec = {"kind": "hidden_dims", "indices": "12"}
+        for stage in ("env", "data"):
+            with pytest.raises(ValueError, match="'indices' must be a list of integers"):
+                round_trip(spec, stage)
+        for bad in ([1.0], [-1]):
+            with pytest.raises(ValueError, match="'indices' must be an integer >= 0"):
+                round_trip({"kind": "hidden_dims", "indices": bad}, "env")
