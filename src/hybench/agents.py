@@ -441,6 +441,23 @@ class _Block:
         return rhs
 
 
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion,
+    inv([[A, 0], [C, D]]) = [[Ai, 0], [-Di C Ai, Di]].  numpy has no
+    triangular solve; this keeps all but the small leaves in matrix products."""
+    n = L.shape[0]
+    if n <= 128:
+        return np.linalg.inv(L)
+    h = n // 2
+    Ai = _tril_inverse(L[:h, :h])
+    Di = _tril_inverse(L[h:, h:])
+    inv = np.zeros_like(L)
+    inv[:h, :h] = Ai
+    inv[h:, h:] = Di
+    inv[h:, :h] = -Di @ (L[h:, :h] @ Ai)
+    return inv
+
+
 def _bellman_iterate(
     blocks: list[_Block],
     weights: list[float],
@@ -452,22 +469,27 @@ def _bellman_iterate(
     W0: np.ndarray | None,
     design: str,
 ) -> np.ndarray:
+    # The ridge gram G = L L^T is fixed across iterations, so it is factored
+    # and L inverted once per call; each iteration then solves G w = rhs with
+    # two matrix-vector products, w = L^-T (L^-1 rhs).
     K = powers.shape[1]
     if design == "onehot":
-        chols = []
+        linvs = []
         for k in range(K):
             G = ridge * np.eye(F)
             for blk, w in zip(blocks, weights):
                 gk = blk.onehot_grams()[k]
                 if gk is not None:
                     G = G + w * gk
-            chols.append(np.linalg.cholesky(G))
+            linvs.append(_tril_inverse(np.linalg.cholesky(G)))
         W = np.zeros((F, K)) if W0 is None else W0.copy()
     else:
         G = ridge * np.eye(3 * F)
         for blk, w in zip(blocks, weights):
             G = G + w * blk.quad_gram()
-        chol = np.linalg.cholesky(G)
+        L = np.linalg.cholesky(G)
+        del G  # free the gram before the inverse allocates its own 3F x 3F
+        linv = _tril_inverse(L)
         W = np.zeros((F, 3)) if W0 is None else W0.copy()
 
     # Feasible value range for the observed rewards.  Bootstrap values are
@@ -503,15 +525,13 @@ def _bellman_iterate(
                     sl = blk.slices[k]
                     if sl.stop > sl.start:
                         rhs = rhs + w * (blk.Phi[sl].T @ y[sl])
-                z = np.linalg.solve(chols[k], rhs)
-                W_new[:, k] = np.linalg.solve(chols[k].T, z)
+                W_new[:, k] = linvs[k].T @ (linvs[k] @ rhs)
             W = W_new
         else:
             rhs = np.zeros(3 * F)
             for blk, w, y in zip(blocks, weights, targets):
                 rhs = rhs + w * blk.quad_rhs(y)
-            z = np.linalg.solve(chol, rhs)
-            W = np.linalg.solve(chol.T, z).reshape(3, F).T
+            W = (linv.T @ (linv @ rhs)).reshape(3, F).T
     return W
 
 

@@ -132,6 +132,8 @@ class BenchConfig:
         object.__setattr__(
             self, "sim2real", tuple(check_spec(s, "env") for s in self.sim2real)
         )
+        # None and {} mean the same; store {} so that from_dict(to_dict()) is equal
+        object.__setattr__(self, "agent_overrides", dict(self.agent_overrides or {}))
         if self.agent not in AGENT_NAMES:
             raise ValueError(f"unknown agent {self.agent!r}; valid: {AGENT_NAMES}")
         uses_dataset = self.agent in ("offline_bcq", "mopo_lite", "hymopo")
@@ -164,7 +166,7 @@ class BenchConfig:
             "env": {"name": self.env_name, "params": dict(self.env_params)},
             "sim2real": [dict(s) for s in self.sim2real],
             "dataset": dataset,
-            "agent": {"name": self.agent, "config": dict(self.agent_overrides or {})},
+            "agent": {"name": self.agent, "config": dict(self.agent_overrides)},
             "seeds": list(self.seeds),
             "eval_episodes": self.eval_episodes,
             "out": self.out,
@@ -209,7 +211,7 @@ class BenchConfig:
             dataset_path=dataset_path,
             dataset_recipe=recipe,
             agent=agent_d["name"],
-            agent_overrides=dict(agent_d.get("config") or {}),
+            agent_overrides=agent_d.get("config"),
             seeds=tuple(int(s) for s in d.get("seeds", (0, 1, 2))),
             eval_episodes=int(d.get("eval_episodes", 20)),
             out=d.get("out"),
@@ -276,6 +278,11 @@ class RunFailure:
     agent: str
     seed: int
     error: str
+    error_type: str
+
+    @classmethod
+    def from_exception(cls, config: BenchConfig, seed: int, exc: Exception) -> RunFailure:
+        return cls(config.benchmark_id, config.agent, seed, str(exc), type(exc).__name__)
 
 
 def _agent_config(env: Environment, overrides: dict | None) -> agents.AgentConfig:
@@ -353,7 +360,7 @@ def _worker(payload: tuple) -> tuple:
         dataset = obtain_dataset(config)
         return ("ok", _run_single_seed(config, seed, dataset))
     except Exception as exc:  # per-seed isolation: other seeds continue
-        return ("error", RunFailure(config.benchmark_id, config.agent, seed, str(exc)))
+        return ("error", RunFailure.from_exception(config, seed, exc))
 
 
 def run_benchmark(
@@ -383,9 +390,7 @@ def run_benchmark(
                     dataset_ready = True
                 results.append(_run_single_seed(config, seed, dataset))
             except Exception as exc:
-                failures.append(
-                    RunFailure(config.benchmark_id, config.agent, seed, str(exc))
-                )
+                failures.append(RunFailure.from_exception(config, seed, exc))
     if config.out:
         append_results(config.out, results)
     return results, failures

@@ -66,11 +66,7 @@ def cmd_run(args) -> int:
             f"raw={res.raw_return:.2f} score={res.normalized_score:.2f}"
         )
     if failures:
-        summary = [
-            {"benchmark_id": f.benchmark_id, "agent": f.agent, "seed": f.seed,
-             "error": f.error}
-            for f in failures
-        ]
+        summary = [dataclasses.asdict(f) for f in failures]
         print(json.dumps({"failures": summary}, indent=2), file=sys.stderr)
         return 1
     return 0

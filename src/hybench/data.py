@@ -859,12 +859,22 @@ def read_dataset(path) -> Dataset:
                         f"{key!r} must be {expected}, got {rec_d[key]!r}", line=line_no
                     )
             obs, action, next_obs = rec_d["o"], rec_d["a"], rec_d["o2"]
+            # an action is a number (None) or a list of a fixed length
+            action_len = len(action) if type(action) is list else None
             if dim is None:
-                dim = len(obs)
+                dim, first_action_len = len(obs), action_len
             if len(obs) != dim or len(next_obs) != dim:
                 raise DatasetDimensionError(
                     f"observation dimensions {len(obs)}/{len(next_obs)} do not "
                     f"match the dataset dimension {dim}",
+                    line=line_no,
+                )
+            if action_len != first_action_len:
+                first = ("a number" if first_action_len is None
+                         else f"a list of {first_action_len} numbers")
+                raise DatasetParseError(
+                    f"action {action!r} differs in form from the first record's "
+                    f"action, which is {first}",
                     line=line_no,
                 )
             if type(action) is list:

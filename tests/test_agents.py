@@ -303,3 +303,56 @@ class TestPolicySerialization:
         agents.save_policy(res.policy, path)
         back = agents.load_policy(path)
         assert np.array_equal(back.q.weights, res.policy.q.weights)
+
+
+
+def bellman_two_solves(blk, F, powers, gamma, ridge, iterations, W0, design):
+    """Reference fit as it was before the factor inverse: one block of weight
+    1/n, no mask, no return bound, and two general solves on the Cholesky
+    factor per action column and iteration."""
+    w = 1.0 / blk.n
+    r_min, r_max = blk.R.min(), blk.R.max()
+    v_lo, v_hi = min(r_min, r_min / (1 - gamma)), max(r_max, r_max / (1 - gamma))
+    grams = blk.onehot_grams() if design == "onehot" else [blk.quad_gram()]
+    chols = [np.linalg.cholesky(ridge * np.eye(len(g)) + w * g) for g in grams]
+    W = W0
+    for _ in range(iterations):
+        scores = blk.Phi2 @ W
+        if design == "quadratic":
+            scores = scores @ powers
+        y = blk.R + gamma * ~blk.D * np.clip(scores.max(axis=1), v_lo, v_hi)
+        rhss = ([w * (blk.Phi[sl].T @ y[sl]) for sl in blk.slices] if design == "onehot"
+                else [w * blk.quad_rhs(y)])
+        W = np.stack([np.linalg.solve(c.T, np.linalg.solve(c, r))
+                      for c, r in zip(chols, rhss)], axis=1)
+        if design == "quadratic":
+            W = W[:, 0].reshape(3, F).T
+    return W
+
+
+class TestBellmanKernel:
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 1539])
+    def test_tril_inverse_inverts(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        L = np.linalg.cholesky(A @ A.T + np.eye(n))
+        assert np.abs(agents._tril_inverse(L) @ L - np.eye(n)).max() < 1e-10
+
+    @pytest.mark.parametrize("design", ["onehot", "quadratic"])
+    def test_matches_two_solves_on_the_factor(self, design):
+        env = hb.make_env("pendulum", {"horizon": 50})
+        config = dataclasses.replace(default_agent_config(env), q_feature_count=60,
+                                     q_action_design=design)
+        grid = agents.resolve_action_grid(env, config)
+        ds = data.collect_dataset(env, UniformPolicy(grid, seed=1), 400, "observed", seed=1)
+        O, A, R, O2, D = ds.arrays()
+        fm = agents._build_q_features(O.shape[1], config, seed=0)
+        powers = agents._action_powers(grid)
+        block = agents._Block(fm, powers, O, actions_to_indices(A, grid), R, O2, D)
+        assert all(sl.stop > sl.start for sl in block.slices)
+        F = fm.output_dim
+        W0 = np.random.default_rng(2).standard_normal((F, len(grid) if design == "onehot" else 3))
+        args = (F, powers, config.gamma, config.q_ridge, 6, W0, design)
+        W = agents._bellman_iterate([block], [1.0 / block.n], *args)
+        W_ref = bellman_two_solves(block, *args)
+        np.testing.assert_allclose(W, W_ref, rtol=1e-9, atol=1e-9 * np.abs(W_ref).max())

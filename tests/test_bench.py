@@ -83,6 +83,13 @@ class TestConfigParsing:
         cfg = BenchConfig.from_dict(self.BASE)
         assert BenchConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_round_trip_without_agent_overrides(self):
+        cfg = BenchConfig(benchmark_id="wg-online", env_name="windygrid", env_params={},
+                          agent="online_q")
+        back = BenchConfig.from_dict(cfg.to_dict())
+        assert back == cfg
+        assert bench.config_hash(back) == bench.config_hash(cfg)
+
     def test_unknown_top_level_key_rejected(self):
         bad = dict(self.BASE, typo_key=1)
         with pytest.raises(ValueError):
@@ -210,10 +217,12 @@ class TestRunBenchmark:
             seeds=(0, 1),
             eval_episodes=2,
         )
-        results, failures = bench.run_benchmark(cfg)
-        assert results == []
-        assert len(failures) == 2
-        assert all(f.error for f in failures)
+        for jobs in (1, 2):
+            results, failures = bench.run_benchmark(cfg, jobs=jobs)
+            assert results == []
+            assert len(failures) == 2
+            assert all(f.error for f in failures)
+            assert all(f.error_type == "FileNotFoundError" for f in failures)
 
     def test_results_file_round_trip(self, small_run, tmp_path):
         _, results = small_run

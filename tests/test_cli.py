@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,28 @@ def test_structured_error_on_bad_config(tmp_path, capsys):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"]
     assert "detail" in payload
+
+
+def test_failure_summary_names_exception_type(tmp_path, capsys):
+    cfg_path = tmp_path / "missing.json"
+    cfg_path.write_text(json.dumps({
+        "benchmark_id": "wg-missing", "env": {"name": "windygrid"},
+        "dataset": {"path": str(tmp_path / "missing.ds")},
+        "agent": {"name": "offline_bcq"}, "seeds": [0]}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    (failure,) = json.loads(capsys.readouterr().err)["failures"]
+    assert failure["seed"] == 0
+    assert failure["error_type"] == "FileNotFoundError"
+    assert "missing.ds" in failure["error"]
+
+
+def test_import_loads_no_scipy():
+    # scipy.linalg costs about 0.3 s and 22 MB per process (the CLI and every
+    # pool worker); hybench needs numpy only
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(hb.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = "import hybench, hybench.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_refs_command(tmp_path, capsys):

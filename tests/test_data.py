@@ -350,6 +350,22 @@ class TestSerialization:
             data.read_dataset(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("first, second", [
+        ("-2.0", "[-2.0, 1.0]"), ("[-2.0, 1.0]", "-2.0"), ("[-2.0]", "[-2.0, 1.0]"),
+    ])
+    def test_mixed_action_forms_name_line(self, first, second, tmp_path):
+        meta = {"format_version": "b4mrl-ds/1", "env_name": "pendulum", "env_params": {},
+                "tier": "random", "corruption": [], "behavior_mode": "observed", "seed": 0,
+                "record_count": 3}
+        record = '{{"o": [1.0, 0.0, 0.0], "a": {}, "r": -1.0, "o2": [1.0, 0.0, 0.0], "d": false}}'
+        path = tmp_path / "mixed.ds"
+        path.write_text("\n".join(
+            [json.dumps(meta), record.format(first), record.format(first),
+             record.format(second)]) + "\n")
+        with pytest.raises(DatasetParseError, match="differs in form") as err:
+            data.read_dataset(path)
+        assert err.value.line == 4
+
     @pytest.mark.parametrize(
         "column, label", [("O", "obs"), ("A", "action"), ("R", "reward"), ("O2", "next_obs")]
     )
