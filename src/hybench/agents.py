@@ -1,15 +1,17 @@
 """Reference agents.
 
 All policies act greedily (or epsilon-softly) over a fixed discrete action
-grid, scored by a linear Q-function in a fixed feature expansion.  Two
-action designs exist:
+grid, scored by a linear Q-function in a fixed feature expansion through an
+(m, K) action basis B: Q(s, a_k) = phi(s) . W . B[:, k].  Two choices of B
+exist:
 
-* ``onehot``    -- independent weight column per grid action (tabular-style,
-  right for genuinely discrete action sets);
-* ``quadratic`` -- Q(s, a) = V(s) + g(s) a + h(s) a^2 with V, g, h linear in
-  the state features.  For discretized continuous controls the per-decision
-  action gaps are tiny, and pooling every transition into one smooth-in-a
-  fit keeps the advantage signal above the regression noise.
+* ``onehot``    -- the K x K identity, an independent weight column per grid
+  action (tabular-style, right for genuinely discrete action sets);
+* ``quadratic`` -- rows [1, a, a^2], so Q(s, a) = V(s) + g(s) a + h(s) a^2
+  with V, g, h linear in the state features.  For discretized continuous
+  controls the per-decision action gaps are tiny, and pooling every
+  transition into one smooth-in-a fit keeps the advantage signal above the
+  regression noise.
 
 Four trainers share one fitted-Q core (Bellman targets, zeroed at done,
 bootstrap values clipped to the feasible range implied by observed rewards):
@@ -227,8 +229,11 @@ def resolve_action_grid(env: Environment, config: AgentConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _action_powers(action_grid: tuple) -> np.ndarray:
-    """(3, K) matrix of [1, a, a^2] per grid action, a scaled to [-1, 1]."""
+def _action_basis(action_grid: tuple, design: str) -> np.ndarray:
+    """(m, K) action basis: the K x K identity for ``onehot``; for
+    ``quadratic`` the rows [1, a, a^2] per grid action, a scaled to [-1, 1]."""
+    if design != "quadratic":
+        return np.eye(len(action_grid))
     vals = np.asarray(action_grid, dtype=float)
     scale = max(float(np.abs(vals).max()), 1e-12)
     a = vals / scale
@@ -237,24 +242,18 @@ def _action_powers(action_grid: tuple) -> np.ndarray:
 
 @dataclass
 class QFunction:
-    """Linear state-action values over a shared observation feature map.
-
-    ``onehot`` design: one weight column per grid action.  ``quadratic``
-    design: three columns (value, linear and quadratic action coefficients),
-    combined through the per-action powers of the scaled action value.
-    """
+    """Linear state-action values over a shared observation feature map,
+    Q(s, a_k) = phi(s) . W . B[:, k] for the (m, K) action basis B of the
+    design (see :func:`_action_basis`)."""
 
     features: FeatureMap
-    weights: np.ndarray  # (F, K) onehot | (F, 3) quadratic
+    weights: np.ndarray  # (F, m)
     gamma: float
-    action_design: str = "onehot"
-    action_powers: np.ndarray | None = None  # (3, K) for quadratic
+    action_design: str
+    basis: np.ndarray  # (m, K)
 
     def values(self, obs_batch: np.ndarray) -> np.ndarray:
-        phi = self.features.transform(obs_batch)
-        if self.action_design == "onehot":
-            return phi @ self.weights
-        return (phi @ self.weights) @ self.action_powers
+        return self.features.transform(obs_batch) @ self.weights @ self.basis
 
 
 class Policy:
@@ -378,119 +377,81 @@ def _build_q_features(env_obs_dim: int, config: AgentConfig, seed: int) -> Featu
 class _Block:
     """Feature-expanded transition block for one data source.
 
-    ``mask2`` optionally restricts which next-state actions the Bellman
-    argmax may consider (rows with an empty mask fall back to all actions).
-    ``mc_returns`` holds the observed discounted reward-to-go, an exact
-    lower bound on the optimal episodic action value when the dynamics are
-    deterministic.
+    ``grams`` holds the per-action feature grams Phi_k^T Phi_k, which add
+    across blocks and rows.  ``mask2`` optionally restricts which next-state
+    actions the Bellman argmax may consider (rows with an empty mask fall
+    back to all actions).  ``mc_returns`` holds the observed discounted
+    reward-to-go, an exact lower bound on the optimal episodic action value
+    when the dynamics are deterministic.
     """
 
-    def __init__(self, fm: FeatureMap, powers: np.ndarray, O, A, R, O2, D,
+    def __init__(self, fm: FeatureMap, basis: np.ndarray, O, A, R, O2, D,
                  mask2=None, mc_returns=None, boot_gamma=None):
-        A = np.asarray(A, dtype=int)
-        order = np.argsort(A, kind="stable")
-        K = powers.shape[1]
-        self.A = A[order]
-        self.R = np.asarray(R, dtype=float)[order]
-        self.D = np.asarray(D, dtype=bool)[order]
-        self.Phi = fm.transform(np.asarray(O)[order])
-        self.Phi2 = fm.transform(np.asarray(O2)[order])
+        self.A = np.asarray(A, dtype=int)
+        self.R = np.asarray(R, dtype=float)
+        self.D = np.asarray(D, dtype=bool)
+        self.Phi = fm.transform(np.asarray(O))
+        self.Phi2 = fm.transform(np.asarray(O2))
         self.n = len(self.A)
-        self.powers = powers  # (3, K)
-        self.tau = powers[1][self.A]  # scaled action value per row
         self.boot_gamma = boot_gamma  # bootstrap discount (gamma^n for n-step rows)
-        starts = np.searchsorted(self.A, np.arange(K), side="left")
-        ends = np.searchsorted(self.A, np.arange(K), side="right")
-        self.slices = [slice(int(s), int(e)) for s, e in zip(starts, ends)]
-        self._onehot_grams: list | None = None
-        self._quad_gram: np.ndarray | None = None
-        if mask2 is not None:
-            mask2 = np.asarray(mask2, dtype=bool)[order]
-            empty = ~mask2.any(axis=1)
-            mask2[empty] = True
-        self.mask2 = mask2
-        self.G = None if mc_returns is None else np.asarray(mc_returns, float)[order]
-
-    def onehot_grams(self) -> list:
-        if self._onehot_grams is None:
-            self._onehot_grams = [
-                self.Phi[sl].T @ self.Phi[sl] if sl.stop > sl.start else None
-                for sl in self.slices
-            ]
-        return self._onehot_grams
-
-    def quad_gram(self) -> np.ndarray:
-        """Gram of the design [phi, tau phi, tau^2 phi] as 3x3 blocks of
-        weighted feature grams (weights tau^(p+q))."""
-        if self._quad_gram is None:
-            F = self.Phi.shape[1]
-            moments = [self.Phi.T @ (self.tau[:, None] ** m * self.Phi) if m else
-                       self.Phi.T @ self.Phi for m in range(5)]
-            G = np.empty((3 * F, 3 * F))
-            for p in range(3):
-                for q in range(3):
-                    G[p * F:(p + 1) * F, q * F:(q + 1) * F] = moments[p + q]
-            self._quad_gram = G
-        return self._quad_gram
-
-    def quad_rhs(self, y: np.ndarray) -> np.ndarray:
         F = self.Phi.shape[1]
-        rhs = np.empty(3 * F)
-        for p in range(3):
-            rhs[p * F:(p + 1) * F] = self.Phi.T @ (self.tau**p * y)
-        return rhs
+        self.grams = np.empty((basis.shape[1], F, F))
+        for k, gram in enumerate(self.grams):
+            Phi_k = self.Phi[self.A == k]
+            np.matmul(Phi_k.T, Phi_k, out=gram)
+        if mask2 is not None:
+            mask2 = np.array(mask2, dtype=bool)
+            mask2[~mask2.any(axis=1)] = True
+        self.mask2 = mask2
+        self.G = None if mc_returns is None else np.asarray(mc_returns, float)
 
 
 def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2x2 block recursion,
-    inv([[A, 0], [C, D]]) = [[Ai, 0], [-Di C Ai, Di]].  numpy has no
-    triangular solve; this keeps all but the small leaves in matrix products."""
+    """Inverse of a lower-triangular matrix, written over ``L`` in place, by
+    2x2 block recursion, inv([[A, 0], [C, D]]) = [[Ai, 0], [-Di C Ai, Di]].
+    numpy has no triangular solve; this keeps all but the small leaves in
+    matrix products, and in place no second n x n array is allocated."""
     n = L.shape[0]
     if n <= 128:
-        return np.linalg.inv(L)
+        L[...] = np.linalg.inv(L)
+        return L
     h = n // 2
-    Ai = _tril_inverse(L[:h, :h])
-    Di = _tril_inverse(L[h:, h:])
-    inv = np.zeros_like(L)
-    inv[:h, :h] = Ai
-    inv[h:, h:] = Di
-    inv[h:, :h] = -Di @ (L[h:, :h] @ Ai)
-    return inv
+    _tril_inverse(L[:h, :h])
+    _tril_inverse(L[h:, h:])
+    L[h:, :h] = -L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
+    return L
 
 
 def _bellman_iterate(
     blocks: list[_Block],
     weights: list[float],
-    F: int,
-    powers: np.ndarray,
+    basis: np.ndarray,
     gamma: float,
     ridge: float,
     iterations: int,
     W0: np.ndarray | None,
-    design: str,
 ) -> np.ndarray:
-    # The ridge gram G = L L^T is fixed across iterations, so it is factored
-    # and L inverted once per call; each iteration then solves G w = rhs with
-    # two matrix-vector products, w = L^-T (L^-1 rhs).
-    K = powers.shape[1]
-    if design == "onehot":
-        linvs = []
-        for k in range(K):
-            G = ridge * np.eye(F)
-            for blk, w in zip(blocks, weights):
-                gk = blk.onehot_grams()[k]
-                if gk is not None:
-                    G = G + w * gk
-            linvs.append(_tril_inverse(np.linalg.cholesky(G)))
-        W = np.zeros((F, K)) if W0 is None else W0.copy()
-    else:
-        G = ridge * np.eye(3 * F)
-        for blk, w in zip(blocks, weights):
-            G = G + w * blk.quad_gram()
-        L = np.linalg.cholesky(G)
-        del G  # free the gram before the inverse allocates its own 3F x 3F
-        linv = _tril_inverse(L)
-        W = np.zeros((F, 3)) if W0 is None else W0.copy()
+    # Q(s, a) = phi(s) . W . B[:, a] is linear in the stacked columns of W
+    # with regressor B[:, a] (x) phi(s), so block (p, q) of the gram is
+    # sum_k B[p, k] B[q, k] C_k over the per-action grams C_k.  The ridge gram
+    # G = L L^T is fixed across iterations, so it is factored and L inverted
+    # once per call; each iteration then solves G w = rhs with two
+    # matrix-vector products, w = L^-T (L^-1 rhs).
+    m = basis.shape[0]
+    F = blocks[0].Phi.shape[1]
+    G = np.zeros((m * F, m * F))
+    for p in range(m):
+        for q in range(m):
+            coef = basis[p] * basis[q]
+            if coef.any():
+                G[p * F:(p + 1) * F, q * F:(q + 1) * F] = sum(
+                    np.tensordot(w * coef, blk.grams, axes=1)
+                    for blk, w in zip(blocks, weights))
+    G[np.diag_indices(m * F)] += ridge
+    L = np.linalg.cholesky(G)
+    del G  # free the gram before the inverse's temporaries are allocated
+    linv = _tril_inverse(L)
+    W = np.zeros((F, m)) if W0 is None else W0
 
     # Feasible value range for the observed rewards.  Bootstrap values are
     # clipped into it: the fixed point is untouched (true values lie inside),
@@ -504,34 +465,18 @@ def _bellman_iterate(
         v_hi = max(v_hi, r_max, r_max / (1.0 - bg))
 
     for _ in range(iterations):
-        targets = []
-        for blk in blocks:
+        rhs = np.zeros((F, m))
+        for blk, w in zip(blocks, weights):
             bg = blk.boot_gamma if blk.boot_gamma is not None else gamma
-            scores = blk.Phi2 @ W
-            if design == "quadratic":
-                scores = scores @ powers
+            scores = blk.Phi2 @ W @ basis
             if blk.mask2 is not None:
                 scores = np.where(blk.mask2, scores, -np.inf)
             boot = np.clip(scores.max(axis=1), v_lo, v_hi)
             y = blk.R + bg * (~blk.D) * boot
             if blk.G is not None:
                 y = np.maximum(y, blk.G)
-            targets.append(y)
-        if design == "onehot":
-            W_new = np.empty_like(W)
-            for k in range(K):
-                rhs = np.zeros(F)
-                for blk, w, y in zip(blocks, weights, targets):
-                    sl = blk.slices[k]
-                    if sl.stop > sl.start:
-                        rhs = rhs + w * (blk.Phi[sl].T @ y[sl])
-                W_new[:, k] = linvs[k].T @ (linvs[k] @ rhs)
-            W = W_new
-        else:
-            rhs = np.zeros(3 * F)
-            for blk, w, y in zip(blocks, weights, targets):
-                rhs = rhs + w * blk.quad_rhs(y)
-            W = (linv.T @ (linv @ rhs)).reshape(3, F).T
+            rhs += w * (blk.Phi.T @ (y[:, None] * basis.T[blk.A]))
+        W = (linv.T @ (linv @ rhs.T.ravel())).reshape(m, F).T
     return W
 
 
@@ -599,7 +544,8 @@ class OnlineTrainResult:
     def checkpoint_policy(self, index: int) -> QPolicy:
         ck = self.checkpoints[index]
         q = QFunction(self.features, ck["weights"].copy(), self.gamma,
-                      self.action_design, _action_powers(self.action_grid))
+                      self.action_design,
+                      _action_basis(self.action_grid, self.action_design))
         return QPolicy(q, self.action_grid)
 
     def replay_prefix(self, index: int) -> tuple:
@@ -620,10 +566,9 @@ def train_online_q(
     environments observed reward-to-go can serve as a lower-bound target.
     """
     grid = resolve_action_grid(env, config)
-    powers = _action_powers(grid)
+    basis = _action_basis(grid, config.q_action_design)
     K = len(grid)
     fm = _build_q_features(env.obs_dim, config, seed)
-    F = fm.output_dim
     explore = derived_rng(seed, EXPLORE)
     eval_env = clone_env(env)
 
@@ -633,7 +578,7 @@ def train_online_q(
         per_sweep = max(config.episodes_per_sweep * horizon, 1)
         sweeps = max(1, min(sweeps, int(np.ceil(budget / per_sweep))))
 
-    W = None
+    policy = None  # greedy policy of the latest fit
     grid_arr = np.asarray(grid)
     replay: list[tuple] = []  # per episode: (O, A, R, O2, D) columns
     fit_rows: list[tuple] = []  # per episode: n-step (O, A index, R, O2, D, G)
@@ -641,12 +586,6 @@ def train_online_q(
     checkpoints: list[dict] = []
     steps = 0
     seeded = False
-
-    def greedy_index(obs) -> int:
-        scores = fm.transform(obs[None, :]) @ W
-        if config.q_action_design == "quadratic":
-            scores = scores @ powers
-        return int(np.argmax(scores))
 
     n_step = max(int(config.n_step), 1)
     gtail = config.gamma ** np.arange(n_step)
@@ -660,7 +599,7 @@ def train_online_q(
             # optional near-greedy episodes per sweep: uninterrupted
             # demonstrations of the current policy feed the reward-to-go
             # lower bound
-            demo = episode < config.greedy_demo_episodes and W is not None
+            demo = episode < config.greedy_demo_episodes and policy is not None
             eps = config.epsilon_end if demo else sweep_eps
             obs = env.reset(seed=derived_seed(seed, TRAIN_ENV) if not seeded else None)
             seeded = True
@@ -673,11 +612,11 @@ def train_online_q(
             while not done:
                 if hold > 0:
                     hold -= 1  # keep the previous exploratory action
-                elif explore.random() < eps or W is None:
+                elif explore.random() < eps or policy is None:
                     a_idx = int(explore.integers(K))
                     hold = int(explore.integers(config.explore_hold))
                 else:
-                    a_idx = greedy_index(obs)
+                    a_idx = policy.action_index(obs)
                 res = env.step(grid[a_idx])
                 ep_a.append(a_idx)
                 ep_r.append(res.reward)
@@ -703,14 +642,14 @@ def train_online_q(
             fit_rows.append((ep_O[:-1], np.asarray(ep_a), rew_n, ep_O[ahead], ahead == T,
                              np.asarray(tail[::-1])))
         O, A, R, O2, D, G = (np.concatenate(col) for col in zip(*fit_rows))
-        block = _Block(fm, powers, O, A, R, O2, D,
+        block = _Block(fm, basis, O, A, R, O2, D,
                        mc_returns=G if config.mc_lower_bound else None,
                        boot_gamma=config.gamma ** n_step)
-        W = _bellman_iterate([block], [1.0 / block.n], F, powers, config.gamma,
-                             config.q_ridge, config.q_iterations, W,
-                             config.q_action_design)
+        W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
+                             config.q_ridge, config.q_iterations,
+                             None if policy is None else policy.q.weights)
         policy = QPolicy(
-            QFunction(fm, W, config.gamma, config.q_action_design, powers), grid
+            QFunction(fm, W, config.gamma, config.q_action_design, basis), grid
         )
         score, _ = evaluate_policy(eval_env, policy, config.eval_episodes,
                                    derived_seed(seed, EVAL_ENV, sweep))
@@ -776,7 +715,7 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0
     if len(dataset) == 0:
         raise ValueError("offline training requires a non-empty dataset")
     grid = _grid_from_dataset(dataset, config)
-    powers = _action_powers(grid)
+    basis = _action_basis(grid, config.q_action_design)
     K = len(grid)
     fm = _build_q_features(dataset.O.shape[1], config, seed)
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
@@ -790,11 +729,10 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0
     mask2 = None
     if config.bc_threshold > 0.0:
         mask2 = behavior.probs_batch(O2) >= config.bc_threshold
-    block = _Block(fm, powers, O, idx, R, O2, D, mask2=mask2)
-    W = _bellman_iterate([block], [1.0 / block.n], fm.output_dim, powers,
-                         config.gamma, config.q_ridge, config.offline_iterations,
-                         None, config.q_action_design)
-    q = QFunction(fm, W, config.gamma, config.q_action_design, powers)
+    block = _Block(fm, basis, O, idx, R, O2, D, mask2=mask2)
+    W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
+                         config.q_ridge, config.offline_iterations, None)
+    q = QFunction(fm, W, config.gamma, config.q_action_design, basis)
     policy = QPolicy(q, grid, behavior=behavior, bc_threshold=config.bc_threshold)
     return OfflineTrainResult(policy, q, behavior)
 
@@ -868,11 +806,10 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
     if len(dataset) == 0:
         raise ValueError("model-based training requires a non-empty dataset")
     grid = _grid_from_dataset(dataset, config)
-    powers = _action_powers(grid)
+    basis = _action_basis(grid, config.q_action_design)
     K = len(grid)
     obs_dim = dataset.O.shape[1]
     fm = _build_q_features(obs_dim, config, seed)
-    F = fm.output_dim
 
     model_cfg = replace(config.model, seed=derived_seed(seed, MODEL_FIT))
     space = _grid_action_space(grid)
@@ -883,11 +820,11 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
         ens = fit_direct_ensemble(dataset, model_cfg, action_space=space)
 
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
-    real = _Block(fm, powers, O, idx, R, O2, D)
+    real = _Block(fm, basis, O, idx, R, O2, D)
     n_real = real.n
 
     rollout_rng = derived_rng(seed, ROLLOUT)
-    W = None
+    q = None
     syn_O, syn_A, syn_R, syn_O2 = [], [], [], []
     trace: list[RolloutStep] = []
     grid_arr = np.asarray(grid)
@@ -900,13 +837,10 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
             for j in range(config.rollout_horizon):
                 explore_mask = rollout_rng.random(len(cur)) < config.rollout_epsilon
                 randoms = rollout_rng.integers(K, size=len(cur))
-                if W is None:  # before the first fit every action is random
+                if q is None:  # before the first fit every action is random
                     a_idx = randoms
                 else:
-                    scores = fm.transform(cur) @ W
-                    if config.q_action_design == "quadratic":
-                        scores = scores @ powers
-                    a_idx = np.where(explore_mask, randoms, scores.argmax(axis=1))
+                    a_idx = np.where(explore_mask, randoms, q.values(cur).argmax(axis=1))
                 # the model consumes action values; on discrete grids value == index
                 a_model = a_idx if discrete else grid_arr[a_idx]
                 members = rollout_rng.integers(ens.n_members, size=len(cur))
@@ -965,14 +899,14 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
             SA = np.concatenate(syn_A)
             SR = np.concatenate(syn_R)
             SO2 = np.concatenate(syn_O2)
-            syn_block = _Block(fm, powers, SO, SA, SR, SO2,
+            syn_block = _Block(fm, basis, SO, SA, SR, SO2,
                                np.zeros(len(SO), dtype=bool))
             blocks = [real, syn_block]
             weights = [config.mix_real / n_real, (1.0 - config.mix_real) / len(SO)]
-        W = _bellman_iterate(blocks, weights, F, powers, config.gamma, config.q_ridge,
-                             config.q_iterations, W, config.q_action_design)
+        W = _bellman_iterate(blocks, weights, basis, config.gamma, config.q_ridge,
+                             config.q_iterations, None if q is None else q.weights)
+        q = QFunction(fm, W, config.gamma, config.q_action_design, basis)
 
-    q = QFunction(fm, W, config.gamma, config.q_action_design, powers)
     n_syn = sum(len(x) for x in syn_O)
     return ModelBasedTrainResult(QPolicy(q, grid), q, ens, trace, n_syn)
 
@@ -1028,9 +962,9 @@ def policy_from_dict(d: dict) -> Policy:
     if d["type"] == "uniform":
         return UniformPolicy(grid)
     q_d = d["q"]
+    design = q_d.get("action_design", "onehot")
     q = QFunction(FeatureMap.from_dict(q_d["features"]), np.array(q_d["weights"]),
-                  q_d["gamma"], q_d.get("action_design", "onehot"),
-                  _action_powers(grid))
+                  q_d["gamma"], design, _action_basis(grid, design))
     behavior = None
     if "behavior" in d:
         behavior = BehaviorModel(

@@ -74,10 +74,6 @@ class ReferencePair:
 _REF_CACHE: dict = {}
 
 
-def clear_reference_cache() -> None:
-    _REF_CACHE.clear()
-
-
 def compute_reference_pair(
     env: Environment,
     seed: int = 0,

@@ -130,34 +130,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out", default=None, help="output path override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    flags = {
+        "config": {"required": True, "help": "path to a JSON config"},
+        "seed": {"type": int, "default": None, "help": "seed override"},
+        "out": {"default": None, "help": "output path override"},
+        "jobs": {"type": int, "default": 1, "help": "parallel workers"},
+    }
 
-    p = sub.add_parser("gen-data", help="materialize a dataset recipe into a file")
-    add_common(p)
-    p.set_defaults(fn=cmd_gen_data)
+    def add(name, fn, help, *names):
+        """A subcommand declaring only the shared flags its handler reads."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("run", help="run benchmark config(s) and append results")
-    add_common(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("report", help="render a results CSV (--config) as a report")
-    add_common(p)
+    add("gen-data", cmd_gen_data, "materialize a dataset recipe into a file",
+        "config", "seed", "out")
+    add("run", cmd_run, "run benchmark config(s) and append results",
+        "config", "seed", "out", "jobs")
+    p = add("report", cmd_report, "render a results CSV (--config) as a report",
+            "config", "out")
     p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
-    p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("bandit", help="print the exact confounded-bandit analysis")
-    add_common(p, needs_config=False)
+    p = add("bandit", cmd_bandit, "print the exact confounded-bandit analysis", "seed")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.set_defaults(fn=cmd_bandit)
-
-    p = sub.add_parser("refs", help="compute an environment's reference score pair")
-    add_common(p)
-    p.set_defaults(fn=cmd_refs)
+    add("refs", cmd_refs, "compute an environment's reference score pair",
+        "config", "seed", "out")
 
     return parser
 

@@ -278,34 +278,17 @@ def collect_history_confounded(
 ) -> Dataset:
     """Collect data with a policy that acts on the last ``k`` observations.
 
-    The decision window (zero-padded at episode starts, oldest first) is
-    discarded: records keep only the single current observation, which hides
-    part of what drove the actions whenever k > 1.
+    The decision window (:class:`HistoryStack`) is discarded: records keep
+    only the single current observation, which hides part of what drove the
+    actions whenever k > 1.
     """
-    if k < 1:
-        raise ValueError("history length k must be >= 1")
-    if n_records < 1:
-        raise ValueError("n_records must be >= 1")
-    policy_over_history.reseed(derived_seed(seed, COLLECT_POLICY))
-    obs = env.reset(seed=derived_seed(seed, COLLECT_ENV) % 2**31)
-    dim = env.obs_dim
-    window = np.zeros((k, dim))
-    window[-1] = obs
-    rows = []
-    while len(rows) < n_records:
-        action = policy_over_history.act(window.reshape(-1))
-        res = env.step(action)
-        rows.append((obs, _plain_action(action), res.reward, res.obs, res.done))
-        if res.done:
-            obs = env.reset()
-            window = np.zeros((k, dim))
-            window[-1] = obs
-        else:
-            obs = res.obs
-            window = np.roll(window, -1, axis=0)
-            window[-1] = obs
+    stacked = collect_dataset(HistoryStack(env, k), policy_over_history, n_records,
+                              "observed", seed, tier)
+    newest = slice(stacked.O.shape[1] - env.obs_dim, None)
     return _env_dataset(
-        env, _stack_rows(rows), tier, "privileged" if k > 1 else "observed", seed,
+        env, (stacked.O[:, newest].copy(), stacked.A, stacked.R,
+              stacked.O2[:, newest].copy(), stacked.D),
+        tier, "privileged" if k > 1 else "observed", seed,
         corruption=({"kind": "history_confounded", "k": int(k)},),
     )
 
@@ -448,10 +431,6 @@ class TierPolicy:
 
 
 _TRAIN_CACHE: dict = {}
-
-
-def clear_training_cache() -> None:
-    _TRAIN_CACHE.clear()
 
 
 def online_training_run(env: Environment, budget: int, seed: int, config=None):
@@ -655,6 +634,15 @@ class DatasetRecipe:
             raise ValueError(f"unknown tier {self.tier!r}; valid: {DATASET_TIERS}")
         if self.behavior_mode not in BEHAVIOR_MODES:
             raise ValueError(f"unknown behavior mode {self.behavior_mode!r}")
+        # None alone means "the environment's default"
+        for name in ("n_records", "history_k", "train_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1 or null, got {value}")
+        if not 0.0 <= self.collect_epsilon <= 1.0:
+            raise ValueError(f"collect_epsilon must be in [0, 1], got {self.collect_epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(
             self, "hidden_during_collection", tuple(int(i) for i in self.hidden_during_collection)
         )

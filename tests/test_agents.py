@@ -306,23 +306,38 @@ class TestPolicySerialization:
 
 
 
-def bellman_two_solves(blk, F, powers, gamma, ridge, iterations, W0, design):
-    """Reference fit as it was before the factor inverse: one block of weight
-    1/n, no mask, no return bound, and two general solves on the Cholesky
-    factor per action column and iteration."""
-    w = 1.0 / blk.n
-    r_min, r_max = blk.R.min(), blk.R.max()
-    v_lo, v_hi = min(r_min, r_min / (1 - gamma)), max(r_max, r_max / (1 - gamma))
-    grams = blk.onehot_grams() if design == "onehot" else [blk.quad_gram()]
-    chols = [np.linalg.cholesky(ridge * np.eye(len(g)) + w * g) for g in grams]
+def bellman_two_solves(blocks, weights, grid, design, gamma, ridge, iterations, W0):
+    """Reference fit as it was before the factor inverse and the shared action
+    basis: weighted blocks with optional next-state masks, no return bound,
+    grams built per action (onehot) or from tau moments (quadratic), and two
+    general solves on the Cholesky factor per system and iteration."""
+    vals = np.asarray(grid, dtype=float)
+    a = vals / np.abs(vals).max()
+    powers = np.stack([np.ones_like(a), a, a * a])
+    F, K = blocks[0].Phi.shape[1], len(grid)
+    if design == "onehot":
+        grams = [sum(w * b.Phi[b.A == k].T @ b.Phi[b.A == k] for b, w in zip(blocks, weights))
+                 for k in range(K)]
+    else:
+        moments = [sum(w * b.Phi.T @ (a[b.A][:, None] ** j * b.Phi)
+                       for b, w in zip(blocks, weights)) for j in range(5)]
+        grams = [np.block([[moments[p + q] for q in range(3)] for p in range(3)])]
+    chols = [np.linalg.cholesky(ridge * np.eye(len(g)) + g) for g in grams]
+    v_lo = min(min(b.R.min(), b.R.min() / (1 - gamma)) for b in blocks)
+    v_hi = max(max(b.R.max(), b.R.max() / (1 - gamma)) for b in blocks)
     W = W0
     for _ in range(iterations):
-        scores = blk.Phi2 @ W
-        if design == "quadratic":
-            scores = scores @ powers
-        y = blk.R + gamma * ~blk.D * np.clip(scores.max(axis=1), v_lo, v_hi)
-        rhss = ([w * (blk.Phi[sl].T @ y[sl]) for sl in blk.slices] if design == "onehot"
-                else [w * blk.quad_rhs(y)])
+        rhss = [np.zeros(len(g)) for g in grams]
+        for b, w in zip(blocks, weights):
+            scores = b.Phi2 @ W if design == "onehot" else b.Phi2 @ W @ powers
+            if b.mask2 is not None:
+                scores = np.where(b.mask2, scores, -np.inf)
+            y = b.R + gamma * ~b.D * np.clip(scores.max(axis=1), v_lo, v_hi)
+            if design == "onehot":
+                for k in range(K):
+                    rhss[k] += w * b.Phi[b.A == k].T @ y[b.A == k]
+            else:
+                rhss[0] += w * np.concatenate([b.Phi.T @ (a[b.A] ** p * y) for p in range(3)])
         W = np.stack([np.linalg.solve(c.T, np.linalg.solve(c, r))
                       for c, r in zip(chols, rhss)], axis=1)
         if design == "quadratic":
@@ -336,23 +351,46 @@ class TestBellmanKernel:
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, n)) / np.sqrt(n)
         L = np.linalg.cholesky(A @ A.T + np.eye(n))
-        assert np.abs(agents._tril_inverse(L) @ L - np.eye(n)).max() < 1e-10
+        assert np.abs(agents._tril_inverse(L.copy()) @ L - np.eye(n)).max() < 1e-10
 
-    @pytest.mark.parametrize("design", ["onehot", "quadratic"])
-    def test_matches_two_solves_on_the_factor(self, design):
+    @staticmethod
+    def _blocks(design, masked):
+        """One pendulum block of weight 1/n or, with ``masked``, two blocks of
+        unequal weights whose second restricts the next-state argmax (the
+        model-based and offline path)."""
         env = hb.make_env("pendulum", {"horizon": 50})
         config = dataclasses.replace(default_agent_config(env), q_feature_count=60,
                                      q_action_design=design)
         grid = agents.resolve_action_grid(env, config)
-        ds = data.collect_dataset(env, UniformPolicy(grid, seed=1), 400, "observed", seed=1)
-        O, A, R, O2, D = ds.arrays()
-        fm = agents._build_q_features(O.shape[1], config, seed=0)
-        powers = agents._action_powers(grid)
-        block = agents._Block(fm, powers, O, actions_to_indices(A, grid), R, O2, D)
-        assert all(sl.stop > sl.start for sl in block.slices)
-        F = fm.output_dim
-        W0 = np.random.default_rng(2).standard_normal((F, len(grid) if design == "onehot" else 3))
-        args = (F, powers, config.gamma, config.q_ridge, 6, W0, design)
-        W = agents._bellman_iterate([block], [1.0 / block.n], *args)
-        W_ref = bellman_two_solves(block, *args)
+        basis = agents._action_basis(grid, design)
+        fm = agents._build_q_features(env.obs_dim, config, seed=0)
+        blocks = []
+        for seed, n in ((1, 400), (2, 250))[:1 + masked]:
+            ds = data.collect_dataset(env, UniformPolicy(grid, seed=seed), n, "observed", seed)
+            O, A, R, O2, D = ds.arrays()
+            idx = actions_to_indices(A, grid)
+            assert len(np.unique(idx)) == len(grid)
+            mask2 = None
+            if blocks:
+                mask2 = np.random.default_rng(seed).random((n, len(grid))) < 0.4
+                mask2[:5] = False  # empty masks fall back to every action
+            blocks.append(agents._Block(fm, basis, O, idx, R, O2, D, mask2=mask2))
+        weights = [1.0 / blocks[0].n] if not masked else [0.7 / blocks[0].n, 0.3 / blocks[1].n]
+        return blocks, weights, grid, basis, config
+
+    @pytest.mark.parametrize("design", ["onehot", "quadratic"])
+    def test_matches_two_solves_on_the_factor(self, design):
+        self._check_against_reference(design, masked=False)
+
+    @pytest.mark.parametrize("design", ["onehot", "quadratic"])
+    def test_weighted_masked_blocks_match_two_solves(self, design):
+        self._check_against_reference(design, masked=True)
+
+    def _check_against_reference(self, design, masked):
+        blocks, weights, grid, basis, config = self._blocks(design, masked)
+        F = blocks[0].Phi.shape[1]
+        W0 = np.random.default_rng(2).standard_normal((F, len(basis)))
+        args = (config.gamma, config.q_ridge, 6, W0)
+        W = agents._bellman_iterate(blocks, weights, basis, *args)
+        W_ref = bellman_two_solves(blocks, weights, grid, design, *args)
         np.testing.assert_allclose(W, W_ref, rtol=1e-9, atol=1e-9 * np.abs(W_ref).max())

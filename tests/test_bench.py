@@ -111,6 +111,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="corruption kind"):
             BenchConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_records", 0), ("n_records", -5), ("history_k", 0), ("train_budget", 0),
+        ("train_budget", -1), ("collect_epsilon", 2.0), ("collect_epsilon", -0.1),
+        ("seed", -1),
+    ])
+    def test_bad_recipe_value_rejected_at_load(self, field, value):
+        # n_records 0 used to give the default size and -5 to drop records
+        bad = dict(self.BASE, dataset=dict(self.BASE["dataset"], **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            BenchConfig.from_dict(bad)
+
     def test_corruption_keys_accepted(self):
         tags = [{"kind": "obs_noise", "sigma": 0.1}, {"kind": "obs_noise", "sigma": 0.1, "seed": 3},
                 {"kind": "hidden_dims", "indices": [2]}]

@@ -111,6 +111,22 @@ def test_failure_summary_names_exception_type(tmp_path, capsys):
     assert "missing.ds" in failure["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--config", "results.csv", "--jobs", "2"],
+    ["report", "--config", "results.csv", "--seed", "1"],
+    ["bandit", "--out", "x"],
+    ["bandit", "--jobs", "2"],
+    ["gen-data", "--config", "gen.json", "--jobs", "2"],
+    ["refs", "--config", "env.json", "--jobs", "2"],
+])
+def test_unread_flags_are_usage_errors(argv, capsys):
+    # each subcommand declares only the flags its handler reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_import_loads_no_scipy():
     # scipy.linalg costs about 0.3 s and 22 MB per process (the CLI and every
     # pool worker); hybench needs numpy only
