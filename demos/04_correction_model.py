@@ -35,17 +35,17 @@ def main():
     sim_next = np.stack([sim.simulate_step(o, a)[0] for o, a in zip(O, A)])
     print(f"raw doubled-gravity simulator MSE: {state_mse(sim_next, O2):.5f}")
 
-    ens = models.fit_correction_ensemble(models.augment_with_sim(train, sim), cfg)
-    X = encode_model_input(O, A, ens.action_space, ens.action_encoding)
+    ens = models.fit_ensemble(train, cfg, models.augment_with_sim(train, sim))
+    X = encode_model_input(O, A, ens.action_space)
     corr = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
     print(f"simulator + learned correction MSE: {state_mse(sim_next + corr, O2):.2e}")
 
-    direct = models.fit_direct_ensemble(train, cfg)
+    direct = models.fit_ensemble(train, cfg)
     pred = np.stack([m.predict_mean(X) for m in direct.members]).mean(axis=0)[:, :3]
     print(f"unanchored direct model MSE:        {state_mse(pred, O2):.2e}")
 
     perfect = hb.make_env("pendulum")
-    ens0 = models.fit_correction_ensemble(models.augment_with_sim(train, perfect), cfg)
+    ens0 = models.fit_ensemble(train, cfg, models.augment_with_sim(train, perfect))
     zero = np.stack([m.predict_mean(X) for m in ens0.members]).mean(axis=0)[:, :3]
     print(
         "with a perfect simulator the correction learns ~zero: "

@@ -68,8 +68,7 @@ from .models import (
     GaussianRegressor,
     ModelConfig,
     augment_with_sim,
-    fit_correction_ensemble,
-    fit_direct_ensemble,
+    fit_ensemble,
     load_ensemble,
     save_ensemble,
 )

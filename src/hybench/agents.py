@@ -23,20 +23,20 @@ simulator-anchored hybrid ``train_hymopo``.  Training is deterministic given
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .data import Dataset
 from .envs import ContinuousActions, DiscreteActions, Environment
 from .models import (
+    FEATURE_KINDS,
     CorrectionEnsemble,
     FeatureMap,
     ModelConfig,
     augment_with_sim,
     disagreement,
-    fit_correction_ensemble,
-    fit_direct_ensemble,
+    fit_ensemble,
 )
 from .seeding import (
     EVAL_ENV,
@@ -102,16 +102,23 @@ class AgentConfig:
     def __post_init__(self):
         if self.bc_threshold < 0 or self.bc_threshold > 1:
             raise ValueError("bc_threshold must be in [0, 1]")
-        for name in ("sweeps", "episodes_per_sweep", "q_iterations",
-                     "offline_iterations", "epochs", "eval_episodes"):
+        for name in ("sweeps", "episodes_per_sweep", "q_iterations", "explore_hold",
+                     "n_step", "offline_iterations", "epochs", "eval_episodes"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.rollout_horizon < 0 or self.rollout_batch < 0:
             raise ValueError("rollout horizon and batch must be >= 0")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must be in [0, 1)")
-        if self.q_action_design not in ("onehot", "quadratic"):
-            raise ValueError(f"unknown action design {self.q_action_design!r}")
+        if not 0 <= self.mix_real <= 1:
+            raise ValueError(f"mix_real must be in [0, 1], got {self.mix_real}")
+        for name, value, valid in (
+            ("q_action_design", self.q_action_design, ("onehot", "quadratic")),
+            ("q_feature_kind", self.q_feature_kind, FEATURE_KINDS),
+            ("penalty_mode", self.penalty_mode, ("disagreement", "frobenius")),
+        ):
+            if value not in valid:
+                raise ValueError(f"unknown {name} {value!r}; valid: {valid}")
 
 
 def default_agent_config(env: Environment) -> AgentConfig:
@@ -587,7 +594,7 @@ def train_online_q(
     steps = 0
     seeded = False
 
-    n_step = max(int(config.n_step), 1)
+    n_step = int(config.n_step)
     gtail = config.gamma ** np.arange(n_step)
 
     for sweep in range(sweeps):
@@ -752,23 +759,37 @@ def _grid_from_dataset(dataset: Dataset, config: AgentConfig) -> tuple:
 
 
 @dataclass
-class RolloutStep:
-    """One logged synthetic transition; keeps every quantity entering the
-    update algebra so conformance can be replayed exactly."""
+class RolloutTrace:
+    """Every synthetic transition of a model-based run, one row each in
+    generation order.  The columns keep every quantity entering the update
+    algebra, so conformance can be replayed exactly."""
 
-    epoch: int
-    rollout: int
-    step: int
-    start_index: int
-    obs: np.ndarray
-    action_index: int
-    member: int
-    sim_next_obs: np.ndarray | None
-    target_draw: np.ndarray
-    reward: float
-    penalty: float
-    penalized_reward: float
-    next_obs: np.ndarray
+    epoch: np.ndarray  # (n,) int, like rollout, step, start_index, action_index, member
+    rollout: np.ndarray
+    step: np.ndarray
+    start_index: np.ndarray
+    action_index: np.ndarray
+    member: np.ndarray
+    obs: np.ndarray  # (n, obs_dim)
+    next_obs: np.ndarray  # (n, obs_dim)
+    sim_next_obs: np.ndarray | None  # (n, obs_dim); None without a simulator
+    target_draw: np.ndarray  # (n, obs_dim + 1): sampled (state part, reward)
+    reward: np.ndarray  # (n,) float, like penalty and penalized_reward
+    penalty: np.ndarray
+    penalized_reward: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.epoch)
+
+    @classmethod
+    def concat(cls, parts: list, obs_dim: int, with_sim: bool) -> "RolloutTrace":
+        """Stack per-step parts in order; no parts give zero-row columns."""
+        if not parts:
+            i, x, f = np.zeros(0, dtype=int), np.zeros((0, obs_dim)), np.zeros(0)
+            parts = [cls(i, i, i, i, i, i, x, x, x if with_sim else None,
+                         np.zeros((0, obs_dim + 1)), f, f, f)]
+        cols = zip(*([getattr(p, fld.name) for fld in fields(cls)] for p in parts))
+        return cls(*(None if c[0] is None else np.concatenate(c) for c in cols))
 
 
 @dataclass
@@ -776,8 +797,7 @@ class ModelBasedTrainResult:
     policy: QPolicy
     q: QFunction
     ensemble: CorrectionEnsemble
-    trace: list[RolloutStep]
-    synthetic_count: int
+    trace: RolloutTrace
 
 
 def train_mopo_lite(dataset: Dataset, config: AgentConfig, seed: int = 0
@@ -813,11 +833,8 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
 
     model_cfg = replace(config.model, seed=derived_seed(seed, MODEL_FIT))
     space = _grid_action_space(grid)
-    if simulator is not None:
-        ens = fit_correction_ensemble(augment_with_sim(dataset, simulator), model_cfg,
-                                      action_space=space)
-    else:
-        ens = fit_direct_ensemble(dataset, model_cfg, action_space=space)
+    sim_preds = None if simulator is None else augment_with_sim(dataset, simulator)
+    ens = fit_ensemble(dataset, model_cfg, sim_preds, action_space=space)
 
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
     real = _Block(fm, basis, O, idx, R, O2, D)
@@ -825,37 +842,37 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
 
     rollout_rng = derived_rng(seed, ROLLOUT)
     q = None
-    syn_O, syn_A, syn_R, syn_O2 = [], [], [], []
-    trace: list[RolloutStep] = []
+    parts: list[RolloutTrace] = []  # one per rollout step; every array is new
     grid_arr = np.asarray(grid)
     discrete = isinstance(space, DiscreteActions)
 
+    noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
+    b = config.rollout_batch
     for epoch in range(config.epochs):
-        if config.rollout_horizon > 0 and config.rollout_batch > 0:
-            starts = rollout_rng.integers(0, n_real, size=config.rollout_batch)
-            cur = O[starts].copy()
+        if config.rollout_horizon > 0 and b > 0:
+            starts = rollout_rng.integers(0, n_real, size=b)
+            cur = O[starts]
             for j in range(config.rollout_horizon):
-                explore_mask = rollout_rng.random(len(cur)) < config.rollout_epsilon
-                randoms = rollout_rng.integers(K, size=len(cur))
+                explore_mask = rollout_rng.random(b) < config.rollout_epsilon
+                randoms = rollout_rng.integers(K, size=b)
                 if q is None:  # before the first fit every action is random
                     a_idx = randoms
                 else:
                     a_idx = np.where(explore_mask, randoms, q.values(cur).argmax(axis=1))
                 # the model consumes action values; on discrete grids value == index
                 a_model = a_idx if discrete else grid_arr[a_idx]
-                members = rollout_rng.integers(ens.n_members, size=len(cur))
-                draws_z = rollout_rng.standard_normal((len(cur), obs_dim + 1))
+                members = rollout_rng.integers(ens.n_members, size=b)
+                draws_z = rollout_rng.standard_normal((b, obs_dim + 1))
 
                 mus = ens.member_means(cur, a_model)  # (N, b, T)
-                noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
-                mu_sel = mus[members, np.arange(len(cur))]
+                mu_sel = mus[members, np.arange(b)]
                 draw = mu_sel + noise_sd[members] * draws_z
                 delta_or_next = draw[:, :obs_dim]
                 r_sample = draw[:, obs_dim]
 
                 if simulator is not None:
-                    sim_next = np.empty((len(cur), obs_dim))
-                    for i in range(len(cur)):
+                    sim_next = np.empty((b, obs_dim))
+                    for i in range(b):
                         sim_next[i], _ = simulator.simulate_step(cur[i], grid[a_idx[i]])
                     next_obs = sim_next + delta_or_next
                 else:
@@ -868,37 +885,16 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                     pen = ens.penalty_batch(cur, a_model, mode=config.penalty_mode)
                 r_tilde = r_sample - config.lam * pen
 
-                syn_O.append(cur.copy())
-                syn_A.append(a_idx.copy())
-                syn_R.append(r_tilde.copy())
-                syn_O2.append(next_obs.copy())
-                for i in range(len(cur)):
-                    trace.append(
-                        RolloutStep(
-                            epoch=epoch,
-                            rollout=i,
-                            step=j,
-                            start_index=int(starts[i]),
-                            obs=cur[i].copy(),
-                            action_index=int(a_idx[i]),
-                            member=int(members[i]),
-                            sim_next_obs=None if sim_next is None else sim_next[i].copy(),
-                            target_draw=draw[i].copy(),
-                            reward=float(r_sample[i]),
-                            penalty=float(pen[i]),
-                            penalized_reward=float(r_tilde[i]),
-                            next_obs=next_obs[i].copy(),
-                        )
-                    )
+                parts.append(RolloutTrace(
+                    np.full(b, epoch), np.arange(b), np.full(b, j), starts, a_idx,
+                    members, cur, next_obs, sim_next, draw, r_sample, pen, r_tilde))
                 cur = next_obs
 
         blocks = [real]
         weights = [1.0 / n_real]
-        if syn_O:
-            SO = np.concatenate(syn_O)
-            SA = np.concatenate(syn_A)
-            SR = np.concatenate(syn_R)
-            SO2 = np.concatenate(syn_O2)
+        if parts:
+            SO, SA, SR, SO2 = (np.concatenate([getattr(p, name) for p in parts]) for name
+                               in ("obs", "action_index", "penalized_reward", "next_obs"))
             syn_block = _Block(fm, basis, SO, SA, SR, SO2,
                                np.zeros(len(SO), dtype=bool))
             blocks = [real, syn_block]
@@ -907,8 +903,8 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                              config.q_iterations, None if q is None else q.weights)
         q = QFunction(fm, W, config.gamma, config.q_action_design, basis)
 
-    n_syn = sum(len(x) for x in syn_O)
-    return ModelBasedTrainResult(QPolicy(q, grid), q, ens, trace, n_syn)
+    trace = RolloutTrace.concat(parts, obs_dim, simulator is not None)
+    return ModelBasedTrainResult(QPolicy(q, grid), q, ens, trace)
 
 
 def _grid_action_space(grid: tuple):

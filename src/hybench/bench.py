@@ -148,6 +148,8 @@ class BenchConfig:
             raise ValueError("at least one seed is required")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
+        # bad env params and agent overrides fail here, not in every seed
+        _agent_config(make_env(self.env_name, self.env_params), self.agent_overrides)
 
     def to_dict(self) -> dict:
         dataset: dict | str | None

@@ -643,6 +643,8 @@ class DatasetRecipe:
             raise ValueError(f"collect_epsilon must be in [0, 1], got {self.collect_epsilon}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.tier == "medium_replay" and (self.history_k or 1) > 1:
+            raise ValueError("history-aware collection is not defined for medium_replay")
         object.__setattr__(
             self, "hidden_during_collection", tuple(int(i) for i in self.hidden_during_collection)
         )
@@ -697,8 +699,6 @@ def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Data
         return agents.with_epsilon(tp.policy, recipe.collect_epsilon), tp
 
     if recipe.tier == "medium_replay":
-        if recipe.history_k is not None and recipe.history_k > 1:
-            raise ValueError("history-aware collection is not defined for medium_replay")
         tp = train_tier_policy(policy_env, "medium", budget, recipe.seed, refs=refs)
         replay = tp.train_result.replay_prefix(tp.checkpoint_index)
         dataset = _env_dataset(env, [col[-n_records:] for col in replay], "medium_replay",

@@ -1,11 +1,13 @@
 """Probabilistic ensemble dynamics models.
 
 Closed-form linear-Gaussian regressors in fixed feature expansions stand in
-for neural dynamics models.  Two modes share one machinery:
+for neural dynamics models.  One fit, :func:`fit_ensemble`, serves two modes:
 
 * ``direct``    -- predict (next_obs, reward) from (obs, action);
 * ``correction``-- predict (next_obs - simulator_next_obs, reward), i.e. an
-  additive correction anchored to a simulator's one-step prediction.
+  additive correction anchored to a simulator's one-step prediction.  The
+  simulator's predictions are a plain (n, obs_dim) array from
+  :func:`augment_with_sim`; passing it selects this mode.
 
 Each ensemble member is trained on its own bootstrap resample (and, for
 random Fourier features, its own feature draw); per-target-dimension residual
@@ -34,6 +36,9 @@ class ModelFitError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Feature maps
 # ---------------------------------------------------------------------------
+
+
+FEATURE_KINDS = ("polynomial", "random_fourier")
 
 
 class FeatureMap:
@@ -181,24 +186,15 @@ def _exponent_tuples(dim: int, degree: int):
 # ---------------------------------------------------------------------------
 
 
-def encode_model_input(obs: np.ndarray, actions, action_space,
-                       encoding: str = "onehot") -> np.ndarray:
-    """Stack observations with actions.
-
-    Discrete actions are one-hot by default; ``numeric`` encodes the index as
-    one real input, which keeps polynomial bases small.
-    """
+def encode_model_input(obs: np.ndarray, actions, action_space) -> np.ndarray:
+    """Stack observations with actions; discrete actions are one-hot."""
     O = np.asarray(obs, dtype=float)
     if O.ndim == 1:
         O = O[None, :]
     n = O.shape[0]
     if isinstance(action_space, DiscreteActions):
-        idx = np.asarray(actions, dtype=int).reshape(n)
-        if encoding == "numeric":
-            A = idx.astype(float)[:, None]
-        else:
-            A = np.zeros((n, action_space.count))
-            A[np.arange(n), idx] = 1.0
+        A = np.zeros((n, action_space.count))
+        A[np.arange(n), np.asarray(actions, dtype=int).reshape(n)] = 1.0
     else:
         A = np.asarray(actions, dtype=float).reshape(n, action_space.dim)
     return np.concatenate([O, A], axis=1)
@@ -271,9 +267,7 @@ class ModelConfig:
     n_members: int = 5
     ridge: float = 1e-3
     holdout_fraction: float = 0.1
-    bootstrap: bool = True
     seed: int = 0
-    discrete_action_encoding: str = "onehot"
     feature_kind: str = "random_fourier"
     feature_count: int = 256
     bandwidth: float = 1.0
@@ -281,6 +275,11 @@ class ModelConfig:
     poly_dim_degrees: tuple | None = None
     input_shift: tuple | None = None
     input_scale: tuple | None = None
+
+    def __post_init__(self):
+        if self.feature_kind not in FEATURE_KINDS:
+            raise ValueError(f"unknown model feature_kind {self.feature_kind!r}; "
+                             f"valid: {FEATURE_KINDS}")
 
     def feature_map(self, input_dim: int, member_seed: int) -> FeatureMap:
         shift = self.input_shift
@@ -310,7 +309,6 @@ class CorrectionEnsemble:
     mode: str  # "direct" | "correction"
     obs_dim: int
     action_space: DiscreteActions | ContinuousActions
-    action_encoding: str = "onehot"
 
     def __post_init__(self):
         if self.mode not in ("direct", "correction"):
@@ -325,12 +323,9 @@ class CorrectionEnsemble:
     def n_members(self) -> int:
         return len(self.members)
 
-    def _encode(self, obs, actions) -> np.ndarray:
-        return encode_model_input(obs, actions, self.action_space, self.action_encoding)
-
     def member_means(self, obs, actions) -> np.ndarray:
         """Raw member mean targets, shape (N, n, T)."""
-        X = self._encode(obs, actions)
+        X = encode_model_input(obs, actions, self.action_space)
         return np.stack([m.predict_mean(X) for m in self.members])
 
     def penalty_batch(self, obs, actions, mode: str = "disagreement") -> np.ndarray:
@@ -340,7 +335,7 @@ class CorrectionEnsemble:
         covariance, which is input-independent here.  ``disagreement``:
         largest member deviation from the ensemble mean prediction.
         """
-        X = self._encode(obs, actions)
+        X = encode_model_input(obs, actions, self.action_space)
         n = X.shape[0]
         if mode == "frobenius":
             worst = max(float(np.sqrt(m.noise_var.sum())) for m in self.members)
@@ -364,50 +359,18 @@ class CorrectionEnsemble:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AugmentedDataset:
-    """A dataset plus the simulator's one-step prediction for every record."""
+def augment_with_sim(dataset: Dataset, simulator: Environment) -> np.ndarray:
+    """The simulator's next-observation prediction for each record, shape
+    (n, obs_dim).
 
-    dataset: Dataset
-    sim_next_obs: np.ndarray  # (n, obs_dim)
-
-
-def augment_with_sim(dataset: Dataset, simulator: Environment) -> AugmentedDataset:
-    """Evaluate the simulator's next-observation prediction for each record.
-
-    Deterministic: repeated calls produce identical augmentations.  Raises if
+    Deterministic: repeated calls produce identical predictions.  Raises if
     an observation cannot be decoded into a simulator state.
     """
     O, A = dataset.O, dataset.A
     preds = np.empty(O.shape)
     for i in range(len(O)):
         preds[i], _ = simulator.simulate_step(O[i], A[i])
-    return AugmentedDataset(dataset, preds)
-
-
-def _fit_ensemble(X, Y, config: ModelConfig, mode, obs_dim, action_space,
-                  action_encoding) -> CorrectionEnsemble:
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 records to fit an ensemble")
-    split_rng = derived_rng(config.seed, 0xF17)
-    perm = split_rng.permutation(n)
-    n_val = max(1, int(round(n * config.holdout_fraction)))
-    n_val = min(n_val, n - 1)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    members = []
-    for i in range(config.n_members):
-        member_rng = derived_rng(config.seed, 0xB00, i)
-        if config.bootstrap:
-            rows = train_idx[member_rng.integers(0, len(train_idx), len(train_idx))]
-        else:
-            rows = train_idx
-        fm = config.feature_map(X.shape[1], derived_rng(config.seed, 0xFEA, i).integers(2**31))
-        members.append(
-            fit_gaussian_regressor(fm, X[rows], Y[rows], config.ridge,
-                                   X[val_idx], Y[val_idx])
-        )
-    return CorrectionEnsemble(members, mode, obs_dim, action_space, action_encoding)
+    return preds
 
 
 def _dataset_action_space(dataset: Dataset):
@@ -418,35 +381,44 @@ def _dataset_action_space(dataset: Dataset):
     return ContinuousActions(float(A.min()), float(A.max()), dim)
 
 
-def fit_correction_ensemble(
-    augmented: AugmentedDataset,
-    config: ModelConfig,
-    action_space=None,
-) -> CorrectionEnsemble:
-    """Fit regressors for (next_obs - sim_next_obs, reward) on (obs, action).
+def fit_ensemble(dataset: Dataset, config: ModelConfig, sim_next_obs=None,
+                 action_space=None) -> CorrectionEnsemble:
+    """Fit the ensemble on (obs, action) for (next_obs, reward) in direct
+    mode, or, given the simulator's predictions ``sim_next_obs`` (see
+    :func:`augment_with_sim`), for (next_obs - sim_next_obs, reward) in
+    correction mode.
 
-    The next observation enters training only through that residual, so a
-    constant shared shift of both quantities leaves the fit unchanged.
+    In correction mode the next observation enters training only through
+    that residual, so a constant shared shift of both leaves the fit
+    unchanged.
     """
-    ds = augmented.dataset
-    O, A, R, O2, _ = ds.arrays()
-    space = action_space if action_space is not None else _dataset_action_space(ds)
-    enc = config.discrete_action_encoding
-    X = encode_model_input(O, A, space, enc)
-    Y = np.concatenate([O2 - augmented.sim_next_obs, R[:, None]], axis=1)
-    return _fit_ensemble(X, Y, config, "correction", O.shape[1], space, enc)
-
-
-def fit_direct_ensemble(
-    dataset: Dataset, config: ModelConfig, action_space=None
-) -> CorrectionEnsemble:
-    """Fit regressors for (next_obs, reward) on (obs, action); no simulator."""
     O, A, R, O2, _ = dataset.arrays()
+    n = len(O)
+    if n < 2:
+        raise ValueError("need at least 2 records to fit an ensemble")
+    if sim_next_obs is not None and np.shape(sim_next_obs) != O2.shape:
+        raise ValueError(f"sim_next_obs must have shape {O2.shape}, "
+                         f"got {np.shape(sim_next_obs)}")
     space = action_space if action_space is not None else _dataset_action_space(dataset)
-    enc = config.discrete_action_encoding
-    X = encode_model_input(O, A, space, enc)
-    Y = np.concatenate([O2, R[:, None]], axis=1)
-    return _fit_ensemble(X, Y, config, "direct", O.shape[1], space, enc)
+    X = encode_model_input(O, A, space)
+    state = O2 if sim_next_obs is None else O2 - sim_next_obs
+    Y = np.concatenate([state, R[:, None]], axis=1)
+    split_rng = derived_rng(config.seed, 0xF17)
+    perm = split_rng.permutation(n)
+    n_val = max(1, int(round(n * config.holdout_fraction)))
+    n_val = min(n_val, n - 1)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    members = []
+    for i in range(config.n_members):
+        member_rng = derived_rng(config.seed, 0xB00, i)
+        rows = train_idx[member_rng.integers(0, len(train_idx), len(train_idx))]
+        fm = config.feature_map(X.shape[1], derived_rng(config.seed, 0xFEA, i).integers(2**31))
+        members.append(
+            fit_gaussian_regressor(fm, X[rows], Y[rows], config.ridge,
+                                   X[val_idx], Y[val_idx])
+        )
+    mode = "direct" if sim_next_obs is None else "correction"
+    return CorrectionEnsemble(members, mode, O.shape[1], space)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +442,7 @@ def ensemble_to_dict(ens: CorrectionEnsemble) -> dict:
         "format_version": ENSEMBLE_FORMAT_VERSION,
         "mode": ens.mode,
         "obs_dim": ens.obs_dim,
-        "action_encoding": ens.action_encoding,
+        "action_encoding": "onehot",
         "action_space": space,
         "members": [
             {
@@ -490,6 +462,9 @@ def ensemble_from_dict(d: dict) -> CorrectionEnsemble:
             f"unsupported ensemble format {d.get('format_version')!r}; "
             f"expected {ENSEMBLE_FORMAT_VERSION!r}"
         )
+    if d.get("action_encoding", "onehot") != "onehot":
+        raise ValueError(f"unsupported action encoding {d['action_encoding']!r}; "
+                         "expected 'onehot'")
     space_d = d["action_space"]
     if space_d["type"] == "discrete":
         space = DiscreteActions(space_d["count"])
@@ -504,8 +479,7 @@ def ensemble_from_dict(d: dict) -> CorrectionEnsemble:
         )
         for m in d["members"]
     ]
-    return CorrectionEnsemble(members, d["mode"], d["obs_dim"], space,
-                              d.get("action_encoding", "onehot"))
+    return CorrectionEnsemble(members, d["mode"], d["obs_dim"], space)
 
 
 def save_ensemble(ens: CorrectionEnsemble, path) -> None:

@@ -129,7 +129,7 @@ def test_criterion_1_confounding_reversal_exact():
 def _held_out_state_mse(ensemble, simulator, held_out):
     O, A, _, O2, _ = held_out
     sim_next = np.stack([simulator.simulate_step(o, a)[0] for o, a in zip(O, A)])
-    X = encode_model_input(O, A, ensemble.action_space, ensemble.action_encoding)
+    X = encode_model_input(O, A, ensemble.action_space)
     corr = np.stack([m.predict_mean(X) for m in ensemble.members]).mean(axis=0)[:, :3]
     mse_model = float(np.mean(np.sum((sim_next + corr - O2) ** 2, axis=1)))
     mse_sim = float(np.mean(np.sum((sim_next - O2) ** 2, axis=1)))
@@ -149,7 +149,7 @@ def test_criterion_2_correction_model_recovery(pendulum_medium_dataset):
         cfg = dataclasses.replace(
             agents.default_agent_config(hb.make_env("pendulum")).model, seed=17
         )
-        ens = models.fit_correction_ensemble(models.augment_with_sim(train, sim), cfg)
+        ens = models.fit_ensemble(train, cfg, models.augment_with_sim(train, sim))
         mse_model, mse_sim = _held_out_state_mse(ens, sim, held_out)
         assert mse_model <= 0.2 * mse_sim, (mse_model, mse_sim)
     assert t.elapsed + FIXTURE_TIMES.get("pendulum_medium_dataset", 0.0) < 300
@@ -168,9 +168,9 @@ def test_criterion_3_identity_simulator_null(pendulum_medium_dataset):
         cfg = dataclasses.replace(
             agents.default_agent_config(hb.make_env("pendulum")).model, seed=17
         )
-        ens = models.fit_correction_ensemble(models.augment_with_sim(train, sim), cfg)
+        ens = models.fit_ensemble(train, cfg, models.augment_with_sim(train, sim))
         O, A, _, O2, _ = (col[n_train:] for col in ds.arrays())
-        X = encode_model_input(O, A, ens.action_space, ens.action_encoding)
+        X = encode_model_input(O, A, ens.action_space)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
         ratio = float(
             np.linalg.norm(pred, axis=1).mean()
@@ -337,18 +337,16 @@ def test_criterion_7_rollout_conformance_trace():
         cfg = dataclasses.replace(agents.default_agent_config(env), lam=lam, epochs=6)
         sim = hb.with_transition_error(hb.make_env("windygrid"), {"wind_prob": 0.5})
         res = agents.train_hymopo(ds, sim, cfg, seed=0)
-        assert res.trace
+        tr = res.trace
+        assert len(tr)
         obs_pool = {o.tobytes() for o in ds.arrays()[0]}
         obs_dim = 3
-        for step in res.trace:
-            # exact replay of the rollout algebra, zero tolerance
-            assert np.array_equal(step.next_obs,
-                                  step.sim_next_obs + step.target_draw[:obs_dim])
-            assert step.penalized_reward == step.reward - lam * step.penalty
-            assert step.penalty >= 0.0
-            assert step.penalized_reward <= step.reward
-            if step.step == 0:
-                assert step.obs.tobytes() in obs_pool
+        # exact replay of the rollout algebra over every row, zero tolerance
+        assert np.array_equal(tr.next_obs, tr.sim_next_obs + tr.target_draw[:, :obs_dim])
+        assert np.array_equal(tr.penalized_reward, tr.reward - lam * tr.penalty)
+        assert (tr.penalty >= 0.0).all()
+        assert (tr.penalized_reward <= tr.reward).all()
+        assert all(o.tobytes() in obs_pool for o in tr.obs[tr.step == 0])
     report(7, f"{len(res.trace)} synthetic transitions replay exactly "
               f"({t.elapsed:.1f}s)")
 

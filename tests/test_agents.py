@@ -172,7 +172,7 @@ class TestModelBased:
         cfg_h0 = dataclasses.replace(base, rollout_horizon=0)
         mopo = train_mopo_lite(grid_medium_dataset, cfg_h0, seed=0)
         assert np.array_equal(mopo.q.weights, off.q.weights)
-        assert mopo.synthetic_count == 0
+        assert len(mopo.trace) == 0
 
     def test_hymopo_degenerate_equals_offline(self, grid_medium_dataset, grid_env):
         base = default_agent_config(grid_env)
@@ -197,8 +197,8 @@ class TestModelBased:
                                   epochs=6)
         res = train_mopo_lite(grid_medium_dataset, cfg, seed=0)
         r_min = grid_medium_dataset.arrays()[2].min()
-        assert all(t.penalized_reward <= r_min for t in res.trace)
-        assert all(t.penalized_reward <= t.reward for t in res.trace)
+        assert (res.trace.penalized_reward <= r_min).all()
+        assert (res.trace.penalized_reward <= res.trace.reward).all()
 
     @pytest.mark.xfail(
         reason="hypothesized limit does not hold here: heavily penalized "
@@ -224,25 +224,71 @@ class TestModelBased:
         cfg = dataclasses.replace(default_agent_config(grid_env), epochs=4)
         res = train_mopo_lite(grid_medium_dataset, cfg, seed=0)
         obs_pool = {o.tobytes() for o in grid_medium_dataset.arrays()[0]}
-        starts = [t for t in res.trace if t.step == 0]
-        assert starts
-        assert all(t.obs.tobytes() in obs_pool for t in starts)
+        starts = res.trace.obs[res.trace.step == 0]
+        assert len(starts)
+        assert all(o.tobytes() in obs_pool for o in starts)
 
     def test_trace_algebra_exact(self, grid_medium_dataset, grid_env):
         cfg = dataclasses.replace(default_agent_config(grid_env), lam=0.7, epochs=4)
         sim = hb.with_transition_error(hb.make_env("windygrid"), {"wind_prob": 0.5})
         res = train_hymopo(grid_medium_dataset, sim, cfg, seed=0)
         obs_dim = 3
-        for t in res.trace[:500]:
-            assert np.array_equal(t.next_obs, t.sim_next_obs + t.target_draw[:obs_dim])
-            assert t.penalized_reward == t.reward - cfg.lam * t.penalty
-            assert t.penalty >= 0.0
-            assert t.penalized_reward <= t.reward
+        tr, head = res.trace, slice(0, 500)
+        assert np.array_equal(tr.next_obs[head],
+                              tr.sim_next_obs[head] + tr.target_draw[head, :obs_dim])
+        assert np.array_equal(tr.penalized_reward[head],
+                              tr.reward[head] - cfg.lam * tr.penalty[head])
+        assert (tr.penalty[head] >= 0.0).all()
+        assert (tr.penalized_reward[head] <= tr.reward[head]).all()
         # the penalty is the ensemble's disagreement at the rollout input
-        head = res.trace[:500]
-        pen = res.ensemble.penalty_batch(np.stack([t.obs for t in head]),
-                                         [t.action_index for t in head])
-        assert np.allclose([t.penalty for t in head], pen, rtol=1e-9, atol=1e-12)
+        pen = res.ensemble.penalty_batch(tr.obs[head], tr.action_index[head])
+        assert np.allclose(tr.penalty[head], pen, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("horizon,batch", [(0, 64), (5, 0)])
+    def test_no_rollouts_give_typed_empty_trace(self, grid_medium_dataset, grid_env,
+                                                horizon, batch):
+        base = default_agent_config(grid_env)
+        cfg = dataclasses.replace(base, epochs=1, rollout_horizon=horizon,
+                                  rollout_batch=batch, model=dataclasses.replace(
+                                      base.model, n_members=1, feature_count=32))
+        mopo = train_mopo_lite(grid_medium_dataset, cfg, seed=0)
+        hy = train_hymopo(grid_medium_dataset, hb.make_env("windygrid"), cfg, seed=0)
+        assert mopo.trace.sim_next_obs is None
+        assert hy.trace.sim_next_obs.shape == (0, 3)
+        for tr in (mopo.trace, hy.trace):
+            assert len(tr) == 0
+            for name in ("epoch", "rollout", "step", "start_index", "action_index",
+                         "member"):
+                col = getattr(tr, name)
+                assert col.shape == (0,) and np.issubdtype(col.dtype, np.integer), name
+            for name in ("reward", "penalty", "penalized_reward"):
+                col = getattr(tr, name)
+                assert col.shape == (0,) and col.dtype == float, name
+            assert tr.obs.shape == tr.next_obs.shape == (0, 3)
+            assert tr.target_draw.shape == (0, 4)
+
+    def test_trace_is_the_synthetic_fit_data(self, grid_medium_dataset, grid_env):
+        # each epoch fits Q on the real block and a block of every trace row
+        # generated so far, warm-started from the previous epoch's weights
+        base = default_agent_config(grid_env)
+        cfg = dataclasses.replace(base, epochs=2, model=dataclasses.replace(
+            base.model, n_members=2, feature_count=64))
+        res = train_mopo_lite(grid_medium_dataset, cfg, seed=0)
+        tr = res.trace
+        basis = res.q.basis
+        O, idx, R, O2, D = agents._dataset_fit_arrays(
+            grid_medium_dataset, res.policy.action_grid, cfg, 0)
+        real = agents._Block(res.q.features, basis, O, idx, R, O2, D)
+        W = None
+        for epoch in range(cfg.epochs):
+            rows = tr.epoch <= epoch
+            syn = agents._Block(res.q.features, basis, tr.obs[rows], tr.action_index[rows],
+                                tr.penalized_reward[rows], tr.next_obs[rows],
+                                np.zeros(rows.sum(), dtype=bool))
+            W = agents._bellman_iterate(
+                [real, syn], [cfg.mix_real / real.n, (1.0 - cfg.mix_real) / syn.n],
+                basis, cfg.gamma, cfg.q_ridge, cfg.q_iterations, W)
+        assert np.array_equal(W, res.q.weights)
 
     def test_perfect_sim_hybrid_at_least_mopo(self):
         # three-seed mean comparison on the pendulum with an exact simulator
@@ -274,10 +320,25 @@ class TestModelBased:
         )
         true_env = hb.make_env("pendulum")
         errs = []
-        for t in hy.trace[:1000]:
-            truth, _ = true_env.simulate_step(t.obs, grid[t.action_index])
-            errs.append(np.linalg.norm(t.next_obs - truth))
+        tr = hy.trace
+        for obs, a, nxt in zip(tr.obs[:1000], tr.action_index[:1000], tr.next_obs[:1000]):
+            truth, _ = true_env.simulate_step(obs, grid[a])
+            errs.append(np.linalg.norm(nxt - truth))
         assert np.median(errs) <= max(3 * noise, 1e-9)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("q_feature_kind", "polynomal"),  # used to train with random-Fourier features
+        ("penalty_mode", "variance"),  # used to fail in the first rollout
+        ("explore_hold", 0),  # used to fail in mid-training
+        ("mix_real", 1.5),  # these two used to fail after the ensemble fit
+        ("mix_real", -0.5),
+        ("n_step", 0),  # used to be clamped to 1
+    ])
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AgentConfig(**{field: value})
 
 
 class TestPolicySerialization:

@@ -122,6 +122,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=field):
             BenchConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("patch,name", [
+        ({"env": {"name": "windygrid", "params": {"wind": 0.3}}}, "wind"),
+        ({"agent": {"name": "hymopo", "config": {"epoch": 3}}}, "epoch"),
+        ({"agent": {"name": "hymopo", "config": {"model": {"n_member": 3}}}}, "n_member"),
+        ({"agent": {"name": "hymopo", "config": {"penalty_mode": "max"}}}, "penalty_mode"),
+    ], ids=["env_param", "agent_key", "model_key", "agent_value"])
+    def test_bad_env_or_agent_setting_rejected_at_load(self, patch, name):
+        # these used to fail in every seed, the agent ones after dataset generation
+        with pytest.raises((ValueError, hb.EnvError), match=name):
+            BenchConfig.from_dict(dict(self.BASE, **patch))
+
+    def test_medium_replay_with_history_rejected_at_load(self):
+        bad = dict(self.BASE, dataset={"tier": "medium_replay", "history_k": 3})
+        with pytest.raises(ValueError, match="medium_replay"):
+            BenchConfig.from_dict(bad)
+
     def test_corruption_keys_accepted(self):
         tags = [{"kind": "obs_noise", "sigma": 0.1}, {"kind": "obs_noise", "sigma": 0.1, "seed": 3},
                 {"kind": "hidden_dims", "indices": [2]}]

@@ -32,6 +32,12 @@ def split(ds, n_train):
     return tr, O, A, R, O2
 
 
+def test_unknown_feature_kind_rejected():
+    # "poly" used to fall through to random-Fourier features
+    with pytest.raises(ValueError, match="feature_kind"):
+        ModelConfig(feature_kind="poly")
+
+
 class TestFeatureMap:
     def test_polynomial_output_dim(self):
         fm = FeatureMap.polynomial(3, 4)
@@ -80,21 +86,21 @@ class TestFeatureMap:
 
 class TestAugmentation:
     def test_perfect_simulator_reproduces_next_obs(self, pendulum_random_dataset):
-        aug = models.augment_with_sim(pendulum_random_dataset, hb.make_env("pendulum"))
+        sim_next = models.augment_with_sim(pendulum_random_dataset, hb.make_env("pendulum"))
         O2 = pendulum_random_dataset.O2
-        assert np.abs(aug.sim_next_obs - O2).max() < 1e-9
+        assert np.abs(sim_next - O2).max() < 1e-9
 
     def test_wrong_simulator_has_gap(self, pendulum_random_dataset):
         sim = hb.with_transition_error(hb.make_env("pendulum"), {"gravity": 19.62})
-        aug = models.augment_with_sim(pendulum_random_dataset, sim)
+        sim_next = models.augment_with_sim(pendulum_random_dataset, sim)
         O2 = pendulum_random_dataset.O2
-        assert np.linalg.norm(aug.sim_next_obs - O2, axis=1).mean() > 0.01
+        assert np.linalg.norm(sim_next - O2, axis=1).mean() > 0.01
 
     def test_deterministic(self, pendulum_random_dataset):
         sim = hb.make_env("pendulum")
         a = models.augment_with_sim(pendulum_random_dataset, sim)
         b = models.augment_with_sim(pendulum_random_dataset, sim)
-        assert np.array_equal(a.sim_next_obs, b.sim_next_obs)
+        assert np.array_equal(a, b)
 
     def test_uninvertible_observation_raises(self, pendulum_random_dataset):
         broken = data.corrupt_hide_dims(pendulum_random_dataset, [0, 1])
@@ -105,8 +111,8 @@ class TestAugmentation:
 class TestCorrectionEnsemble:
     def test_perfect_simulator_learns_zero(self, pendulum_random_dataset):
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
-        ens = models.fit_correction_ensemble(
-            models.augment_with_sim(tr, hb.make_env("pendulum")), model_config()
+        ens = models.fit_ensemble(
+            tr, model_config(), models.augment_with_sim(tr, hb.make_env("pendulum"))
         )
         X = encode_model_input(O, A, ens.action_space)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
@@ -125,9 +131,7 @@ class TestCorrectionEnsemble:
                 return nxt, r
 
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
-        ens = models.fit_correction_ensemble(
-            models.augment_with_sim(tr, BiasedSim()), model_config()
-        )
+        ens = models.fit_ensemble(tr, model_config(), models.augment_with_sim(tr, BiasedSim()))
         X = encode_model_input(O, A, ens.action_space)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)
         assert abs(pred[:, 2].mean() - (-beta)) < 0.1 * beta
@@ -141,10 +145,8 @@ class TestCorrectionEnsemble:
 
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
         cfg = model_config()
-        corr = models.fit_correction_ensemble(
-            models.augment_with_sim(tr, ZeroSim()), cfg
-        )
-        direct = models.fit_direct_ensemble(tr, cfg)
+        corr = models.fit_ensemble(tr, cfg, models.augment_with_sim(tr, ZeroSim()))
+        direct = models.fit_ensemble(tr, cfg)
         X = encode_model_input(O, A, corr.action_space)
         mse_corr = np.mean(
             (np.stack([m.predict_mean(X) for m in corr.members]).mean(0)[:, :3] - O2) ** 2
@@ -157,20 +159,25 @@ class TestCorrectionEnsemble:
     def test_reads_next_obs_only_through_residual(self, pendulum_random_dataset):
         tr, *_ = split(pendulum_random_dataset, 4_000)
         cfg = model_config()
-        aug = models.augment_with_sim(tr, hb.make_env("pendulum"))
+        sim_next = models.augment_with_sim(tr, hb.make_env("pendulum"))
         shift = 2.5
-        shifted = models.AugmentedDataset(
-            data.Dataset(tr.meta, tr.O, tr.A, tr.R, tr.O2 + shift, tr.D),
-            aug.sim_next_obs + shift,
-        )
-        a = models.fit_correction_ensemble(aug, cfg)
-        b = models.fit_correction_ensemble(shifted, cfg)
+        shifted = data.Dataset(tr.meta, tr.O, tr.A, tr.R, tr.O2 + shift, tr.D)
+        a = models.fit_ensemble(tr, cfg, sim_next)
+        b = models.fit_ensemble(shifted, cfg, sim_next + shift)
         for ma, mb in zip(a.members, b.members):
             assert np.allclose(ma.weights, mb.weights, atol=1e-9)
 
+    def test_mode_follows_sim_next_obs(self, pendulum_random_dataset):
+        tr, *_ = split(pendulum_random_dataset, 300)
+        cfg = model_config(n_members=1)
+        assert models.fit_ensemble(tr, cfg).mode == "direct"
+        assert models.fit_ensemble(tr, cfg, np.zeros(tr.O2.shape)).mode == "correction"
+        with pytest.raises(ValueError, match="sim_next_obs"):
+            models.fit_ensemble(tr, cfg, np.zeros((299, 3)))
+
     def test_members_differ_by_bootstrap(self, pendulum_random_dataset):
         tr, *_ = split(pendulum_random_dataset, 4_000)
-        ens = models.fit_direct_ensemble(tr, model_config())
+        ens = models.fit_ensemble(tr, model_config())
         dists = [
             np.abs(a.weights - b.weights).max()
             for i, a in enumerate(ens.members)
@@ -180,7 +187,7 @@ class TestCorrectionEnsemble:
 
     def test_direct_one_step_rmse(self, pendulum_random_dataset):
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
-        ens = models.fit_direct_ensemble(tr, model_config())
+        ens = models.fit_ensemble(tr, model_config())
         X = encode_model_input(O, A, ens.action_space)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
         assert np.sqrt(np.mean((pred - O2) ** 2)) <= 0.05
@@ -189,8 +196,8 @@ class TestCorrectionEnsemble:
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
         cfg = model_config()
         sim = hb.make_env("pendulum")
-        corr = models.fit_correction_ensemble(models.augment_with_sim(tr, sim), cfg)
-        direct = models.fit_direct_ensemble(tr, cfg)
+        corr = models.fit_ensemble(tr, cfg, models.augment_with_sim(tr, sim))
+        direct = models.fit_ensemble(tr, cfg)
         X = encode_model_input(O, A, corr.action_space)
         sim_next = np.stack([sim.simulate_step(o, a)[0] for o, a in zip(O, A)])
         pred_corr = sim_next + np.stack(
@@ -269,7 +276,7 @@ class TestPredictAndPenalty:
 
     def test_penalty_member_order_invariant(self, pendulum_random_dataset):
         tr, O, A, *_ = split(pendulum_random_dataset, 3_000)
-        ens = models.fit_direct_ensemble(tr, model_config())
+        ens = models.fit_ensemble(tr, model_config())
         permuted = models.CorrectionEnsemble(
             list(reversed(ens.members)), ens.mode, ens.obs_dim, ens.action_space
         )
@@ -286,7 +293,7 @@ class TestPredictAndPenalty:
 
     def test_penalty_nonnegative(self, pendulum_random_dataset):
         tr, O, A, *_ = split(pendulum_random_dataset, 3_000)
-        ens = models.fit_direct_ensemble(tr, model_config())
+        ens = models.fit_ensemble(tr, model_config())
         assert (ens.penalty_batch(O[:100], A[:100], "disagreement") >= 0).all()
         assert (ens.penalty_batch(O[:100], A[:100], "frobenius") >= 0).all()
 
@@ -294,7 +301,7 @@ class TestPredictAndPenalty:
 class TestEnsembleSerialization:
     def test_round_trip(self, pendulum_random_dataset, tmp_path):
         tr, *_ = split(pendulum_random_dataset, 3_000)
-        ens = models.fit_direct_ensemble(tr, model_config())
+        ens = models.fit_ensemble(tr, model_config())
         path = tmp_path / "ens.json"
         models.save_ensemble(ens, path)
         assert models.load_ensemble(path) == ens
@@ -305,11 +312,18 @@ class TestEnsembleSerialization:
         with pytest.raises(ValueError):
             models.load_ensemble(path)
 
+    def test_only_onehot_encoding_read(self, pendulum_random_dataset):
+        tr, *_ = split(pendulum_random_dataset, 300)
+        d = models.ensemble_to_dict(models.fit_ensemble(tr, model_config(n_members=1)))
+        assert d["action_encoding"] == "onehot"
+        with pytest.raises(ValueError, match="action encoding"):
+            models.ensemble_from_dict(dict(d, action_encoding="numeric"))
+
 
 class TestDeterminism:
     def test_identical_fits_bit_exact(self, pendulum_random_dataset):
         tr, *_ = split(pendulum_random_dataset, 4_000)
         cfg = model_config()
-        a = models.fit_direct_ensemble(tr, cfg)
-        b = models.fit_direct_ensemble(tr, cfg)
+        a = models.fit_ensemble(tr, cfg)
+        b = models.fit_ensemble(tr, cfg)
         assert a == b
