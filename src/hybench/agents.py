@@ -34,6 +34,7 @@ from .models import (
     CorrectionEnsemble,
     FeatureMap,
     ModelConfig,
+    _tril_inverse,
     augment_with_sim,
     disagreement,
     fit_ensemble,
@@ -112,6 +113,8 @@ class AgentConfig:
             raise ValueError("gamma must be in [0, 1)")
         if not 0 <= self.mix_real <= 1:
             raise ValueError(f"mix_real must be in [0, 1], got {self.mix_real}")
+        if not self.q_ridge > 0:
+            raise ValueError(f"q_ridge must be > 0, got {self.q_ridge}")
         for name, value, valid in (
             ("q_action_design", self.q_action_design, ("onehot", "quadratic")),
             ("q_feature_kind", self.q_feature_kind, FEATURE_KINDS),
@@ -411,22 +414,6 @@ class _Block:
             mask2[~mask2.any(axis=1)] = True
         self.mask2 = mask2
         self.G = None if mc_returns is None else np.asarray(mc_returns, float)
-
-
-def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, written over ``L`` in place, by
-    2x2 block recursion, inv([[A, 0], [C, D]]) = [[Ai, 0], [-Di C Ai, Di]].
-    numpy has no triangular solve; this keeps all but the small leaves in
-    matrix products, and in place no second n x n array is allocated."""
-    n = L.shape[0]
-    if n <= 128:
-        L[...] = np.linalg.inv(L)
-        return L
-    h = n // 2
-    _tril_inverse(L[:h, :h])
-    _tril_inverse(L[h:, h:])
-    L[h:, :h] = -L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
-    return L
 
 
 def _bellman_iterate(
@@ -794,9 +781,12 @@ class RolloutTrace:
 
 @dataclass
 class ModelBasedTrainResult:
+    """``ensemble`` is None when ``rollout_horizon`` or ``rollout_batch`` is
+    0: no rollout samples the model then, so none is fitted."""
+
     policy: QPolicy
     q: QFunction
-    ensemble: CorrectionEnsemble
+    ensemble: CorrectionEnsemble | None
     trace: RolloutTrace
 
 
@@ -831,10 +821,15 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
     obs_dim = dataset.O.shape[1]
     fm = _build_q_features(obs_dim, config, seed)
 
-    model_cfg = replace(config.model, seed=derived_seed(seed, MODEL_FIT))
     space = _grid_action_space(grid)
-    sim_preds = None if simulator is None else augment_with_sim(dataset, simulator)
-    ens = fit_ensemble(dataset, model_cfg, sim_preds, action_space=space)
+    b = config.rollout_batch
+    rollouts = config.rollout_horizon > 0 and b > 0
+    ens = None
+    if rollouts:
+        model_cfg = replace(config.model, seed=derived_seed(seed, MODEL_FIT))
+        sim_preds = None if simulator is None else augment_with_sim(dataset, simulator)
+        ens = fit_ensemble(dataset, model_cfg, sim_preds, action_space=space)
+        noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
 
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
     real = _Block(fm, basis, O, idx, R, O2, D)
@@ -846,10 +841,8 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
     grid_arr = np.asarray(grid)
     discrete = isinstance(space, DiscreteActions)
 
-    noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
-    b = config.rollout_batch
     for epoch in range(config.epochs):
-        if config.rollout_horizon > 0 and b > 0:
+        if rollouts:
             starts = rollout_rng.integers(0, n_real, size=b)
             cur = O[starts]
             for j in range(config.rollout_horizon):

@@ -225,10 +225,51 @@ class GaussianRegressor:
         )
 
 
+# Largest proven condition bound of the ridge gram that is factored directly:
+# the normal equations then lose at most about kappa * eps ~ 1e-7 relative.
+_CHOLESKY_MAX_COND = 1e9
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, written over ``L`` in place, by
+    2x2 block recursion, inv([[A, 0], [C, D]]) = [[Ai, 0], [-Di C Ai, Di]].
+    numpy has no triangular solve; this keeps all but the small leaves in
+    matrix products, and in place no second n x n array is allocated."""
+    n = L.shape[0]
+    if n <= 128:
+        L[...] = np.linalg.inv(L)
+        return L
+    h = n // 2
+    _tril_inverse(L[:h, :h])
+    _tril_inverse(L[h:, h:])
+    L[h:, :h] = -L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
+    return L
+
+
 def _solve_ridge(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
-    # solved as an augmented least-squares problem: orthogonal methods keep
-    # the monomial bases' poor conditioning from squaring
+    # Every eigenvalue of G = Phi^T Phi + ridge I lies in [ridge, tr(G)], so
+    # kappa_2(G) <= tr(G) / ridge, read off Phi before G is formed.  Within
+    # _CHOLESKY_MAX_COND, G is factored, G = L L^T, and W = L^-T (L^-1 Phi^T Y)
+    # as in fitted-Q.  Random-Fourier rows have squared norm about 2, so their
+    # bound is about 2n / ridge (4e7 for 18k rows at ridge 1e-3).  Monomial
+    # bases read 1e12 and up; for them, and when the factor fails or W is not
+    # finite, the augmented least-squares problem is solved instead: its
+    # orthogonal method keeps the conditioning from squaring.
     F = Phi.shape[1]
+    bound = (np.linalg.norm(Phi) ** 2 + F * ridge) / ridge
+    if bound <= _CHOLESKY_MAX_COND:
+        G = Phi.T @ Phi
+        G[np.diag_indices(F)] += ridge
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            del G  # free the gram before the inverse's temporaries are allocated
+            linv = _tril_inverse(L)
+            W = linv.T @ (linv @ (Phi.T @ Y))
+            if np.isfinite(W).all():
+                return W
     A = np.concatenate([Phi, math.sqrt(ridge) * np.eye(F)], axis=0)
     b = np.concatenate([Y, np.zeros((F, Y.shape[1]))], axis=0)
     try:
@@ -280,6 +321,14 @@ class ModelConfig:
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"unknown model feature_kind {self.feature_kind!r}; "
                              f"valid: {FEATURE_KINDS}")
+        if not self.ridge > 0:  # the fit's condition bound divides by it
+            raise ValueError(f"model ridge must be > 0, got {self.ridge}")
+        for name in ("n_members", "feature_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"model {name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.holdout_fraction < 1:
+            raise ValueError("model holdout_fraction must be in [0, 1), "
+                             f"got {self.holdout_fraction}")
 
     def feature_map(self, input_dim: int, member_seed: int) -> FeatureMap:
         shift = self.input_shift

@@ -187,6 +187,27 @@ class TestModelBased:
         hy = train_hymopo(grid_medium_dataset, hb.make_env("windygrid"), cfg_deg, seed=0)
         assert np.array_equal(hy.q.weights, off.q.weights)
 
+    def test_zero_rollouts_fit_no_model(self, grid_medium_dataset, grid_env, monkeypatch):
+        # no rollout samples the model, so neither the simulator pass nor the
+        # ensemble fit may run
+        def unused(*args, **kwargs):
+            raise AssertionError("model fitted for a run without rollouts")
+
+        monkeypatch.setattr(agents, "fit_ensemble", unused)
+        monkeypatch.setattr(agents, "augment_with_sim", unused)
+        base = default_agent_config(grid_env)
+        cfg_off = dataclasses.replace(
+            base, bc_threshold=0.0, offline_iterations=base.epochs * base.q_iterations
+        )
+        off = train_offline_bcq(grid_medium_dataset, cfg_off, seed=0)
+        mopo = train_mopo_lite(grid_medium_dataset,
+                               dataclasses.replace(base, rollout_horizon=0), seed=0)
+        hy = train_hymopo(grid_medium_dataset, hb.make_env("windygrid"),
+                          dataclasses.replace(base, rollout_batch=0), seed=0)
+        for res in (mopo, hy):
+            assert res.ensemble is None
+            assert np.array_equal(res.q.weights, off.q.weights)
+
     def test_paper_default_hyperparameters(self):
         cfg = AgentConfig()
         assert cfg.lam == 0.0
@@ -335,6 +356,8 @@ class TestConfigValidation:
         ("mix_real", 1.5),  # these two used to fail after the ensemble fit
         ("mix_real", -0.5),
         ("n_step", 0),  # used to be clamped to 1
+        ("q_ridge", 0.0),  # these two used to fail in online training
+        ("q_ridge", -1e-3),
     ])
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -38,6 +38,19 @@ def test_unknown_feature_kind_rejected():
         ModelConfig(feature_kind="poly")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("ridge", 0.0),  # these two used to fail inside the ensemble fit
+    ("ridge", -1.0),
+    ("n_members", 0),  # used to fail after every member was skipped
+    ("holdout_fraction", 1.5),  # used to leave one training record
+    ("holdout_fraction", -0.1),
+    ("feature_count", 0),  # used to fail in the first member's feature map
+])
+def test_bad_model_value_rejected_naming_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**{field: value})
+
+
 class TestFeatureMap:
     def test_polynomial_output_dim(self):
         fm = FeatureMap.polynomial(3, 4)
@@ -227,6 +240,42 @@ class TestCorrectionEnsemble:
             reg = models.fit_gaussian_regressor(fm, X, O2, 1e-9, X[:10], O2[:10])
             losses.append(np.mean(np.linalg.norm(reg.predict_mean(X) - O2, axis=1)))
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
+
+    def test_well_conditioned_fit_takes_the_factor(self, pendulum_random_dataset,
+                                                   monkeypatch):
+        # a member of the windygrid workload's size: 4500 rows, 769 features
+        O, A, R, O2, _ = (col[:4500] for col in pendulum_random_dataset.arrays())
+        X = encode_model_input(O, A, hb.make_env("pendulum").action_space)
+        Y = np.concatenate([O2, R[:, None]], axis=1)
+        Phi = FeatureMap.random_fourier(4, 768, 0.7, seed=5).transform(X)
+        ridge = 1e-3
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "lstsq", None)  # the orthogonal path must not run
+            W = models._solve_ridge(Phi, Y, ridge)
+        F = Phi.shape[1]
+        ref, *_ = np.linalg.lstsq(
+            np.concatenate([Phi, math.sqrt(ridge) * np.eye(F)]),
+            np.concatenate([Y, np.zeros((F, Y.shape[1]))]), rcond=None)
+        assert np.linalg.norm(W - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_ill_conditioned_fit_is_orthogonal(self):
+        # the interpolation system above: condition bound about 2.8e17
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 2))
+        Y = rng.normal(size=(20, 2))
+        Phi = FeatureMap.polynomial(2, 5).transform(X)
+        ridge = 1e-12
+        F = Phi.shape[1]
+        ref, *_ = np.linalg.lstsq(
+            np.concatenate([Phi, math.sqrt(ridge) * np.eye(F)]),
+            np.concatenate([Y, np.zeros((F, 2))]), rcond=None)
+        assert np.array_equal(models._solve_ridge(Phi, Y, ridge), ref)
+
+    def test_non_finite_features_raise_fit_error(self):
+        Phi = np.ones((10, 3))
+        Phi[4, 1] = np.nan
+        with pytest.raises(models.ModelFitError):
+            models._solve_ridge(Phi, np.zeros((10, 1)), 1e-3)
 
     def test_singular_normal_equations_named(self):
         X = np.zeros((10, 2))
