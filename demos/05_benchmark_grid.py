@@ -6,6 +6,7 @@ only the medium dataset, and the hybrid agent both.  Evaluation always
 happens on the true environment.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -29,14 +30,13 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "results.csv"
-        all_results = []
-        for cfg in configs:
-            results, failures = bench.run_benchmark(cfg)
-            for f in failures:
-                print(f"  FAILED {f.benchmark_id} seed {f.seed}: {f.error}")
-            bench.append_results(out, results)
-            all_results.extend(results)
-        print(bench.emit_report(all_results, fmt="markdown"))
+        # one call runs every (config, seed) pair; jobs=N spreads them over N
+        # worker processes, and each config's rows land in `out` as it finishes
+        configs = [dataclasses.replace(cfg, out=str(out)) for cfg in configs]
+        results, failures = bench.run_benchmarks(configs)
+        for f in failures:
+            print(f"  FAILED {f.benchmark_id} seed {f.seed}: {f.error}")
+        print(bench.emit_report(results, fmt="markdown"))
         print(f"per-run rows also appended to {out.name} "
               f"({len(out.read_text().splitlines()) - 1} rows)")
 

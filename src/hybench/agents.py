@@ -527,7 +527,7 @@ def evaluate_policy(
 class OnlineTrainResult:
     policy: QPolicy
     curve: list[tuple[int, float]]  # (env steps, mean eval return) per sweep
-    checkpoints: list[dict]  # per sweep: weights, env steps, replay length
+    checkpoints: list[dict]  # per sweep: weights and env steps
     replay: tuple  # (O, A, R, O2, D) columns, one row per env step
     features: FeatureMap
     action_grid: tuple
@@ -544,7 +544,7 @@ class OnlineTrainResult:
 
     def replay_prefix(self, index: int) -> tuple:
         """The replay columns as they stood at checkpoint ``index``."""
-        n = self.checkpoints[index]["replay_len"]
+        n = self.checkpoints[index]["steps"]  # one replay row per env step
         return tuple(col[:n] for col in self.replay)
 
 
@@ -648,8 +648,7 @@ def train_online_q(
         score, _ = evaluate_policy(eval_env, policy, config.eval_episodes,
                                    derived_seed(seed, EVAL_ENV, sweep))
         curve.append((steps, score))
-        checkpoints.append({"weights": W.copy(), "steps": steps,
-                            "replay_len": steps})
+        checkpoints.append({"weights": W.copy(), "steps": steps})
 
     # batch fitted-Q is not monotone across sweeps; deliver the latest tail
     # checkpoint whose score is within a whisker of the tail's best, i.e. the

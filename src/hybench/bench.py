@@ -19,7 +19,8 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -258,16 +259,7 @@ class RunResult:
     dataset_hash: str
 
     def row(self) -> list:
-        return [
-            self.benchmark_id,
-            self.agent,
-            self.seed,
-            repr(self.raw_return),
-            repr(self.normalized_score),
-            repr(self.wall_time),
-            self.config_hash,
-            self.dataset_hash,
-        ]
+        return list(astuple(self))  # csv writes floats by repr: full precision
 
 
 @dataclass(frozen=True)
@@ -309,13 +301,19 @@ def _agent_config(env: Environment, overrides: dict | None) -> agents.AgentConfi
     return cfg
 
 
+_DATASET_MEMO: dict = {}  # the last dataset, by canonical env + dataset JSON
+
+
 def obtain_dataset(config: BenchConfig) -> Dataset | None:
-    if config.dataset_path is not None:
-        return read_dataset(config.dataset_path)
-    if config.dataset_recipe is not None:
-        env = make_env(config.env_name, config.env_params)
-        return generate_dataset(env, config.dataset_recipe)
-    return None
+    d = config.to_dict()
+    key = json.dumps([d["env"], d["dataset"]], sort_keys=True)
+    if d["dataset"] is not None and key not in _DATASET_MEMO:
+        dataset = (read_dataset(config.dataset_path) if config.dataset_path is not None
+                   else generate_dataset(make_env(config.env_name, config.env_params),
+                                         config.dataset_recipe))
+        _DATASET_MEMO.clear()  # one entry: consecutive tasks share a recipe
+        _DATASET_MEMO[key] = dataset
+    return _DATASET_MEMO.get(key)
 
 
 def _run_single_seed(config: BenchConfig, seed: int, dataset: Dataset | None
@@ -364,45 +362,42 @@ def _worker(payload: tuple) -> tuple:
 def run_benchmark(
     config: BenchConfig, jobs: int = 1
 ) -> tuple[list[RunResult], list[RunFailure]]:
-    """Run every seed of a benchmark config.
-
-    Training only ever touches the perturbed simulator and/or the dataset;
-    evaluation always happens on the unperturbed true environment.  Failures
-    are recorded per seed and do not stop the remaining seeds.  Results are
-    appended to ``config.out`` when set.
-    """
-    results: list[RunResult] = []
-    failures: list[RunFailure] = []
-    if jobs > 1:
-        payloads = [(config.to_dict(), seed) for seed in config.seeds]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for status, value in pool.map(_worker, payloads):
-                (results if status == "ok" else failures).append(value)
-    else:
-        dataset = None
-        dataset_ready = False
-        for seed in config.seeds:
-            try:
-                if not dataset_ready:
-                    dataset = obtain_dataset(config)
-                    dataset_ready = True
-                results.append(_run_single_seed(config, seed, dataset))
-            except Exception as exc:
-                failures.append(RunFailure.from_exception(config, seed, exc))
-    if config.out:
-        append_results(config.out, results)
-    return results, failures
+    """Run every seed of one config: ``run_benchmarks`` on a grid of one."""
+    return run_benchmarks([config], jobs)
 
 
 def run_benchmarks(
     configs: list[BenchConfig], jobs: int = 1
 ) -> tuple[list[RunResult], list[RunFailure]]:
+    """Run every (config, seed) pair of a grid.
+
+    Training only ever touches the perturbed simulator and/or the dataset;
+    evaluation always happens on the unperturbed true environment.  Failures
+    are recorded per seed and do not stop the remaining seeds.  The pairs run
+    in-process when one worker suffices, otherwise on one pool of up to
+    ``jobs`` workers for the whole grid.  Each config's results are appended
+    to its ``out`` as soon as its last seed finishes; both lists keep config
+    then seed order.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(config.to_dict(), seed) for config in configs for seed in config.seeds]
+    workers = min(jobs, len(tasks))
     results: list[RunResult] = []
     failures: list[RunFailure] = []
-    for config in configs:
-        r, f = run_benchmark(config, jobs=jobs)
-        results.extend(r)
-        failures.extend(f)
+    try:
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+              else nullcontext()) as pool:
+            outcomes = pool.map(_worker, tasks) if pool else map(_worker, tasks)
+            for config in configs:
+                done = len(results)
+                for _ in config.seeds:
+                    status, value = next(outcomes)
+                    (results if status == "ok" else failures).append(value)
+                if config.out:
+                    append_results(config.out, results[done:])
+    finally:
+        _DATASET_MEMO.clear()  # a path dataset may change before the next run
     return results, failures
 
 

@@ -257,6 +257,8 @@ def _solve_ridge(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
     # orthogonal method keeps the conditioning from squaring.
     F = Phi.shape[1]
     bound = (np.linalg.norm(Phi) ** 2 + F * ridge) / ridge
+    if not np.isfinite(bound):  # NaN/inf features would reach LAPACK
+        raise ModelFitError("non-finite features: the feature matrix holds NaN or inf")
     if bound <= _CHOLESKY_MAX_COND:
         G = Phi.T @ Phi
         G[np.diag_indices(F)] += ridge

@@ -93,9 +93,9 @@ class TestOnlineQ:
         cfg = dataclasses.replace(default_agent_config(grid_env), sweeps=5)
         res = train_online_q(hb.make_env("windygrid"), cfg, seed=1, budget=3_000)
         assert len(res.curve) == len(res.checkpoints) == 5
-        assert res.checkpoints[-1]["replay_len"] == len(res.replay[2])
+        assert res.checkpoints[-1]["steps"] == len(res.replay[2])
         first = res.replay_prefix(0)
-        assert len(first[0]) == res.checkpoints[0]["replay_len"]
+        assert len(first[0]) == res.checkpoints[0]["steps"]
         assert all(np.array_equal(p, r[:len(p)]) for p, r in zip(first, res.replay))
 
     def test_myopic_gamma_zero_fits_immediate_reward(self, grid_env):

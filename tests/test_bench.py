@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 import hybench as hb
-from hybench import bench
+from hybench import agents, bench, data
 from hybench.bench import BenchConfig, RunResult
 from hybench.data import DatasetRecipe
 
@@ -29,7 +30,7 @@ class TestNormalizeScore:
 
 class TestReferencePair:
     def test_windygrid_refs_cross_checked(self, windygrid_refs):
-        from hybench import agents, oracle
+        from hybench import oracle
 
         env = hb.make_env("windygrid")
         assert windygrid_refs.random_ref < windygrid_refs.expert_ref
@@ -58,8 +59,6 @@ class TestReferencePair:
 
     def test_cache_keyed_on_config(self):
         # a non-default config must not answer a later default lookup
-        from hybench import agents
-
         env = hb.make_env("windygrid")
         myopic = dataclasses.replace(agents.default_agent_config(env), gamma=0.0)
         other = bench.compute_reference_pair(env, seed=7, budget=3000, config=myopic)
@@ -217,22 +216,56 @@ class TestRunBenchmark:
             assert a.config_hash == b.config_hash
             assert a.dataset_hash == b.dataset_hash
 
-    def test_jobs_2_matches_jobs_1(self):
-        cfg = BenchConfig(
-            benchmark_id="wg-jobs",
-            env_name="windygrid",
-            env_params={},
-            dataset_recipe=DatasetRecipe(tier="random", n_records=1000, seed=0),
-            agent="offline_bcq",
-            seeds=(0, 1),
-            eval_episodes=10,
-        )
+    def test_jobs_2_matches_jobs_1(self, tmp_path, monkeypatch):
+        # a 2-config x 2-seed grid sharing one random-tier recipe
+        recipe = DatasetRecipe(tier="random", n_records=1000, seed=0)
+        configs = [
+            BenchConfig(benchmark_id=f"wg-jobs-{agent}", env_name="windygrid",
+                        env_params={}, dataset_recipe=recipe, agent=agent,
+                        agent_overrides={"epochs": 3}, seeds=(0, 1), eval_episodes=10)
+            for agent in ("offline_bcq", "mopo_lite")
+        ]
+        # pool workers fork from this process: the wrappers below reach them,
+        # and every process starts with cold caches, as a CLI run does
+        monkeypatch.setattr(bench, "_REF_CACHE", {})
+        monkeypatch.setattr(data, "_TRAIN_CACHE", {})
+        pid_file = tmp_path / "expert-pids"
+        train = agents.train_online_q
+
+        def train_and_log_pid(*args, **kwargs):
+            with open(pid_file, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(agents, "train_online_q", train_and_log_pid)
+        generated = []
+        generate = bench.generate_dataset
+        monkeypatch.setattr(bench, "generate_dataset",
+                            lambda *a: generated.append(a) or generate(*a))
+        pools = []
+
+        class CountedPool(bench.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", CountedPool)
+
         rows = {}
-        for jobs in (1, 2):
-            results, failures = bench.run_benchmark(cfg, jobs=jobs)
+        for jobs in (2, 1):  # the pool first, while the parent's caches are cold
+            results, failures = bench.run_benchmarks(configs, jobs=jobs)
             assert not failures
             rows[jobs] = [dataclasses.replace(r, wall_time=0.0) for r in results]
-        assert rows[2] == rows[1] and len(rows[1]) == 2
+            if jobs == 2:
+                pids = pid_file.read_text().split()
+                assert pools == [{"max_workers": 2}]
+                assert len(pids) <= 2 and str(os.getpid()) not in pids
+                generated.clear()
+        assert rows[2] == rows[1]
+        assert [(r.benchmark_id, r.seed) for r in rows[1]] == [
+            (c.benchmark_id, s) for c in configs for s in c.seeds]
+        assert len(generated) == 1  # at jobs=1, the shared recipe is generated once
+        assert bench._DATASET_MEMO == {}
 
     def test_failures_are_isolated(self, tmp_path):
         cfg = BenchConfig(
@@ -250,6 +283,64 @@ class TestRunBenchmark:
             assert len(failures) == 2
             assert all(f.error for f in failures)
             assert all(f.error_type == "FileNotFoundError" for f in failures)
+
+    @pytest.mark.parametrize("jobs,sizes", [(1, []), (2, [2]), (8, [3])],
+                             ids=["jobs1", "jobs2", "jobs8"])
+    def test_one_pool_sized_to_the_grid(self, jobs, sizes, tmp_path, monkeypatch):
+        # no real pool: a stand-in records its size and maps in-process
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def fake_worker(task):
+            config_dict, seed = task
+            if config_dict["benchmark_id"] == "b":
+                # the first config's rows are written before the second runs
+                assert len(bench.read_results(tmp_path / "a.csv")) == 2
+            return ("ok", RunResult(config_dict["benchmark_id"], "offline_bcq", seed,
+                                    0.0, 0.0, 0.0, "c", "d"))
+
+        created = []
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench, "_worker", fake_worker)
+        configs = [
+            BenchConfig(benchmark_id=name, env_name="windygrid", env_params={},
+                        dataset_path="unused.ds", seeds=seeds,
+                        out=str(tmp_path / f"{name}.csv"))
+            for name, seeds in (("a", (0, 1)), ("b", (5,)))
+        ]
+        results, failures = bench.run_benchmarks(configs, jobs=jobs)
+        assert created == sizes
+        assert not failures
+        assert [(r.benchmark_id, r.seed) for r in results] == [("a", 0), ("a", 1), ("b", 5)]
+        assert [r.seed for r in bench.read_results(tmp_path / "b.csv")] == [5]
+
+    def test_dataset_memo_keeps_one_recipe(self, monkeypatch):
+        generated = []
+        generate = bench.generate_dataset
+        monkeypatch.setattr(bench, "generate_dataset",
+                            lambda *a: generated.append(a) or generate(*a))
+        cfg = BenchConfig(benchmark_id="wg-memo", env_name="windygrid", env_params={},
+                          dataset_recipe=DatasetRecipe(tier="random", n_records=200, seed=0))
+        other = dataclasses.replace(
+            cfg, dataset_recipe=DatasetRecipe(tier="random", n_records=200, seed=1))
+        monkeypatch.setattr(bench, "_DATASET_MEMO", {})
+        first = bench.obtain_dataset(cfg)
+        # the agent is not part of the key; another recipe replaces the entry
+        assert bench.obtain_dataset(dataclasses.replace(cfg, agent="mopo_lite")) is first
+        assert bench.obtain_dataset(other) is not first
+        assert len(bench._DATASET_MEMO) == 1
+        assert bench.obtain_dataset(cfg) == first
+        assert len(generated) == 3
 
     def test_results_file_round_trip(self, small_run, tmp_path):
         _, results = small_run

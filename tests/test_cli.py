@@ -144,3 +144,41 @@ def test_refs_command(tmp_path, capsys):
                  "--out", str(out_path)]) == 0
     record = json.loads(out_path.read_text())
     assert record["expert_ref"] > record["random_ref"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["gen-data"], {"dataset": {"tier": "random"}, "out": "x.ds"},
+     "gen-data config is missing required keys ['env']"),
+    (["gen-data"], [1, 2], "gen-data config must be a JSON object, got list"),
+    (["gen-data"], {"env": {"name": "windygrid"}, "dataset": [1]},
+     "gen-data dataset must be a JSON object"),
+    (["gen-data"], {"env": {"params": {}}, "dataset": {}, "out": "x.ds"},
+     "env is missing required keys ['name']"),
+    (["refs"], {"name": "windygrid", "bogus": 1}, "unknown env keys ['bogus']"),
+    (["refs"], {"env": {"name": "windygrid"}, "seeds": [0]},
+     "unknown refs config keys ['seeds']"),
+    (["refs"], [{"name": "windygrid"}], "env must be a JSON object, got list"),
+], ids=["gen_data_missing_env", "gen_data_array", "gen_data_dataset_array",
+        "gen_data_env_missing_name", "refs_unknown_env_key", "refs_unknown_key",
+        "refs_array"])
+def test_config_boundary_errors(argv, config, message, tmp_path, capsys):
+    # each used to crash with a bare KeyError, mislabel the problem or ignore it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(cfg_path)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ValueError"
+    assert message in payload["detail"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bad_jobs_is_an_error(jobs, tmp_path, capsys):
+    # both used to run the seeds serially
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "benchmark_id": "wg-jobs", "env": {"name": "windygrid"},
+        "dataset": {"path": str(tmp_path / "unused.ds")},
+        "agent": {"name": "offline_bcq"}, "seeds": [0]}))
+    assert main(["run", "--config", str(cfg_path), "--jobs", jobs]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "detail": f"jobs must be >= 1, got {jobs}"}

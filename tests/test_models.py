@@ -271,11 +271,14 @@ class TestCorrectionEnsemble:
             np.concatenate([Y, np.zeros((F, 2))]), rcond=None)
         assert np.array_equal(models._solve_ridge(Phi, Y, ridge), ref)
 
-    def test_non_finite_features_raise_fit_error(self):
-        Phi = np.ones((10, 3))
-        Phi[4, 1] = np.nan
-        with pytest.raises(models.ModelFitError):
-            models._solve_ridge(Phi, np.zeros((10, 1)), 1e-3)
+    def test_non_finite_features_raise_fit_error(self, capfd):
+        for bad in (np.nan, np.inf):
+            Phi = np.ones((10, 4))
+            Phi[4, 1] = bad
+            with pytest.raises(models.ModelFitError, match="non-finite features"):
+                models._solve_ridge(Phi, np.zeros((10, 1)), 1e-3)
+        # named before any LAPACK call, which would complain on stderr
+        assert "DLASCL" not in capfd.readouterr().err
 
     def test_singular_normal_equations_named(self):
         X = np.zeros((10, 2))
