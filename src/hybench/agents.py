@@ -328,10 +328,28 @@ class BehaviorModel:
         return np.where(sums > 1e-12, raw / np.where(sums > 0, sums, 1.0), uniform)
 
 
+ACTION_MEMO_CAP = 256  # observations a QPolicy remembers its greedy action for
+
+
 class QPolicy(Policy):
     """Greedy/epsilon-soft policy over a QFunction, optionally restricted to
     actions whose behavior probability clears a threshold (falls back to the
-    unrestricted argmax when no action qualifies)."""
+    unrestricted argmax when no action qualifies).
+
+    ``action_index`` remembers the greedy action of the first
+    ``ACTION_MEMO_CAP`` distinct observations it scores, keyed on the shape
+    and bytes of the validated row, so a finite observation space (windygrid
+    has 50) pays one feature transform per observation rather than one per
+    step.  Exploration draws stay in ``act``, so every action is the one the
+    uncached computation gives.  The memo holds because ``q``, ``behavior``
+    and ``bc_threshold`` are never written in place (nothing in hybench, its
+    tests or demos does); a policy with other values is a new ``QPolicy``
+    with an empty memo, and the memo is not serialized.  The cap exists
+    because continuous observations (pendulum) never repeat: there an
+    unbounded memo only grows the heap, and its tens of thousands of small
+    entries shift glibc's heap layout enough to raise peak RSS by far more
+    than their own few megabytes.
+    """
 
     def __init__(self, q: QFunction, action_grid, epsilon: float = 0.0, seed: int = 0,
                  behavior: BehaviorModel | None = None, bc_threshold: float = 0.0):
@@ -339,15 +357,23 @@ class QPolicy(Policy):
         self.q = q
         self.behavior = behavior
         self.bc_threshold = float(bc_threshold)
+        self._memo: dict[tuple, int] = {}
 
     def action_index(self, obs) -> int:
         row = np.asarray(obs, dtype=float)[None, :]
+        key = (row.shape, row.tobytes())  # a (1, d) obs keeps failing as (1, 1, d)
+        a = self._memo.get(key)
+        if a is not None:
+            return a
         scores = self.q.values(row)[0]
         if self.behavior is not None and self.bc_threshold > 0.0:
             mask = self.behavior.probs_batch(row)[0] >= self.bc_threshold
             if mask.any():
                 scores = np.where(mask, scores, -np.inf)
-        return int(np.argmax(scores))
+        a = int(np.argmax(scores))
+        if len(self._memo) < ACTION_MEMO_CAP:
+            self._memo[key] = a
+        return a
 
 
 def with_epsilon(policy: Policy, epsilon: float) -> Policy:

@@ -35,7 +35,7 @@ from .data import (
     online_training_run,
     read_dataset,
 )
-from .envs import Environment, make_env
+from .envs import Environment, checked_params, make_env
 from .seeding import REFS, derived_seed
 from .wrappers import clone_env, env_signature
 
@@ -205,7 +205,7 @@ class BenchConfig:
         return cls(
             benchmark_id=d["benchmark_id"],
             env_name=env_d["name"],
-            env_params=dict(env_d.get("params") or {}),
+            env_params=checked_params(env_d.get("params")),
             sim2real=tuple(d.get("sim2real", [])),
             dataset_path=dataset_path,
             dataset_recipe=recipe,

@@ -492,6 +492,19 @@ _REGISTRY = {
 }
 
 
+def checked_params(params) -> dict:
+    """Copy of an env ``params`` entry: None (no overrides) or an object of
+    overrides."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise ValueError(
+            f"env 'params' must be an object of parameter overrides, "
+            f"got {type(params).__name__} {params!r}"
+        )
+    return dict(params)
+
+
 def make_env(name: str, params: dict | None = None) -> Environment:
     """Build an environment from a structured config record.
 
@@ -501,7 +514,7 @@ def make_env(name: str, params: dict | None = None) -> Environment:
     if name not in _REGISTRY:
         raise EnvError(f"unknown environment {name!r}; valid: {sorted(_REGISTRY)}")
     env_cls, params_cls = _REGISTRY[name]
-    overrides = dict(params or {})
+    overrides = checked_params(params)
     valid = {f.name for f in fields(params_cls)}
     unknown = sorted(set(overrides) - valid)
     if unknown:

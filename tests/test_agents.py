@@ -389,6 +389,75 @@ class TestPolicySerialization:
         assert np.array_equal(back.q.weights, res.policy.q.weights)
 
 
+def direct_action_index(policy, obs):
+    """The greedy action of ``QPolicy.action_index`` computed without its memo."""
+    row = np.asarray(obs, dtype=float)[None, :]
+    scores = policy.q.values(row)[0]
+    if policy.behavior is not None and policy.bc_threshold > 0.0:
+        mask = policy.behavior.probs_batch(row)[0] >= policy.bc_threshold
+        if mask.any():
+            scores = np.where(mask, scores, -np.inf)
+    return int(np.argmax(scores))
+
+
+class TestActionMemo:
+    @pytest.mark.parametrize("bc_threshold", [0.0, 0.3], ids=["plain", "masked"])
+    def test_memo_agrees_with_direct_argmax(self, grid_medium_dataset, grid_env,
+                                            grid_mdp, bc_threshold):
+        cfg = dataclasses.replace(default_agent_config(grid_env), bc_threshold=bc_threshold)
+        policy = train_offline_bcq(grid_medium_dataset, cfg, seed=0).policy
+        observations = np.unique(grid_mdp.observations, axis=0)
+        expected = [direct_action_index(policy, obs) for obs in observations]
+        for _ in range(2):
+            assert [policy.action_index(obs) for obs in observations] == expected
+        assert len(policy._memo) == len(observations)
+        if bc_threshold > 0.0:  # the mask decides some of these actions
+            unmasked = [int(np.argmax(policy.q.values(obs[None, :])[0]))
+                        for obs in observations]
+            assert unmasked != expected
+        # copies and round trips start empty
+        assert agents.with_epsilon(policy, 0.2)._memo == {}
+        assert policy_from_dict(policy_to_dict(policy))._memo == {}
+
+    def test_one_transform_per_distinct_observation(self, grid_medium_dataset, grid_env,
+                                                    monkeypatch):
+        res = train_offline_bcq(grid_medium_dataset, default_agent_config(grid_env), seed=0)
+        policy = QPolicy(res.q, (0, 1, 2, 3))
+        seen = []
+        transform = agents.FeatureMap.transform
+
+        def counting(fm, X):
+            seen.append(np.asarray(X, dtype=float).tobytes())
+            return transform(fm, X)
+
+        monkeypatch.setattr(agents.FeatureMap, "transform", counting)
+        evaluate_policy(hb.make_env("windygrid"), policy, episodes=50, seed=4)
+        assert len(seen) == len(set(seen)) <= 50
+
+    def test_memo_stops_at_cap(self):
+        env = hb.make_env("pendulum")
+        cfg = default_agent_config(env)
+        grid = agents.resolve_action_grid(env, cfg)
+        fm = agents._build_q_features(env.obs_dim, cfg, seed=0)
+        basis = agents._action_basis(grid, cfg.q_action_design)
+        weights = np.random.default_rng(0).standard_normal((fm.output_dim, basis.shape[0]))
+        policy = QPolicy(agents.QFunction(fm, weights, cfg.gamma, cfg.q_action_design,
+                                          basis), grid)
+        observations = np.random.default_rng(1).uniform(-1.0, 1.0, (1000, env.obs_dim))
+        for obs in observations:
+            assert policy.action_index(obs) == direct_action_index(policy, obs)
+        assert len(policy._memo) == agents.ACTION_MEMO_CAP
+
+    def test_cached_bytes_in_the_wrong_shape_still_raise(self, grid_medium_dataset,
+                                                         grid_env):
+        policy = train_offline_bcq(grid_medium_dataset, default_agent_config(grid_env),
+                                   seed=0).policy
+        obs = np.array([2.0, 3.0, 1.0])
+        policy.action_index(obs)
+        with pytest.raises(ValueError, match="input dim"):
+            policy.action_index(obs[None, :])
+
+
 
 def bellman_two_solves(blocks, weights, grid, design, gamma, ridge, iterations, W0):
     """Reference fit as it was before the factor inverse and the shared action

@@ -89,6 +89,15 @@ class TestConfigParsing:
         assert back == cfg
         assert bench.config_hash(back) == bench.config_hash(cfg)
 
+    @pytest.mark.parametrize("params", [[1], "x", 3])
+    def test_non_object_env_params_rejected(self, params):
+        # both used to fail inside dict(params), naming nothing
+        with pytest.raises(ValueError, match="'params' must be an object"):
+            hb.make_env("windygrid", params)
+        bad = dict(self.BASE, env={"name": "windygrid", "params": params})
+        with pytest.raises(ValueError, match="'params' must be an object"):
+            BenchConfig.from_dict(bad)
+
     def test_unknown_top_level_key_rejected(self):
         bad = dict(self.BASE, typo_key=1)
         with pytest.raises(ValueError):
