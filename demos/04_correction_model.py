@@ -32,10 +32,10 @@ def main():
     cfg = dataclasses.replace(agents.default_agent_config(env).model, seed=17)
     sim = hb.with_transition_error(hb.make_env("pendulum"), {"gravity": 19.62})
 
-    sim_next = np.stack([sim.simulate_step(o, a)[0] for o, a in zip(O, A)])
+    sim_next = sim.simulate_step(O, A)
     print(f"raw doubled-gravity simulator MSE: {state_mse(sim_next, O2):.5f}")
 
-    ens = models.fit_ensemble(train, cfg, models.augment_with_sim(train, sim))
+    ens = models.fit_ensemble(train, cfg, sim.simulate_step(train.O, train.A))
     X = encode_model_input(O, A, ens.action_space)
     corr = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
     print(f"simulator + learned correction MSE: {state_mse(sim_next + corr, O2):.2e}")
@@ -45,7 +45,7 @@ def main():
     print(f"unanchored direct model MSE:        {state_mse(pred, O2):.2e}")
 
     perfect = hb.make_env("pendulum")
-    ens0 = models.fit_ensemble(train, cfg, models.augment_with_sim(train, perfect))
+    ens0 = models.fit_ensemble(train, cfg, perfect.simulate_step(train.O, train.A))
     zero = np.stack([m.predict_mean(X) for m in ens0.members]).mean(axis=0)[:, :3]
     print(
         "with a perfect simulator the correction learns ~zero: "

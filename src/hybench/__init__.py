@@ -67,7 +67,6 @@ from .models import (
     FeatureMap,
     GaussianRegressor,
     ModelConfig,
-    augment_with_sim,
     fit_ensemble,
     load_ensemble,
     save_ensemble,

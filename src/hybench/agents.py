@@ -22,12 +22,11 @@ simulator-anchored hybrid ``train_hymopo``.  Training is deterministic given
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_format_version, load_json, save_json
 from .envs import ContinuousActions, DiscreteActions, Environment
 from .models import (
     FEATURE_KINDS,
@@ -35,7 +34,6 @@ from .models import (
     FeatureMap,
     ModelConfig,
     _tril_inverse,
-    augment_with_sim,
     disagreement,
     fit_ensemble,
 )
@@ -97,7 +95,6 @@ class AgentConfig:
     epochs: int = 30
     rollout_epsilon: float = 0.3
     mix_real: float = 0.5
-    penalty_mode: str = "disagreement"
     model: ModelConfig = ModelConfig()
 
     def __post_init__(self):
@@ -118,7 +115,6 @@ class AgentConfig:
         for name, value, valid in (
             ("q_action_design", self.q_action_design, ("onehot", "quadratic")),
             ("q_feature_kind", self.q_feature_kind, FEATURE_KINDS),
-            ("penalty_mode", self.penalty_mode, ("disagreement", "frobenius")),
         ):
             if value not in valid:
                 raise ValueError(f"unknown {name} {value!r}; valid: {valid}")
@@ -852,7 +848,8 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
     ens = None
     if rollouts:
         model_cfg = replace(config.model, seed=derived_seed(seed, MODEL_FIT))
-        sim_preds = None if simulator is None else augment_with_sim(dataset, simulator)
+        sim_preds = (None if simulator is None
+                     else simulator.simulate_step(dataset.O, dataset.A))
         ens = fit_ensemble(dataset, model_cfg, sim_preds, action_space=space)
         noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
 
@@ -889,18 +886,13 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                 r_sample = draw[:, obs_dim]
 
                 if simulator is not None:
-                    sim_next = np.empty((b, obs_dim))
-                    for i in range(b):
-                        sim_next[i], _ = simulator.simulate_step(cur[i], grid[a_idx[i]])
+                    sim_next = simulator.simulate_step(cur, grid_arr[a_idx])
                     next_obs = sim_next + delta_or_next
                 else:
                     sim_next = None
                     next_obs = delta_or_next
 
-                if config.penalty_mode == "disagreement":
-                    pen = disagreement(mus)  # the same means the draw used
-                else:
-                    pen = ens.penalty_batch(cur, a_model, mode=config.penalty_mode)
+                pen = disagreement(mus)  # the same means the draw used
                 r_tilde = r_sample - config.lam * pen
 
                 parts.append(RolloutTrace(
@@ -967,11 +959,7 @@ def policy_to_dict(policy: Policy) -> dict:
 
 
 def policy_from_dict(d: dict) -> Policy:
-    if d.get("format_version") != POLICY_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported policy format {d.get('format_version')!r}; "
-            f"expected {POLICY_FORMAT_VERSION!r}"
-        )
+    check_format_version(d, POLICY_FORMAT_VERSION, "policy")
     grid = tuple(d["action_grid"])
     if d["type"] == "uniform":
         return UniformPolicy(grid)
@@ -990,10 +978,8 @@ def policy_from_dict(d: dict) -> Policy:
 
 
 def save_policy(policy: Policy, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy_to_dict(policy), fh)
+    save_json(policy_to_dict(policy), path)
 
 
 def load_policy(path) -> Policy:
-    with open(path, encoding="utf-8") as fh:
-        return policy_from_dict(json.load(fh))
+    return policy_from_dict(load_json(path))

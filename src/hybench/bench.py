@@ -29,7 +29,10 @@ from .data import (
     DEFAULT_TIER_BUDGET,
     Dataset,
     DatasetRecipe,
+    _int,
+    _ints,
     apply_specs,
+    check_field,
     check_spec,
     generate_dataset,
     online_training_run,
@@ -145,9 +148,10 @@ class BenchConfig:
             )
         if self.dataset_path is not None and self.dataset_recipe is not None:
             raise ValueError("give either a dataset path or a recipe, not both")
+        object.__setattr__(self, "seeds", tuple(check_field("seeds", _ints, self.seeds)))
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.eval_episodes < 1:
+        if check_field("eval_episodes", _int, self.eval_episodes) < 1:
             raise ValueError("eval_episodes must be >= 1")
         # bad env params and agent overrides fail here, not in every seed
         _agent_config(make_env(self.env_name, self.env_params), self.agent_overrides)
@@ -211,8 +215,8 @@ class BenchConfig:
             dataset_recipe=recipe,
             agent=agent_d["name"],
             agent_overrides=agent_d.get("config"),
-            seeds=tuple(int(s) for s in d.get("seeds", (0, 1, 2))),
-            eval_episodes=int(d.get("eval_episodes", 20)),
+            seeds=d.get("seeds", (0, 1, 2)),
+            eval_episodes=d.get("eval_episodes", 20),
             out=d.get("out"),
         )
 

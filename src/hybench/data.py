@@ -540,6 +540,14 @@ def _ints(value) -> list:
     return [_int(i) for i in value]
 
 
+def check_field(name: str, coerce, value):
+    """``coerce(value)``, failing with a message that names the field."""
+    try:
+        return coerce(value)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None
+
+
 def _params(value) -> dict:
     if not isinstance(value, Mapping):
         raise ValueError(f"must be an object of parameter values, got {value!r}")
@@ -584,10 +592,7 @@ def check_spec(spec, stage: str) -> dict:
     out = {"kind": kind}
     for name, coerce in {**required, **optional}.items():
         if name in spec:
-            try:
-                out[name] = coerce(spec[name])
-            except ValueError as exc:
-                raise ValueError(f"{noun} kind {kind!r}: {name!r} {exc}") from None
+            out[name] = check_field(f"{noun} kind {kind!r}: {name!r}", coerce, spec[name])
     return out
 
 
@@ -637,12 +642,11 @@ class DatasetRecipe:
         # None alone means "the environment's default"
         for name in ("n_records", "history_k", "train_budget"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is not None and check_field(name, _int, value) < 1:
                 raise ValueError(f"{name} must be >= 1 or null, got {value}")
         if not 0.0 <= self.collect_epsilon <= 1.0:
             raise ValueError(f"collect_epsilon must be in [0, 1], got {self.collect_epsilon}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_field("seed", _int, self.seed)
         if self.tier == "medium_replay" and (self.history_k or 1) > 1:
             raise ValueError("history-aware collection is not defined for medium_replay")
         object.__setattr__(
@@ -731,6 +735,24 @@ def _collect(collect_env, policy, count, recipe: DatasetRecipe, tier: str) -> Da
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+
+def check_format_version(d, expected: str, what: str) -> None:
+    """Raise unless ``d`` is an object whose ``format_version`` is ``expected``."""
+    version = d.get("format_version") if isinstance(d, dict) else None
+    if version != expected:
+        raise ValueError(f"unsupported {what} format {version!r}; expected {expected!r}")
+
+
+def save_json(payload: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
 
 _META_KEYS = {
     "format_version",

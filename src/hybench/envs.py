@@ -17,6 +17,8 @@ of ``(seed, action sequence)``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -114,14 +116,23 @@ class Environment:
             )
         return type(self)(replace(self.params, **overrides))
 
-    def simulate_step(self, obs: np.ndarray, action) -> tuple[np.ndarray, float]:
-        """Deterministic one-step prediction from an observation.
+    def simulate_step(self, obs: np.ndarray, actions) -> np.ndarray:
+        """Deterministic one-step predictions: the (n, obs_dim) next
+        observations for an (n, obs_dim) array of observations and n actions.
 
         Used by model-based agents that anchor a learned correction to this
         environment acting as a simulator.  Stochastic state components are
         predicted by their expected value.
         """
         raise EnvError(f"{self.name}: one-step simulation is not supported")
+
+    def _sim_inputs(self, obs, actions) -> tuple[np.ndarray, np.ndarray]:
+        """``simulate_step``'s checked (n, obs_dim) observations and n actions."""
+        O = np.asarray(obs, dtype=float)
+        if O.ndim != 2 or O.shape[1] != self.obs_dim or not np.isfinite(O).all():
+            raise EnvError(f"{self.name}: simulate_step needs finite (n, {self.obs_dim}) "
+                           f"observations, got shape {O.shape} or a non-finite value")
+        return O, np.asarray(actions).reshape(len(O))
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +251,21 @@ class PendulumEnv(Environment):
     def full_state(self) -> np.ndarray:
         return np.array([self._theta, self._omega], dtype=float)
 
-    def state_from_obs(self, obs: np.ndarray) -> tuple[float, float]:
-        """Invert (cos theta, sin theta, omega) to (theta, omega).
-
-        The cos/sin pair is renormalized, so mildly noisy observations decode
-        fine; a pair of near-zero magnitude carries no angle and is an error.
-        """
-        c, s, omega = (float(v) for v in np.asarray(obs, dtype=float).reshape(-1))
-        if math.hypot(c, s) < 1e-6:
-            raise EnvError(
-                "pendulum: observation not invertible (cos/sin magnitude ~ 0, "
-                "e.g. zeroed dimensions)"
-            )
-        return wrap_angle(math.atan2(s, c)), omega
-
-    def simulate_step(self, obs: np.ndarray, action) -> tuple[np.ndarray, float]:
-        state = self.state_from_obs(obs)
-        torque = float(np.asarray(action, dtype=float).reshape(-1)[0])
-        (theta2, omega2), reward = pendulum_step(state, torque, self._params)
-        next_obs = np.array([math.cos(theta2), math.sin(theta2), omega2], dtype=float)
-        return next_obs, float(reward)
+    def simulate_step(self, obs: np.ndarray, actions) -> np.ndarray:
+        # Each (cos theta, sin theta, omega) row is inverted to (theta, omega);
+        # the cos/sin pair is renormalized, so mildly noisy observations decode
+        # fine, while a pair of near-zero magnitude carries no angle.
+        O, A = self._sim_inputs(obs, actions)
+        out = np.empty(O.shape)
+        torques = A.astype(float).tolist()
+        for i, (c, s, omega) in enumerate(O.tolist()):
+            if math.hypot(c, s) < 1e-6:
+                raise EnvError("pendulum: observation not invertible (cos/sin "
+                               "magnitude ~ 0, e.g. zeroed dimensions)")
+            state = (wrap_angle(math.atan2(s, c)), omega)
+            (theta2, omega2), _ = pendulum_step(state, torques[i], self._params)
+            out[i] = (math.cos(theta2), math.sin(theta2), omega2)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +391,32 @@ class WindyGridEnv(Environment):
     def full_state(self) -> np.ndarray:
         return self._obs()
 
-    def simulate_step(self, obs: np.ndarray, action) -> tuple[np.ndarray, float]:
-        # Declared reconstruction rule: round to the nearest valid cell and
-        # wind flag, so zeroed or model-predicted observations decode.
-        vals = np.asarray(obs, dtype=float).reshape(-1)
-        x = int(min(max(round(vals[0]), 0), self._params.width - 1))
-        y = int(min(max(round(vals[1]), 0), self._params.height - 1))
-        wind = int(vals[2] > 0.5)
-        (x2, y2), reward, _ = windygrid_step((x, y), wind, int(action), self._params)
-        # Next wind is i.i.d.; predict it by its mean.
-        return np.array([float(x2), float(y2), self._params.wind_prob]), reward
+    def simulate_step(self, obs: np.ndarray, actions) -> np.ndarray:
+        # Declared reconstruction rule: round (half to even) to the nearest
+        # valid cell, wind on above 0.5, so zeroed or model-predicted
+        # observations decode.
+        O, A = self._sim_inputs(obs, actions)
+        bad = ~((A >= 0) & (A < 4))  # a table lookup would silently wrap -1
+        if bad.any():
+            raise EnvError(f"windygrid: action must be in [0, 4), got {A[bad][0]!r}")
+        p = self._params
+        x = np.clip(np.rint(O[:, 0]), 0, p.width - 1).astype(np.intp)
+        y = np.clip(np.rint(O[:, 1]), 0, p.height - 1).astype(np.intp)
+        out = np.empty(O.shape)
+        out[:, :2] = _next_cells(p)[x, y, (O[:, 2] > 0.5).astype(np.intp), A.astype(np.intp)]
+        out[:, 2] = p.wind_prob  # the next wind is i.i.d.; predict it by its mean
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _next_cells(params: WindyGridParams) -> np.ndarray:
+    """``windygrid_step``'s next cell for each (x, y, wind, action), shape
+    (width, height, 2, 4, 2); read-only, as every caller shares it."""
+    inputs = itertools.product(range(params.width), range(params.height), (0, 1), range(4))
+    cells = [windygrid_step((x, y), wind, a, params)[0] for x, y, wind, a in inputs]
+    table = np.array(cells, dtype=float).reshape(params.width, params.height, 2, 4, 2)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ for neural dynamics models.  One fit, :func:`fit_ensemble`, serves two modes:
 * ``direct``    -- predict (next_obs, reward) from (obs, action);
 * ``correction``-- predict (next_obs - simulator_next_obs, reward), i.e. an
   additive correction anchored to a simulator's one-step prediction.  The
-  simulator's predictions are a plain (n, obs_dim) array from
-  :func:`augment_with_sim`; passing it selects this mode.
+  simulator's predictions are the plain (n, obs_dim) array that
+  ``simulator.simulate_step(dataset.O, dataset.A)`` returns; passing it
+  selects this mode.
 
 Each ensemble member is trained on its own bootstrap resample (and, for
 random Fourier features, its own feature draw); per-target-dimension residual
@@ -18,14 +19,13 @@ uncertainty penalty used by model-based agents.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .envs import ContinuousActions, DiscreteActions, Environment
+from .data import Dataset, check_format_version, load_json, save_json
+from .envs import ContinuousActions, DiscreteActions
 from .seeding import derived_rng
 
 
@@ -344,8 +344,8 @@ class ModelConfig:
 
 
 def disagreement(mus: np.ndarray) -> np.ndarray:
-    """Largest member deviation from the ensemble mean, per row of the
-    (N, n, T) member means."""
+    """The uncertainty penalty, always >= 0: the largest member deviation
+    from the ensemble mean, per row of the (N, n, T) member means."""
     center = mus.mean(axis=0)
     return np.linalg.norm(mus - center, axis=2).max(axis=0)
 
@@ -379,22 +379,6 @@ class CorrectionEnsemble:
         X = encode_model_input(obs, actions, self.action_space)
         return np.stack([m.predict_mean(X) for m in self.members])
 
-    def penalty_batch(self, obs, actions, mode: str = "disagreement") -> np.ndarray:
-        """Uncertainty penalty per input row; always >= 0.
-
-        ``frobenius``: largest member Frobenius norm of the (diagonal)
-        covariance, which is input-independent here.  ``disagreement``:
-        largest member deviation from the ensemble mean prediction.
-        """
-        X = encode_model_input(obs, actions, self.action_space)
-        n = X.shape[0]
-        if mode == "frobenius":
-            worst = max(float(np.sqrt(m.noise_var.sum())) for m in self.members)
-            return np.full(n, worst)
-        if mode == "disagreement":
-            return disagreement(np.stack([m.predict_mean(X) for m in self.members]))
-        raise ValueError(f"unknown penalty mode {mode!r}")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CorrectionEnsemble)
@@ -406,22 +390,8 @@ class CorrectionEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Simulator augmentation and fitting
+# Fitting
 # ---------------------------------------------------------------------------
-
-
-def augment_with_sim(dataset: Dataset, simulator: Environment) -> np.ndarray:
-    """The simulator's next-observation prediction for each record, shape
-    (n, obs_dim).
-
-    Deterministic: repeated calls produce identical predictions.  Raises if
-    an observation cannot be decoded into a simulator state.
-    """
-    O, A = dataset.O, dataset.A
-    preds = np.empty(O.shape)
-    for i in range(len(O)):
-        preds[i], _ = simulator.simulate_step(O[i], A[i])
-    return preds
 
 
 def _dataset_action_space(dataset: Dataset):
@@ -435,9 +405,9 @@ def _dataset_action_space(dataset: Dataset):
 def fit_ensemble(dataset: Dataset, config: ModelConfig, sim_next_obs=None,
                  action_space=None) -> CorrectionEnsemble:
     """Fit the ensemble on (obs, action) for (next_obs, reward) in direct
-    mode, or, given the simulator's predictions ``sim_next_obs`` (see
-    :func:`augment_with_sim`), for (next_obs - sim_next_obs, reward) in
-    correction mode.
+    mode, or, given the simulator's predictions ``sim_next_obs`` (from its
+    ``simulate_step``), for (next_obs - sim_next_obs, reward) in correction
+    mode.
 
     In correction mode the next observation enters training only through
     that residual, so a constant shared shift of both leaves the fit
@@ -508,11 +478,7 @@ def ensemble_to_dict(ens: CorrectionEnsemble) -> dict:
 
 
 def ensemble_from_dict(d: dict) -> CorrectionEnsemble:
-    if d.get("format_version") != ENSEMBLE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported ensemble format {d.get('format_version')!r}; "
-            f"expected {ENSEMBLE_FORMAT_VERSION!r}"
-        )
+    check_format_version(d, ENSEMBLE_FORMAT_VERSION, "ensemble")
     if d.get("action_encoding", "onehot") != "onehot":
         raise ValueError(f"unsupported action encoding {d['action_encoding']!r}; "
                          "expected 'onehot'")
@@ -534,10 +500,8 @@ def ensemble_from_dict(d: dict) -> CorrectionEnsemble:
 
 
 def save_ensemble(ens: CorrectionEnsemble, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(ens), fh)
+    save_json(ensemble_to_dict(ens), path)
 
 
 def load_ensemble(path) -> CorrectionEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
+    return ensemble_from_dict(load_json(path))

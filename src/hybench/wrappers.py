@@ -76,8 +76,8 @@ class EnvWrapper(Environment):
     def full_state(self) -> np.ndarray:
         return self.env.full_state()
 
-    def simulate_step(self, obs, action):
-        return self.env.simulate_step(obs, action)
+    def simulate_step(self, obs, actions):
+        return self.env.simulate_step(obs, actions)
 
 
 def clone_env(env: Environment) -> Environment:

@@ -128,7 +128,7 @@ def test_criterion_1_confounding_reversal_exact():
 
 def _held_out_state_mse(ensemble, simulator, held_out):
     O, A, _, O2, _ = held_out
-    sim_next = np.stack([simulator.simulate_step(o, a)[0] for o, a in zip(O, A)])
+    sim_next = simulator.simulate_step(O, A)
     X = encode_model_input(O, A, ensemble.action_space)
     corr = np.stack([m.predict_mean(X) for m in ensemble.members]).mean(axis=0)[:, :3]
     mse_model = float(np.mean(np.sum((sim_next + corr - O2) ** 2, axis=1)))
@@ -149,7 +149,7 @@ def test_criterion_2_correction_model_recovery(pendulum_medium_dataset):
         cfg = dataclasses.replace(
             agents.default_agent_config(hb.make_env("pendulum")).model, seed=17
         )
-        ens = models.fit_ensemble(train, cfg, models.augment_with_sim(train, sim))
+        ens = models.fit_ensemble(train, cfg, sim.simulate_step(train.O, train.A))
         mse_model, mse_sim = _held_out_state_mse(ens, sim, held_out)
         assert mse_model <= 0.2 * mse_sim, (mse_model, mse_sim)
     assert t.elapsed + FIXTURE_TIMES.get("pendulum_medium_dataset", 0.0) < 300
@@ -168,7 +168,7 @@ def test_criterion_3_identity_simulator_null(pendulum_medium_dataset):
         cfg = dataclasses.replace(
             agents.default_agent_config(hb.make_env("pendulum")).model, seed=17
         )
-        ens = models.fit_ensemble(train, cfg, models.augment_with_sim(train, sim))
+        ens = models.fit_ensemble(train, cfg, sim.simulate_step(train.O, train.A))
         O, A, _, O2, _ = (col[n_train:] for col in ds.arrays())
         X = encode_model_input(O, A, ens.action_space)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hybench as hb
-from hybench import agents, data, oracle
+from hybench import agents, data, models, oracle
 from hybench.agents import (
     AgentConfig,
     FunctionPolicy,
@@ -193,8 +193,10 @@ class TestModelBased:
         def unused(*args, **kwargs):
             raise AssertionError("model fitted for a run without rollouts")
 
+        class UnusedSim(hb.WindyGridEnv):
+            simulate_step = unused
+
         monkeypatch.setattr(agents, "fit_ensemble", unused)
-        monkeypatch.setattr(agents, "augment_with_sim", unused)
         base = default_agent_config(grid_env)
         cfg_off = dataclasses.replace(
             base, bc_threshold=0.0, offline_iterations=base.epochs * base.q_iterations
@@ -202,7 +204,7 @@ class TestModelBased:
         off = train_offline_bcq(grid_medium_dataset, cfg_off, seed=0)
         mopo = train_mopo_lite(grid_medium_dataset,
                                dataclasses.replace(base, rollout_horizon=0), seed=0)
-        hy = train_hymopo(grid_medium_dataset, hb.make_env("windygrid"),
+        hy = train_hymopo(grid_medium_dataset, UnusedSim(),
                           dataclasses.replace(base, rollout_batch=0), seed=0)
         for res in (mopo, hy):
             assert res.ensemble is None
@@ -262,7 +264,8 @@ class TestModelBased:
         assert (tr.penalty[head] >= 0.0).all()
         assert (tr.penalized_reward[head] <= tr.reward[head]).all()
         # the penalty is the ensemble's disagreement at the rollout input
-        pen = res.ensemble.penalty_batch(tr.obs[head], tr.action_index[head])
+        pen = models.disagreement(res.ensemble.member_means(tr.obs[head],
+                                                            tr.action_index[head]))
         assert np.allclose(tr.penalty[head], pen, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("horizon,batch", [(0, 64), (5, 0)])
@@ -340,18 +343,15 @@ class TestModelBased:
             float(np.sqrt(m.noise_var[:3].sum())) for m in hy.ensemble.members
         )
         true_env = hb.make_env("pendulum")
-        errs = []
         tr = hy.trace
-        for obs, a, nxt in zip(tr.obs[:1000], tr.action_index[:1000], tr.next_obs[:1000]):
-            truth, _ = true_env.simulate_step(obs, grid[a])
-            errs.append(np.linalg.norm(nxt - truth))
+        truth = true_env.simulate_step(tr.obs[:1000], grid[tr.action_index[:1000]])
+        errs = np.linalg.norm(tr.next_obs[:1000] - truth, axis=1)
         assert np.median(errs) <= max(3 * noise, 1e-9)
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("q_feature_kind", "polynomal"),  # used to train with random-Fourier features
-        ("penalty_mode", "variance"),  # used to fail in the first rollout
         ("explore_hold", 0),  # used to fail in mid-training
         ("mix_real", 1.5),  # these two used to fail after the ensemble fit
         ("mix_real", -0.5),

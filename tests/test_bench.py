@@ -130,6 +130,33 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=field):
             BenchConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("seeds", "12"),  # used to give seeds (1, 2)
+        ("seeds", [1.9, 2]),  # used to give (1, 2)
+        ("seeds", [True]),  # used to give (1,)
+        ("seeds", [-1]),  # used to fail in every seed
+        ("eval_episodes", 2.7),  # used to run 2 episodes
+        ("dataset.n_records", 2.5),  # these three used to be kept as given
+        ("dataset.seed", 1.5),
+        ("dataset.history_k", 2.0),
+        ("dataset.train_budget", "100"),  # used to fail with a bare TypeError
+    ])
+    def test_non_integer_count_or_seed_rejected_at_load(self, field, value):
+        bad = dict(self.BASE)
+        if field.startswith("dataset."):
+            field = field.removeprefix("dataset.")
+            bad["dataset"] = dict(self.BASE["dataset"], **{field: value})
+        else:
+            bad[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            BenchConfig.from_dict(bad)
+
+    def test_negative_seed_override_rejected_at_load(self):
+        # the CLI's --seed replaces the seeds; -1 used to fail in every seed
+        cfg = BenchConfig.from_dict(self.BASE)
+        with pytest.raises(ValueError, match="seeds must be"):
+            dataclasses.replace(cfg, seeds=(-1,))
+
     @pytest.mark.parametrize("patch,name", [
         ({"env": {"name": "windygrid", "params": {"wind": 0.3}}}, "wind"),
         ({"agent": {"name": "hymopo", "config": {"epoch": 3}}}, "epoch"),

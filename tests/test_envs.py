@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -200,6 +201,59 @@ class TestWindyGrid:
         o2, r2 = rollout(hb.make_env("windygrid"), actions, seed=9)
         assert np.array_equal(o1, o2)
         assert np.array_equal(r1, r2)
+
+
+class TestWindyGridSimulateStep:
+    """The simulator's reconstruction rule: coordinates round half to even
+    and clamp to the grid, wind is on above 0.5, and the next wind is
+    predicted by its mean."""
+
+    @pytest.mark.parametrize("params", [
+        hb.WindyGridParams(),
+        # not square, so swapped axes would show
+        hb.WindyGridParams(width=4, height=3, wind_prob=0.25, goal=(3, 0), start=(0, 2)),
+    ])
+    def test_equals_step_rule_for_every_input(self, params):
+        rows = list(itertools.product(range(params.width), range(params.height),
+                                      (0, 1), range(4)))
+        O = np.array([(x, y, wind) for x, y, wind, _ in rows], dtype=float)
+        A = np.array([a for *_, a in rows])
+        pred = hb.WindyGridEnv(params).simulate_step(O, A)
+        assert pred.shape == (len(rows), 3)
+        for (x, y, wind, a), row in zip(rows, pred.tolist()):
+            (x2, y2), _, _ = hb.windygrid_step((x, y), wind, a, params)
+            assert row == [x2, y2, params.wind_prob]
+
+    @pytest.mark.parametrize("value,cell", [
+        (2.5, 2), (3.5, 4), (-0.4, 0), (0.5, 0), (1.5, 2), (2.49, 2), (-3.0, 0), (7.6, 4),
+    ])
+    def test_off_grid_rows_round_half_to_even_and_clamp(self, value, cell):
+        params = hb.WindyGridParams()
+        O = np.full((4, 3), [value, value, 0.0])
+        pred = hb.WindyGridEnv(params).simulate_step(O, [0, 1, 2, 3])
+        for a, row in enumerate(pred.tolist()):
+            (x2, y2), _, _ = hb.windygrid_step((cell, cell), 0, a, params)
+            assert row[:2] == [x2, y2]
+
+    def test_wind_on_above_half(self):
+        env = hb.make_env("windygrid", {"wind_prob": 0.7})
+        winds = [-2.0, 0.0, 0.5, 0.5000001, 1.0, 3.0]
+        O = np.array([(2.0, 2.0, w) for w in winds])
+        pred = env.simulate_step(O, np.full(len(winds), 3))
+        assert pred[:, 1].tolist() == [2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+        assert (pred[:, 2] == 0.7).all()
+
+    @pytest.mark.parametrize("action", [-1, 4])
+    def test_action_outside_range_rejected(self, action):
+        with pytest.raises(EnvError, match="action"):
+            hb.make_env("windygrid").simulate_step(np.zeros((2, 3)), [0, action])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        O = np.zeros((2, 3))
+        O[1, 0] = bad
+        with pytest.raises(EnvError, match="non-finite"):
+            hb.make_env("windygrid").simulate_step(O, [0, 0])
 
 
 class TestBandit:

@@ -99,33 +99,34 @@ class TestFeatureMap:
 
 class TestAugmentation:
     def test_perfect_simulator_reproduces_next_obs(self, pendulum_random_dataset):
-        sim_next = models.augment_with_sim(pendulum_random_dataset, hb.make_env("pendulum"))
+        ds = pendulum_random_dataset
+        sim_next = hb.make_env("pendulum").simulate_step(ds.O, ds.A)
         O2 = pendulum_random_dataset.O2
         assert np.abs(sim_next - O2).max() < 1e-9
 
     def test_wrong_simulator_has_gap(self, pendulum_random_dataset):
         sim = hb.with_transition_error(hb.make_env("pendulum"), {"gravity": 19.62})
-        sim_next = models.augment_with_sim(pendulum_random_dataset, sim)
+        sim_next = sim.simulate_step(pendulum_random_dataset.O, pendulum_random_dataset.A)
         O2 = pendulum_random_dataset.O2
         assert np.linalg.norm(sim_next - O2, axis=1).mean() > 0.01
 
     def test_deterministic(self, pendulum_random_dataset):
         sim = hb.make_env("pendulum")
-        a = models.augment_with_sim(pendulum_random_dataset, sim)
-        b = models.augment_with_sim(pendulum_random_dataset, sim)
+        a = sim.simulate_step(pendulum_random_dataset.O, pendulum_random_dataset.A)
+        b = sim.simulate_step(pendulum_random_dataset.O, pendulum_random_dataset.A)
         assert np.array_equal(a, b)
 
     def test_uninvertible_observation_raises(self, pendulum_random_dataset):
         broken = data.corrupt_hide_dims(pendulum_random_dataset, [0, 1])
         with pytest.raises(EnvError):
-            models.augment_with_sim(broken, hb.make_env("pendulum"))
+            hb.make_env("pendulum").simulate_step(broken.O, broken.A)
 
 
 class TestCorrectionEnsemble:
     def test_perfect_simulator_learns_zero(self, pendulum_random_dataset):
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
         ens = models.fit_ensemble(
-            tr, model_config(), models.augment_with_sim(tr, hb.make_env("pendulum"))
+            tr, model_config(), hb.make_env("pendulum").simulate_step(tr.O, tr.A)
         )
         X = encode_model_input(O, A, ens.action_space)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)[:, :3]
@@ -137,14 +138,13 @@ class TestCorrectionEnsemble:
         beta = 0.3
 
         class BiasedSim(hb.PendulumEnv):
-            def simulate_step(self, obs, action):
-                nxt, r = super().simulate_step(obs, action)
-                nxt = nxt.copy()
-                nxt[2] += beta
-                return nxt, r
+            def simulate_step(self, obs, actions):
+                nxt = super().simulate_step(obs, actions)
+                nxt[:, 2] += beta
+                return nxt
 
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
-        ens = models.fit_ensemble(tr, model_config(), models.augment_with_sim(tr, BiasedSim()))
+        ens = models.fit_ensemble(tr, model_config(), BiasedSim().simulate_step(tr.O, tr.A))
         X = encode_model_input(O, A, ens.action_space)
         pred = np.stack([m.predict_mean(X) for m in ens.members]).mean(axis=0)
         assert abs(pred[:, 2].mean() - (-beta)) < 0.1 * beta
@@ -153,12 +153,12 @@ class TestCorrectionEnsemble:
         # a constant-zero anchor makes the correction target equal the next
         # observation itself, i.e. exactly the direct problem
         class ZeroSim(hb.PendulumEnv):
-            def simulate_step(self, obs, action):
-                return np.zeros(3), 0.0
+            def simulate_step(self, obs, actions):
+                return np.zeros(np.shape(obs))
 
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
         cfg = model_config()
-        corr = models.fit_ensemble(tr, cfg, models.augment_with_sim(tr, ZeroSim()))
+        corr = models.fit_ensemble(tr, cfg, ZeroSim().simulate_step(tr.O, tr.A))
         direct = models.fit_ensemble(tr, cfg)
         X = encode_model_input(O, A, corr.action_space)
         mse_corr = np.mean(
@@ -172,7 +172,7 @@ class TestCorrectionEnsemble:
     def test_reads_next_obs_only_through_residual(self, pendulum_random_dataset):
         tr, *_ = split(pendulum_random_dataset, 4_000)
         cfg = model_config()
-        sim_next = models.augment_with_sim(tr, hb.make_env("pendulum"))
+        sim_next = hb.make_env("pendulum").simulate_step(tr.O, tr.A)
         shift = 2.5
         shifted = data.Dataset(tr.meta, tr.O, tr.A, tr.R, tr.O2 + shift, tr.D)
         a = models.fit_ensemble(tr, cfg, sim_next)
@@ -209,10 +209,10 @@ class TestCorrectionEnsemble:
         tr, O, A, R, O2 = split(pendulum_random_dataset, 10_000)
         cfg = model_config()
         sim = hb.make_env("pendulum")
-        corr = models.fit_ensemble(tr, cfg, models.augment_with_sim(tr, sim))
+        corr = models.fit_ensemble(tr, cfg, sim.simulate_step(tr.O, tr.A))
         direct = models.fit_ensemble(tr, cfg)
         X = encode_model_input(O, A, corr.action_space)
-        sim_next = np.stack([sim.simulate_step(o, a)[0] for o, a in zip(O, A)])
+        sim_next = sim.simulate_step(O, A)
         pred_corr = sim_next + np.stack(
             [m.predict_mean(X) for m in corr.members]
         ).mean(0)[:, :3]
@@ -320,11 +320,7 @@ class TestPredictAndPenalty:
 
     def test_single_member_disagreement_zero(self):
         ens = self._tiny_ensemble(n=1)
-        assert ens.penalty_batch(np.zeros((1, 3)), [0.5], mode="disagreement")[0] == 0.0
-
-    def test_zero_noise_frobenius_zero(self):
-        ens = self._tiny_ensemble(noise=0.0)
-        assert ens.penalty_batch(np.zeros((1, 3)), [0.5], mode="frobenius")[0] == 0.0
+        assert models.disagreement(ens.member_means(np.zeros((1, 3)), [0.5]))[0] == 0.0
 
     def test_penalty_member_order_invariant(self, pendulum_random_dataset):
         tr, O, A, *_ = split(pendulum_random_dataset, 3_000)
@@ -335,19 +331,14 @@ class TestPredictAndPenalty:
         x = O[:5]
         a = A[:5]
         assert np.array_equal(
-            ens.penalty_batch(x, a, "disagreement"),
-            permuted.penalty_batch(x, a, "disagreement"),
-        )
-        assert np.array_equal(
-            ens.penalty_batch(x, a, "frobenius"),
-            permuted.penalty_batch(x, a, "frobenius"),
+            models.disagreement(ens.member_means(x, a)),
+            models.disagreement(permuted.member_means(x, a)),
         )
 
     def test_penalty_nonnegative(self, pendulum_random_dataset):
         tr, O, A, *_ = split(pendulum_random_dataset, 3_000)
         ens = models.fit_ensemble(tr, model_config())
-        assert (ens.penalty_batch(O[:100], A[:100], "disagreement") >= 0).all()
-        assert (ens.penalty_batch(O[:100], A[:100], "frobenius") >= 0).all()
+        assert (models.disagreement(ens.member_means(O[:100], A[:100])) >= 0).all()
 
 
 class TestEnsembleSerialization:
