@@ -61,16 +61,16 @@ class AgentConfig:
     """Shared knobs for all trainers; per-environment defaults come from
     :func:`default_agent_config`."""
 
-    action_grid: tuple | None = None
+    action_grid: tuple[float, ...] | None = None
     gamma: float = 0.99
     # Q-function features
     q_feature_kind: str = "random_fourier"
     q_feature_count: int = 256
     q_bandwidth: float = 1.0
     q_poly_degree: int = 9
-    q_poly_dim_degrees: tuple | None = None
-    q_input_shift: tuple | None = None
-    q_input_scale: tuple | None = None
+    q_poly_dim_degrees: tuple[int, ...] | None = None
+    q_input_shift: tuple[float, ...] | None = None
+    q_input_scale: tuple[float, ...] | None = None
     q_ridge: float = 1e-6
     q_action_design: str = "onehot"  # or "quadratic"
     # online training

@@ -20,7 +20,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -38,22 +38,12 @@ from .data import (
     online_training_run,
     read_dataset,
 )
-from .envs import Environment, checked_params, make_env
+from .envs import Environment, make_env
+from .records import check_keys, field_types, read_record, read_value
 from .seeding import REFS, derived_seed
 from .wrappers import clone_env, env_signature
 
 AGENT_NAMES = ("online_q", "offline_bcq", "mopo_lite", "hymopo")
-
-RESULTS_HEADER = (
-    "benchmark_id",
-    "agent",
-    "seed",
-    "raw_return",
-    "normalized_score",
-    "wall_time",
-    "config_hash",
-    "dataset_hash",
-)
 
 
 def normalize_score(raw: float, random_ref: float, expert_ref: float) -> float:
@@ -129,11 +119,10 @@ class BenchConfig:
     out: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sim2real", tuple(check_spec(s, "env") for s in self.sim2real)
-        )
-        # None and {} mean the same; store {} so that from_dict(to_dict()) is equal
-        object.__setattr__(self, "agent_overrides", dict(self.agent_overrides or {}))
+        for name, tp in (("benchmark_id", str), ("env_name", str), ("agent", str),
+                         ("sim2real", tuple[dict, ...]), ("dataset_path", str | None),
+                         ("out", str | None)):
+            object.__setattr__(self, name, read_value(tp, getattr(self, name), name))
         if self.agent not in AGENT_NAMES:
             raise ValueError(f"unknown agent {self.agent!r}; valid: {AGENT_NAMES}")
         uses_dataset = self.agent in ("offline_bcq", "mopo_lite", "hymopo")
@@ -153,8 +142,17 @@ class BenchConfig:
             raise ValueError("at least one seed is required")
         if check_field("eval_episodes", _int, self.eval_episodes) < 1:
             raise ValueError("eval_episodes must be >= 1")
-        # bad env params and agent overrides fail here, not in every seed
-        _agent_config(make_env(self.env_name, self.env_params), self.agent_overrides)
+        # bad env params, agent overrides and sim2real specs fail here, not in
+        # every seed
+        env = make_env(self.env_name, self.env_params)
+        _agent_config(env, self.agent_overrides)
+        apply_specs(env, self.sim2real, "env")
+        object.__setattr__(
+            self, "sim2real", tuple(check_spec(s, "env") for s in self.sim2real)
+        )
+        # None and {} mean the same; store {} so that from_dict(to_dict()) is equal
+        object.__setattr__(self, "env_params", dict(self.env_params or {}))
+        object.__setattr__(self, "agent_overrides", dict(self.agent_overrides or {}))
 
     def to_dict(self) -> dict:
         dataset: dict | str | None
@@ -177,40 +175,21 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
-        allowed = {"benchmark_id", "env", "sim2real", "dataset", "agent", "seeds",
-                   "eval_episodes", "out"}
-        unknown = sorted(set(d) - allowed)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; valid: {sorted(allowed)}")
-        for required in ("benchmark_id", "env", "agent"):
-            if required not in d:
-                raise ValueError(f"config is missing required key {required!r}")
-        env_d = dict(d["env"])
-        env_unknown = sorted(set(env_d) - {"name", "params"})
-        if env_unknown:
-            raise ValueError(f"unknown env keys {env_unknown}")
-        if "name" not in env_d:
-            raise ValueError("env requires a 'name'")
-        agent_d = dict(d["agent"])
-        agent_unknown = sorted(set(agent_d) - {"name", "config"})
-        if agent_unknown:
-            raise ValueError(f"unknown agent keys {agent_unknown}")
-        if "name" not in agent_d:
-            raise ValueError("agent requires a 'name'")
-        dataset_path = None
-        recipe = None
+        check_keys(d, "config", ("benchmark_id", "env", "agent"),
+                   ("sim2real", "dataset", "seeds", "eval_episodes", "out"))
+        env_d = check_keys(d["env"], "env", ("name",), ("params",))
+        agent_d = check_keys(d["agent"], "agent", ("name",), ("config",))
         ds = d.get("dataset")
-        if ds is not None:
-            ds = dict(ds)
-            if set(ds) == {"path"}:
-                dataset_path = ds["path"]
-            else:
-                recipe = DatasetRecipe.from_dict(ds)
+        dataset_path = recipe = None
+        if isinstance(ds, dict) and set(ds) == {"path"}:
+            dataset_path = ds["path"]
+        elif ds is not None:
+            recipe = read_record(DatasetRecipe, ds, "dataset recipe")
         return cls(
             benchmark_id=d["benchmark_id"],
             env_name=env_d["name"],
-            env_params=checked_params(env_d.get("params")),
-            sim2real=tuple(d.get("sim2real", [])),
+            env_params=env_d.get("params"),
+            sim2real=d.get("sim2real", ()),
             dataset_path=dataset_path,
             dataset_recipe=recipe,
             agent=agent_d["name"],
@@ -266,6 +245,9 @@ class RunResult:
         return list(astuple(self))  # csv writes floats by repr: full precision
 
 
+RESULTS_HEADER = tuple(f.name for f in fields(RunResult))
+
+
 @dataclass(frozen=True)
 class RunFailure:
     benchmark_id: str
@@ -280,29 +262,9 @@ class RunFailure:
 
 
 def _agent_config(env: Environment, overrides: dict | None) -> agents.AgentConfig:
-    cfg = agents.default_agent_config(env)
-    if not overrides:
-        return cfg
-    overrides = dict(overrides)
-    model_over = overrides.pop("model", None)
-    valid = set(cfg.__dataclass_fields__)
-    unknown = sorted(set(overrides) - valid)
-    if unknown:
-        raise ValueError(f"unknown agent config keys {unknown}")
-    for key in ("action_grid", "q_input_shift", "q_input_scale"):
-        if key in overrides and overrides[key] is not None:
-            overrides[key] = tuple(overrides[key])
-    cfg = replace(cfg, **overrides)
-    if model_over:
-        model_over = dict(model_over)
-        munknown = sorted(set(model_over) - set(cfg.model.__dataclass_fields__))
-        if munknown:
-            raise ValueError(f"unknown model config keys {munknown}")
-        for key in ("input_shift", "input_scale"):
-            if key in model_over and model_over[key] is not None:
-                model_over[key] = tuple(model_over[key])
-        cfg = replace(cfg, model=replace(cfg.model, **model_over))
-    return cfg
+    """The environment's default agent config with a config's overrides."""
+    return read_record(agents.AgentConfig, {} if overrides is None else overrides,
+                       "agent config", agents.default_agent_config(env))
 
 
 _DATASET_MEMO: dict = {}  # the last dataset, by canonical env + dataset JSON
@@ -426,7 +388,7 @@ def append_results(path, results: list[RunResult]) -> None:
 
 
 def read_results(path) -> list[RunResult]:
-    out = []
+    types = field_types(RunResult)[0]  # each column parsed as str, int or float
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(RESULTS_HEADER):
@@ -434,20 +396,8 @@ def read_results(path) -> list[RunResult]:
                 f"unexpected results header {reader.fieldnames}; "
                 f"expected {list(RESULTS_HEADER)}"
             )
-        for row in reader:
-            out.append(
-                RunResult(
-                    benchmark_id=row["benchmark_id"],
-                    agent=row["agent"],
-                    seed=int(row["seed"]),
-                    raw_return=float(row["raw_return"]),
-                    normalized_score=float(row["normalized_score"]),
-                    wall_time=float(row["wall_time"]),
-                    config_hash=row["config_hash"],
-                    dataset_hash=row["dataset_hash"],
-                )
-            )
-    return out
+        return [RunResult(**{name: tp(row[name]) for name, tp in types.items()})
+                for row in reader]
 
 
 def _aggregate(results: list[RunResult]) -> dict:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import bench, oracle
 from .data import DatasetRecipe, generate_dataset, write_dataset
 from .envs import BanditSpec, Environment, make_env
+from .records import check_keys, read_record
 
 
 def _fmt_exact(value) -> str:
@@ -31,38 +32,21 @@ def _fmt_exact(value) -> str:
     return f"{float(value):.6f}"
 
 
-def _checked(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
-    """``obj`` as a JSON object with every required key and no unknown one."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    valid = sorted(required + optional)
-    unknown = sorted(set(obj) - set(valid))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; valid: {valid}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ValueError(f"{what} is missing required keys {missing}")
-    return obj
-
-
 def _make_env(env_d: dict) -> Environment:
-    _checked(env_d, "env", ("name",), ("params",))
+    check_keys(env_d, "env", ("name",), ("params",))
     return make_env(env_d["name"], env_d.get("params"))
 
 
 def cmd_gen_data(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        payload = _checked(json.load(fh), "gen-data config", ("env", "dataset"), ("out",))
-    if not isinstance(payload["dataset"], dict):
-        raise ValueError("gen-data dataset must be a JSON object (a recipe)")
-    recipe_d = dict(payload["dataset"])
+        payload = check_keys(json.load(fh), "gen-data config", ("env", "dataset"), ("out",))
+    recipe = read_record(DatasetRecipe, payload["dataset"], "gen-data dataset")
     if args.seed is not None:
-        recipe_d["seed"] = args.seed
+        recipe = dataclasses.replace(recipe, seed=args.seed)
     out = args.out or payload.get("out")
     if not out:
         raise ValueError("gen-data needs an output path (config 'out' or --out)")
     env = _make_env(payload["env"])
-    recipe = DatasetRecipe.from_dict(recipe_d)
     dataset = generate_dataset(env, recipe)
     write_dataset(dataset, out)
     print(f"wrote {len(dataset)} records to {out}")
@@ -124,7 +108,7 @@ def cmd_refs(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         env_d = json.load(fh)
     if isinstance(env_d, dict) and "env" in env_d:  # {"env": {...}} or the env itself
-        env_d = _checked(env_d, "refs config", ("env",))["env"]
+        env_d = check_keys(env_d, "refs config", ("env",))["env"]
     env = _make_env(env_d)
     pair = bench.compute_reference_pair(env, seed=args.seed or 0)
     record = {

@@ -24,6 +24,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .envs import Environment, StepResult
+from .records import check_keys, key_errors, read_record
 from .seeding import COLLECT_ENV, COLLECT_POLICY, DATA_NOISE, derived_rng, derived_seed
 from .wrappers import (
     EnvWrapper,
@@ -101,7 +102,7 @@ class DatasetMeta:
     env_name: str
     env_params: dict
     tier: str
-    corruption: tuple = ()
+    corruption: tuple[dict, ...] = ()
     behavior_mode: str = "observed"
     seed: int = 0
     format_version: str = FORMAT_VERSION
@@ -117,16 +118,7 @@ class DatasetMeta:
         self.corruption = tuple(dict(c) for c in self.corruption)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "env_name": self.env_name,
-            "env_params": self.env_params,
-            "tier": self.tier,
-            "corruption": [dict(c) for c in self.corruption],
-            "behavior_mode": self.behavior_mode,
-            "seed": self.seed,
-            "record_count": self.record_count,
-        }
+        return _jsonify(asdict(self))
 
 
 @dataclass(eq=False)
@@ -582,11 +574,9 @@ def check_spec(spec, stage: str) -> dict:
         valid = sorted(k for k, by_stage in SPEC_KINDS.items() if stage in by_stage)
         raise ValueError(f"unknown {noun} kind {kind!r}; valid: {valid}")
     _, required, optional = stages[stage]
-    keys = set(spec) - {"kind"}
-    missing = sorted(set(required) - keys)
+    unknown, missing = key_errors(spec, ("kind", *required), optional)
     if missing:
         raise ValueError(f"missing keys {missing} for {noun} kind {kind!r}")
-    unknown = sorted(keys - set(required) - set(optional))
     if unknown:
         raise ValueError(f"unknown keys {unknown} for {noun} kind {kind!r}")
     out = {"kind": kind}
@@ -628,7 +618,7 @@ class DatasetRecipe:
     n_records: int | None = None
     behavior_mode: str = "observed"
     hidden_during_collection: tuple[int, ...] = ()
-    corruption: tuple = ()
+    corruption: tuple[dict, ...] = ()
     history_k: int | None = None
     seed: int = 0
     collect_epsilon: float = 0.05
@@ -649,33 +639,14 @@ class DatasetRecipe:
         check_field("seed", _int, self.seed)
         if self.tier == "medium_replay" and (self.history_k or 1) > 1:
             raise ValueError("history-aware collection is not defined for medium_replay")
-        object.__setattr__(
-            self, "hidden_during_collection", tuple(int(i) for i in self.hidden_during_collection)
-        )
+        object.__setattr__(self, "hidden_during_collection", tuple(
+            check_field("hidden_during_collection", _ints, self.hidden_during_collection)))
         object.__setattr__(
             self, "corruption", tuple(check_spec(c, "data") for c in self.corruption)
         )
 
     def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "n_records": self.n_records,
-            "behavior_mode": self.behavior_mode,
-            "hidden_during_collection": list(self.hidden_during_collection),
-            "corruption": [dict(c) for c in self.corruption],
-            "history_k": self.history_k,
-            "seed": self.seed,
-            "collect_epsilon": self.collect_epsilon,
-            "train_budget": self.train_budget,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetRecipe":
-        valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - valid)
-        if unknown:
-            raise ValueError(f"unknown dataset recipe keys {unknown}; valid: {sorted(valid)}")
-        return cls(**d)
+        return _jsonify(asdict(self))
 
 
 def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Dataset:
@@ -754,16 +725,6 @@ def load_json(path):
         return json.load(fh)
 
 
-_META_KEYS = {
-    "format_version",
-    "env_name",
-    "env_params",
-    "tier",
-    "corruption",
-    "behavior_mode",
-    "seed",
-    "record_count",
-}
 # JSON numbers decode to exactly these types, and true/false to bool; the
 # NaN and Infinity tokens decode to strings, as write_dataset refuses them
 _NUMBER_TYPES = frozenset((int, float))
@@ -824,23 +785,9 @@ def read_dataset(path) -> Dataset:
                 f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}",
                 line=1,
             )
-        unknown = sorted(set(meta_d) - _META_KEYS)
-        if unknown:
-            raise DatasetParseError(f"unknown metadata keys {unknown}", line=1)
-        missing = sorted(_META_KEYS - set(meta_d))
-        if missing:
-            raise DatasetParseError(f"missing metadata keys {missing}", line=1)
-        try:
-            meta = DatasetMeta(
-                env_name=meta_d["env_name"],
-                env_params=meta_d["env_params"],
-                tier=meta_d["tier"],
-                corruption=tuple(meta_d["corruption"]),
-                behavior_mode=meta_d["behavior_mode"],
-                seed=meta_d["seed"],
-                format_version=version,
-                record_count=meta_d["record_count"],
-            )
+        try:  # a file names every field, defaults included
+            check_keys(meta_d, "metadata", tuple(f.name for f in fields(DatasetMeta)))
+            meta = read_record(DatasetMeta, meta_d, "metadata")
         except ValueError as exc:
             raise DatasetParseError(str(exc), line=1)
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .records import read_record, read_value
 from .seeding import DYNAMICS, derived_rng
 
 TWO_PI = 2.0 * math.pi
@@ -107,14 +108,13 @@ class Environment:
         raise NotImplementedError
 
     def with_params(self, **overrides) -> "Environment":
-        """A fresh copy of this environment with dynamics parameters overridden."""
-        names = {f.name for f in fields(self.params)}
-        unknown = sorted(set(overrides) - names)
-        if unknown:
-            raise EnvError(
-                f"{self.name}: unknown parameter(s) {unknown}; valid: {sorted(names)}"
-            )
-        return type(self)(replace(self.params, **overrides))
+        """A fresh copy of this environment with dynamics parameters
+        overridden; JSON lists are read as tuples."""
+        try:
+            params = read_record(type(self.params), overrides, "parameter", self.params)
+        except ValueError as exc:
+            raise EnvError(f"{self.name}: invalid parameters: {exc}") from exc
+        return type(self)(params)
 
     def simulate_step(self, obs: np.ndarray, actions) -> np.ndarray:
         """Deterministic one-step predictions: the (n, obs_dim) next
@@ -440,8 +440,8 @@ class BanditSpec:
     logged data.
     """
 
-    p_z0: Fraction | float = Fraction(1, 3)
-    reward_table: tuple[tuple, tuple] = (
+    p_z0: float = Fraction(1, 3)  # any finite real, exact Fractions included
+    reward_table: tuple[tuple[float, float], tuple[float, float]] = (
         (Fraction(1, 6), Fraction(1, 4)),  # z = 0: (a0, a1)
         (Fraction(1, 3), Fraction(1, 2)),  # z = 1: (a0, a1)
     )
@@ -507,48 +507,16 @@ class BanditEnv(Environment):
 # Construction from config records
 # ---------------------------------------------------------------------------
 
-_REGISTRY = {
-    "pendulum": (PendulumEnv, PendulumParams),
-    "windygrid": (WindyGridEnv, WindyGridParams),
-    "bandit": (BanditEnv, BanditSpec),
-}
-
-
-def checked_params(params) -> dict:
-    """Copy of an env ``params`` entry: None (no overrides) or an object of
-    overrides."""
-    if params is None:
-        return {}
-    if not isinstance(params, dict):
-        raise ValueError(
-            f"env 'params' must be an object of parameter overrides, "
-            f"got {type(params).__name__} {params!r}"
-        )
-    return dict(params)
+_REGISTRY = {"pendulum": PendulumEnv, "windygrid": WindyGridEnv, "bandit": BanditEnv}
 
 
 def make_env(name: str, params: dict | None = None) -> Environment:
     """Build an environment from a structured config record.
 
-    ``params`` holds parameter overrides applied on top of the environment's
-    defaults; unknown names are an error.
+    ``params`` (an object, or None for none) holds parameter overrides
+    applied on top of the environment's defaults; see ``with_params``.
     """
     if name not in _REGISTRY:
         raise EnvError(f"unknown environment {name!r}; valid: {sorted(_REGISTRY)}")
-    env_cls, params_cls = _REGISTRY[name]
-    overrides = checked_params(params)
-    valid = {f.name for f in fields(params_cls)}
-    unknown = sorted(set(overrides) - valid)
-    if unknown:
-        raise EnvError(
-            f"{name}: unknown parameter(s) {unknown}; valid: {sorted(valid)}"
-        )
-    for key in ("goal", "start", "reward_table"):
-        if key in overrides and isinstance(overrides[key], list):
-            overrides[key] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in overrides[key]
-            )
-    try:
-        return env_cls(params_cls(**overrides))
-    except ValueError as exc:
-        raise EnvError(f"{name}: invalid parameters: {exc}") from exc
+    overrides = read_value(dict | None, params, "env 'params'") or {}
+    return _REGISTRY[name]().with_params(**overrides)

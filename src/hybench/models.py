@@ -315,9 +315,9 @@ class ModelConfig:
     feature_count: int = 256
     bandwidth: float = 1.0
     poly_degree: int = 3
-    poly_dim_degrees: tuple | None = None
-    input_shift: tuple | None = None
-    input_scale: tuple | None = None
+    poly_dim_degrees: tuple[int, ...] | None = None
+    input_shift: tuple[float, ...] | None = None
+    input_scale: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.feature_kind not in FEATURE_KINDS:

@@ -140,16 +140,46 @@ class TestConfigParsing:
         ("dataset.seed", 1.5),
         ("dataset.history_k", 2.0),
         ("dataset.train_budget", "100"),  # used to fail with a bare TypeError
+        ("agent.epochs", 2.5),  # these four used to be kept as given
+        ("agent.rollout_batch", 1.5),
+        ("agent.sweeps", True),
+        ("agent.model.n_members", 2.5),
     ])
     def test_non_integer_count_or_seed_rejected_at_load(self, field, value):
         bad = dict(self.BASE)
         if field.startswith("dataset."):
             field = field.removeprefix("dataset.")
             bad["dataset"] = dict(self.BASE["dataset"], **{field: value})
+        elif field.startswith("agent."):
+            *model, field = field.removeprefix("agent.").split(".")
+            config = {"model": {field: value}} if model else {field: value}
+            bad["agent"] = {"name": "hymopo", "config": config}
         else:
             bad[field] = value
         with pytest.raises(ValueError, match=f"{field} must be"):
             BenchConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("value", ["12", [1.9], [True], [-1]])
+    def test_hidden_during_collection_takes_integers(self, value):
+        # "12" used to give (1, 2) and [1.9] to give (1,)
+        with pytest.raises(ValueError, match="hidden_during_collection must be"):
+            DatasetRecipe(hidden_during_collection=value)
+        bad = dict(self.BASE, dataset=dict(self.BASE["dataset"],
+                                           hidden_during_collection=value))
+        with pytest.raises(ValueError, match="hidden_during_collection must be"):
+            BenchConfig.from_dict(bad)
+
+    def test_list_values_of_tuple_fields_become_tuples(self):
+        # q_poly_dim_degrees used to stay a list: the config was unhashable
+        env = hb.make_env("windygrid")
+        cfg = bench._agent_config(env, {
+            "q_feature_kind": "polynomial", "q_poly_dim_degrees": [4, 4, 1],
+            "model": {"poly_dim_degrees": [2, 2, 1, 1]}})
+        assert cfg.q_poly_dim_degrees == (4, 4, 1)
+        assert cfg.model.poly_dim_degrees == (2, 2, 1, 1)
+        hash(cfg)
+        pair = bench.compute_reference_pair(env, seed=3, episodes=5, budget=300, config=cfg)
+        assert np.isfinite(pair.random_ref) and np.isfinite(pair.expert_ref)
 
     def test_negative_seed_override_rejected_at_load(self):
         # the CLI's --seed replaces the seeds; -1 used to fail in every seed
@@ -162,9 +192,36 @@ class TestConfigParsing:
         ({"agent": {"name": "hymopo", "config": {"epoch": 3}}}, "epoch"),
         ({"agent": {"name": "hymopo", "config": {"model": {"n_member": 3}}}}, "n_member"),
         ({"agent": {"name": "hymopo", "config": {"penalty_mode": "max"}}}, "penalty_mode"),
-    ], ids=["env_param", "agent_key", "model_key", "agent_value"])
+        # the next three used to load and then fail in every seed
+        ({"sim2real": [{"kind": "transition_param_override", "overrides": {"wnd": 0.4}}]},
+         "wnd"),
+        ({"sim2real": [{"kind": "transition_param_override",
+                        "overrides": {"wind_prob": "0.4"}}]}, "wind_prob"),
+        ({"sim2real": [{"kind": "transition_param_override", "overrides": {"horizon": 2.5}}]},
+         "horizon"),
+        # the rest used to load wrongly, or fail with a bare TypeError or a
+        # message that names nothing or the wrong thing
+        ({"env": {"name": "windygrid", "params": {"width": 2.5}}}, "width"),
+        ({"env": {"name": "pendulum", "params": {"horizon": 10.5}}}, "horizon"),
+        ({"env": {"name": "windygrid", "params": {"horizon": "50"}}}, "horizon"),
+        ({"env": {"name": "bandit", "params": {"p_z0": "1/3"}}}, "p_z0"),
+        ({"agent": {"name": "hymopo", "config": {"gamma": "0.9"}}}, "gamma"),
+        ({"dataset": {"tier": "medium", "collect_epsilon": "0.1"}}, "collect_epsilon"),
+        ({"agent": {"name": "hymopo", "config": {"model": "x"}}}, "model"),
+        ({"agent": {"name": "hymopo", "config": [1]}}, "config"),
+        ({"env": ["windygrid"]}, "env"),
+        ({"env": {"name": ["windygrid"]}}, "env_name"),
+        ({"benchmark_id": 5}, "benchmark_id"),
+        ({"sim2real": 5}, "sim2real"),
+        ({"dataset": {"path": 5}}, "dataset_path"),
+    ], ids=["env_param", "agent_key", "model_key", "agent_value", "sim2real_key",
+            "sim2real_wind_prob", "sim2real_horizon", "width", "pendulum_horizon",
+            "windygrid_horizon", "p_z0", "gamma", "collect_epsilon", "model",
+            "agent_config", "env", "env_name", "benchmark_id", "sim2real",
+            "dataset_path"])
     def test_bad_env_or_agent_setting_rejected_at_load(self, patch, name):
-        # these used to fail in every seed, the agent ones after dataset generation
+        # the first four used to fail in every seed, the agent ones after
+        # dataset generation
         with pytest.raises((ValueError, hb.EnvError), match=name):
             BenchConfig.from_dict(dict(self.BASE, **patch))
 

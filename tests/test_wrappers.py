@@ -6,6 +6,7 @@ from hybench import agents, data
 from hybench.bench import BenchConfig, config_hash
 from hybench.data import SPEC_KINDS, DatasetRecipe, apply_specs, check_spec
 from hybench.envs import EnvError
+from hybench.records import read_record
 from hybench.wrappers import clone_env, env_signature
 
 
@@ -247,12 +248,12 @@ def kind_stages():
 
 def round_trip(spec, stage):
     """The spec as a config's sim2real or a recipe's corruption, after
-    to_dict and from_dict."""
+    to_dict and reading it back."""
     if stage == "env":
         cfg = BenchConfig("x", "pendulum", {}, sim2real=(spec,), agent="online_q")
         return BenchConfig.from_dict(cfg.to_dict()).to_dict()["sim2real"][0]
     recipe = DatasetRecipe(corruption=(spec,))
-    return DatasetRecipe.from_dict(recipe.to_dict()).to_dict()["corruption"][0]
+    return read_record(DatasetRecipe, recipe.to_dict(), "recipe").to_dict()["corruption"][0]
 
 
 @pytest.fixture(scope="module")
