@@ -26,8 +26,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import Dataset, check_format_version, load_json, save_json
-from .envs import ContinuousActions, DiscreteActions, Environment
+from .data import Dataset, _int, check_field, check_format_version, load_json, save_json
+from .envs import ContinuousActions, DiscreteActions, Environment, PendulumEnv
 from .models import (
     FEATURE_KINDS,
     CorrectionEnsemble,
@@ -37,6 +37,7 @@ from .models import (
     disagreement,
     fit_ensemble,
 )
+from .records import field_types
 from .seeding import (
     EVAL_ENV,
     EVAL_POLICY,
@@ -98,6 +99,9 @@ class AgentConfig:
     model: ModelConfig = ModelConfig()
 
     def __post_init__(self):
+        for name, tp in field_types(AgentConfig)[0].items():
+            if tp is int:  # every int field is a count
+                check_field(name, _int, getattr(self, name))
         if self.bc_threshold < 0 or self.bc_threshold > 1:
             raise ValueError("bc_threshold must be in [0, 1]")
         for name in ("sweeps", "episodes_per_sweep", "q_iterations", "explore_hold",
@@ -279,6 +283,10 @@ class Policy:
         """Greedy action index for this observation."""
         raise NotImplementedError
 
+    def action_indices(self, obs_batch) -> np.ndarray:
+        """Greedy action index of each row of an (n, obs_dim) batch."""
+        return np.array([self.action_index(obs) for obs in obs_batch], dtype=int)
+
     def act(self, obs, greedy: bool = False):
         if not greedy and self.epsilon > 0.0 and self._rng.random() < self.epsilon:
             return self.action_grid[int(self._rng.integers(len(self.action_grid)))]
@@ -332,7 +340,9 @@ class QPolicy(Policy):
     actions whose behavior probability clears a threshold (falls back to the
     unrestricted argmax when no action qualifies).
 
-    ``action_index`` remembers the greedy action of the first
+    ``action_indices`` scores a batch of observations with one Q
+    evaluation; ``action_index`` is its batch of one, and remembers the
+    greedy action of the first
     ``ACTION_MEMO_CAP`` distinct observations it scores, keyed on the shape
     and bytes of the validated row, so a finite observation space (windygrid
     has 50) pays one feature transform per observation rather than one per
@@ -355,20 +365,22 @@ class QPolicy(Policy):
         self.bc_threshold = float(bc_threshold)
         self._memo: dict[tuple, int] = {}
 
+    def action_indices(self, obs_batch) -> np.ndarray:
+        scores = self.q.values(obs_batch)
+        if self.behavior is not None and self.bc_threshold > 0.0:
+            # rows where no action clears the threshold keep every action
+            mask = self.behavior.probs_batch(obs_batch) >= self.bc_threshold
+            scores = np.where(mask | ~mask.any(axis=1, keepdims=True), scores, -np.inf)
+        return np.argmax(scores, axis=1)
+
     def action_index(self, obs) -> int:
         row = np.asarray(obs, dtype=float)[None, :]
         key = (row.shape, row.tobytes())  # a (1, d) obs keeps failing as (1, 1, d)
         a = self._memo.get(key)
-        if a is not None:
-            return a
-        scores = self.q.values(row)[0]
-        if self.behavior is not None and self.bc_threshold > 0.0:
-            mask = self.behavior.probs_batch(row)[0] >= self.bc_threshold
-            if mask.any():
-                scores = np.where(mask, scores, -np.inf)
-        a = int(np.argmax(scores))
-        if len(self._memo) < ACTION_MEMO_CAP:
-            self._memo[key] = a
+        if a is None:
+            a = int(self.action_indices(row)[0])
+            if len(self._memo) < ACTION_MEMO_CAP:
+                self._memo[key] = a
         return a
 
 
@@ -520,22 +532,32 @@ def evaluate_policy(
     """Mean and sample std of undiscounted greedy-episode returns.
 
     Deterministic given the seed; a single episode reports std 0 by
-    convention.
+    convention.  On an unwrapped pendulum, a policy whose greedy act draws
+    nothing (any but ``UniformPolicy``) runs all episodes in lockstep, with
+    one batch of greedy actions per time step
+    (``PendulumEnv.lockstep_returns``); every other case runs them one by one.
     """
+    episodes = check_field("episodes", _int, episodes)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     policy.reseed(derived_seed(seed, EVAL_POLICY))
-    returns = np.empty(episodes)
-    for ep in range(episodes):
-        obs = env.reset(seed=derived_seed(seed, EVAL_ENV) if ep == 0 else None)
-        total = 0.0
-        while True:
-            res = env.step(policy.act(obs, greedy=True))
-            total += res.reward
-            if res.done:
-                break
-            obs = res.obs
-        returns[ep] = total
+    if type(env) is PendulumEnv and not isinstance(policy, UniformPolicy):
+        torques = np.array([np.asarray(a, dtype=float).reshape(-1)[0]
+                            for a in policy.action_grid])
+        returns = env.lockstep_returns(episodes, derived_seed(seed, EVAL_ENV),
+                                       lambda O: torques[policy.action_indices(O)])
+    else:
+        returns = np.empty(episodes)
+        for ep in range(episodes):
+            obs = env.reset(seed=derived_seed(seed, EVAL_ENV) if ep == 0 else None)
+            total = 0.0
+            while True:
+                res = env.step(policy.act(obs, greedy=True))
+                total += res.reward
+                if res.done:
+                    break
+                obs = res.obs
+            returns[ep] = total
     std = float(np.std(returns, ddof=1)) if episodes > 1 else 0.0
     return float(returns.mean()), std
 

@@ -35,8 +35,8 @@ class EnvError(RuntimeError):
     """Environment contract violation (unseeded reset, step after done, bad input)."""
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
+def wrap_angle(theta):
+    """Wrap an angle, or each angle of an array, to the interval (-pi, pi]."""
     return math.pi - (math.pi - theta) % TWO_PI
 
 
@@ -166,32 +166,52 @@ class PendulumParams:
             raise ValueError("pendulum horizon must be >= 1")
 
 
-def pendulum_step(
-    state: tuple[float, float], torque: float, params: PendulumParams
-) -> tuple[tuple[float, float], float]:
-    """One semi-implicit Euler update of the pendulum.
+def pendulum_step(state, torque, params: PendulumParams):
+    """One semi-implicit Euler update of the pendulum, for one state or many.
 
-    ``state`` is ``(theta, omega)``; theta is normalized to (-pi, pi] and the
-    torque is clamped to the declared limit before entering the dynamics.
-    The reward penalizes distance from upright, spin and control effort,
-    evaluated at the post-update state.
+    ``state`` is ``(theta, omega)`` and ``torque`` the applied torque: floats,
+    or arrays of one shape for a batch of states stepped at once.  theta is
+    normalized to (-pi, pi] and the torque is clamped to the declared limit
+    before entering the dynamics.  The reward penalizes distance from
+    upright, spin and control effort, evaluated at the post-update state.
+
+    Returns ``((theta2, omega2), reward)`` of the input's shape.  Each entry
+    of a batch is bit-equal to stepping that entry alone: every operation
+    works element by element, and the squares use ``np.float_power``, which
+    is the float ``x**2`` (libm ``pow``), where numpy's array ``x**2`` is
+    ``x*x`` and can differ from it in the last bit.
     """
-    theta, omega = float(state[0]), float(state[1])
-    if not (math.isfinite(theta) and math.isfinite(omega)):
-        raise EnvError("pendulum_step: non-finite state input")
-    if not math.isfinite(float(torque)):
-        raise EnvError("pendulum_step: non-finite torque input")
+    # [()] turns a 0-d array into a numpy float, whose operations cost less
+    theta, omega, tq = (np.asarray(v, dtype=float)[()] for v in (state[0], state[1], torque))
+    if not theta.shape == omega.shape == tq.shape:
+        raise EnvError(f"pendulum_step: theta, omega and torque shapes differ: "
+                       f"{theta.shape}, {omega.shape}, {tq.shape}")
+    finite = np.isfinite((theta, omega, tq))
+    if np.count_nonzero(finite) < finite.size:
+        which = "state" if not finite[:2].all() else "torque"
+        raise EnvError(f"pendulum_step: non-finite {which} input")
     p = params
-    tq = min(max(float(torque), -p.torque_limit), p.torque_limit)
+    tq = np.minimum(np.maximum(tq, -p.torque_limit), p.torque_limit)
     theta = wrap_angle(theta)
     omega2 = omega + p.dt * (
-        -(p.gravity / p.length) * math.sin(theta + math.pi)
+        -(p.gravity / p.length) * np.sin(theta + math.pi)
         + tq / (p.mass * p.length**2)
         - p.friction * omega
     )
     theta2 = wrap_angle(theta + p.dt * omega2)
-    reward = -(theta2**2 + 0.1 * omega2**2 + 0.001 * tq**2)
+    reward = -(np.float_power(theta2, 2) + 0.1 * np.float_power(omega2, 2)
+               + 0.001 * np.float_power(tq, 2))
     return (theta2, omega2), reward
+
+
+def _pendulum_obs(theta, omega) -> np.ndarray:
+    """The observation (cos theta, sin theta, omega) of one state, or the
+    (n, 3) observations of n states."""
+    obs = np.empty(np.shape(theta) + (3,))
+    obs[..., 0] = np.cos(theta)
+    obs[..., 1] = np.sin(theta)
+    obs[..., 2] = omega
+    return obs
 
 
 def pendulum_energy(state: tuple[float, float], params: PendulumParams) -> float:
@@ -223,11 +243,6 @@ class PendulumEnv(Environment):
     def params(self) -> PendulumParams:
         return self._params
 
-    def _obs(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self._theta), math.sin(self._theta), self._omega], dtype=float
-        )
-
     def reset(self, seed: int | None = None) -> np.ndarray:
         self._reseed(seed)
         # uniform(-pi, pi) samples [-pi, pi); negating yields (-pi, pi]
@@ -236,36 +251,63 @@ class PendulumEnv(Environment):
         self._t = 0
         self._done = False
         self._needs_reset = False
-        return self._obs()
+        return _pendulum_obs(self._theta, self._omega)
 
     def step(self, action) -> StepResult:
         self._check_steppable()
         torque = float(np.asarray(action, dtype=float).reshape(-1)[0])
-        (self._theta, self._omega), reward = pendulum_step(
+        (theta, omega), reward = pendulum_step(
             (self._theta, self._omega), torque, self._params
         )
+        self._theta, self._omega = float(theta), float(omega)
         self._t += 1
         self._done = self._t >= self._params.horizon
-        return StepResult(self._obs(), float(reward), self._done)
+        return StepResult(_pendulum_obs(theta, omega), float(reward), self._done)
 
     def full_state(self) -> np.ndarray:
         return np.array([self._theta, self._omega], dtype=float)
 
+    def lockstep_returns(self, episodes: int, seed: int, choose) -> np.ndarray:
+        """Undiscounted returns of ``episodes`` episodes stepped together;
+        ``choose`` maps the (episodes, 3) observations of one time step to
+        their torques.
+
+        Stepping draws nothing and every episode lasts ``horizon`` steps, so
+        drawing all resets first, in episode order (the first seeded with
+        ``seed``), gives the returns of ``reset``/``step`` episodes run one
+        after another, bit for bit, when ``choose`` treats each row as it
+        would treat it alone; the env is left as they leave it, done.
+        """
+        if episodes < 1:
+            raise EnvError(f"{self.name}: lockstep_returns needs episodes >= 1")
+        starts = []
+        for ep in range(episodes):
+            self.reset(seed=seed if ep == 0 else None)
+            starts.append((self._theta, self._omega))
+        theta, omega = np.array(starts).T
+        returns = np.zeros(episodes)
+        for _ in range(self._params.horizon):
+            torques = choose(_pendulum_obs(theta, omega))
+            (theta, omega), reward = pendulum_step((theta, omega), torques, self._params)
+            returns += reward
+        self._theta, self._omega = float(theta[-1]), float(omega[-1])
+        self._t = self._params.horizon
+        self._done = True
+        return returns
+
     def simulate_step(self, obs: np.ndarray, actions) -> np.ndarray:
         # Each (cos theta, sin theta, omega) row is inverted to (theta, omega);
         # the cos/sin pair is renormalized, so mildly noisy observations decode
-        # fine, while a pair of near-zero magnitude carries no angle.
+        # fine, while a pair of near-zero magnitude carries no angle.  The
+        # decode stays on math.atan2: np.arctan2 differs from it in the last
+        # bit on some inputs.
         O, A = self._sim_inputs(obs, actions)
-        out = np.empty(O.shape)
-        torques = A.astype(float).tolist()
-        for i, (c, s, omega) in enumerate(O.tolist()):
-            if math.hypot(c, s) < 1e-6:
-                raise EnvError("pendulum: observation not invertible (cos/sin "
-                               "magnitude ~ 0, e.g. zeroed dimensions)")
-            state = (wrap_angle(math.atan2(s, c)), omega)
-            (theta2, omega2), _ = pendulum_step(state, torques[i], self._params)
-            out[i] = (math.cos(theta2), math.sin(theta2), omega2)
-        return out
+        if (np.hypot(O[:, 0], O[:, 1]) < 1e-6).any():
+            raise EnvError("pendulum: observation not invertible (cos/sin "
+                           "magnitude ~ 0, e.g. zeroed dimensions)")
+        theta = wrap_angle(np.array([math.atan2(s, c) for c, s in O[:, :2].tolist()]))
+        (theta2, omega2), _ = pendulum_step((theta, O[:, 2]), A.astype(float), self._params)
+        return _pendulum_obs(theta2, omega2)
 
 
 # ---------------------------------------------------------------------------

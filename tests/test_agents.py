@@ -5,6 +5,8 @@ import pytest
 
 import hybench as hb
 from hybench import agents, data, models, oracle
+from hybench.seeding import EVAL_ENV, EVAL_POLICY, derived_seed
+from hybench.wrappers import clone_env
 from hybench.agents import (
     AgentConfig,
     FunctionPolicy,
@@ -79,6 +81,118 @@ class TestEvaluatePolicy:
         a = evaluate_policy(env, pol, 50, seed=5)
         b = evaluate_policy(hb.make_env("windygrid"), pol, 50, seed=5)
         assert a == b
+
+
+def sequential_evaluate(env, policy, episodes, seed):
+    """``evaluate_policy`` as an episode-by-episode loop: one ``env.step``
+    per step."""
+    policy.reseed(derived_seed(seed, EVAL_POLICY))
+    returns = np.empty(episodes)
+    for ep in range(episodes):
+        obs = env.reset(seed=derived_seed(seed, EVAL_ENV) if ep == 0 else None)
+        total = 0.0
+        while True:
+            res = env.step(policy.act(obs, greedy=True))
+            total += res.reward
+            if res.done:
+                break
+            obs = res.obs
+        returns[ep] = total
+    std = float(np.std(returns, ddof=1)) if episodes > 1 else 0.0
+    return float(returns.mean()), std
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module")
+def pendulum_policies():
+    env = hb.make_env("pendulum")
+    cfg = default_agent_config(env)
+    return [train_online_q(env, cfg, seed, budget=600).policy for seed in range(3)]
+
+
+@pytest.fixture(scope="module")
+def pendulum_bcq_policy():
+    env = hb.make_env("pendulum")
+    cfg = dataclasses.replace(default_agent_config(env), bc_threshold=0.2,
+                              offline_iterations=20)
+    grid = agents.resolve_action_grid(env, cfg)
+    # a behavior policy that pushes with the swing: most actions are rare
+    behavior = FunctionPolicy(lambda o: 8 if o[2] > 0 else 0, grid, epsilon=0.3)
+    dataset = data.collect_dataset(env, behavior, 3000, "observed", seed=0)
+    return train_offline_bcq(dataset, cfg, seed=0).policy
+
+
+def forbid_lockstep(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("lockstep evaluation used")
+
+    monkeypatch.setattr(hb.PendulumEnv, "lockstep_returns", fail)
+
+
+class TestLockstepEvaluation:
+    @pytest.mark.parametrize("episodes", [1, 40])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_equals_sequential_loop(self, pendulum_policies, index, episodes):
+        policy = pendulum_policies[index]
+        got = evaluate_policy(hb.make_env("pendulum"), policy, episodes, seed=index + 7)
+        assert got == sequential_evaluate(hb.make_env("pendulum"), policy, episodes,
+                                          seed=index + 7)
+        if episodes == 1:
+            assert got[1] == 0.0
+
+    def test_perturbed_params(self, pendulum_policies):
+        env = hb.make_env("pendulum").with_params(gravity=6.0, friction=0.2, horizon=60)
+        got = evaluate_policy(env, pendulum_policies[0], 25, seed=3)
+        assert got == sequential_evaluate(clone_env(env), pendulum_policies[0], 25, seed=3)
+
+    def test_function_policy(self):
+        env = hb.make_env("pendulum")
+        policy = FunctionPolicy(lambda o: 8 if o[2] > 0 else 0,
+                                agents.resolve_action_grid(env, default_agent_config(env)))
+        assert evaluate_policy(env, policy, 10, seed=5) == sequential_evaluate(
+            hb.make_env("pendulum"), policy, 10, seed=5)
+
+    def test_behavior_masked_policy(self, pendulum_bcq_policy):
+        policy = pendulum_bcq_policy
+        obs = np.stack([hb.make_env("pendulum").reset(seed=s) for s in range(200)])
+        masked = policy.action_indices(obs)
+        unmasked = np.argmax(policy.q.values(obs), axis=1)
+        assert (masked != unmasked).any()  # the mask decides some actions
+        assert list(masked) == [direct_action_index(policy, o) for o in obs]
+        got = evaluate_policy(hb.make_env("pendulum"), policy, 30, seed=2)
+        assert got == sequential_evaluate(hb.make_env("pendulum"), policy, 30, seed=2)
+
+    def test_env_left_as_the_sequential_loop_leaves_it(self, pendulum_policies):
+        lock, seq = hb.make_env("pendulum"), hb.make_env("pendulum")
+        evaluate_policy(lock, pendulum_policies[1], 5, seed=4)
+        sequential_evaluate(seq, pendulum_policies[1], 5, seed=4)
+        assert bits(lock.full_state()) == bits(seq.full_state())
+        for env in (lock, seq):
+            with pytest.raises(hb.EnvError, match="after done"):
+                env.step(0.0)
+        assert bits(lock.reset()) == bits(seq.reset())
+
+    def test_other_cases_keep_the_sequential_loop(self, pendulum_policies, monkeypatch):
+        forbid_lockstep(monkeypatch)
+        policy = pendulum_policies[0]
+        noisy = hb.with_obs_noise(hb.make_env("pendulum"), 0.05)
+        assert evaluate_policy(noisy, policy, 3, seed=1) == sequential_evaluate(
+            hb.with_obs_noise(hb.make_env("pendulum"), 0.05), policy, 3, seed=1)
+        uniform = UniformPolicy(policy.action_grid, seed=0)
+        assert evaluate_policy(hb.make_env("pendulum"), uniform, 3, seed=1) == (
+            sequential_evaluate(hb.make_env("pendulum"), uniform, 3, seed=1))
+        walker = FunctionPolicy(lambda o: 3, (0, 1, 2, 3), epsilon=0.5)
+        assert evaluate_policy(hb.make_env("windygrid"), walker, 20, seed=1) == (
+            sequential_evaluate(hb.make_env("windygrid"), walker, 20, seed=1))
+
+    @pytest.mark.parametrize("episodes", [True, 2.5, "3", np.float64(4.0), -1])
+    def test_non_integer_episodes_rejected(self, episodes):
+        pol = UniformPolicy((0, 1, 2, 3), seed=0)
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate_policy(hb.make_env("windygrid"), pol, episodes, seed=0)
 
 
 class TestOnlineQ:
@@ -361,6 +475,18 @@ class TestConfigValidation:
     ])
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(ValueError, match=field):
+            AgentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("eval_episodes", 2.5),  # used to fail at the first evaluation
+        ("sweeps", True),
+        ("epochs", "3"),
+        ("rollout_batch", 1.5),
+        ("q_feature_count", 256.0),
+        ("fit_cap", -1),
+    ])
+    def test_non_integer_count_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             AgentConfig(**{field: value})
 
 

@@ -78,6 +78,77 @@ class TestPendulumStep:
             assert drift <= 0.02, f"secular energy drift {drift:.3%} from {theta0}"
 
 
+def scalar_pendulum_step(theta, omega, torque, p):
+    """The pendulum update on Python floats with math.sin and float ``**``,
+    written out independently of ``pendulum_step``."""
+    tq = min(max(torque, -p.torque_limit), p.torque_limit)
+    theta = math.pi - (math.pi - theta) % (2.0 * math.pi)
+    omega2 = omega + p.dt * (-(p.gravity / p.length) * math.sin(theta + math.pi)
+                             + tq / (p.mass * p.length**2) - p.friction * omega)
+    theta2 = math.pi - (math.pi - (theta + p.dt * omega2)) % (2.0 * math.pi)
+    return theta2, omega2, -(theta2**2 + 0.1 * omega2**2 + 0.001 * tq**2)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestPendulumStepBatch:
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = np.random.default_rng(0)
+        n = 10_000
+        theta = rng.uniform(-4 * math.pi, 4 * math.pi, n)
+        omega = rng.uniform(-15.0, 15.0, n)
+        torque = rng.uniform(-3.0, 3.0, n)  # a quarter beyond the +-2 limit
+        edges = list(itertools.product(
+            (math.pi, -math.pi, 0.0, -0.0, 3 * math.pi, 1e-300),
+            (0.0, 1e3, -1e4, 8.5),
+            (0.0, 2.0, -2.0, 2.0000001, 1e6, -1e9)))
+        edge = np.array(edges).T
+        return (np.concatenate([theta, edge[0]]), np.concatenate([omega, edge[1]]),
+                np.concatenate([torque, edge[2]]))
+
+    @pytest.mark.parametrize("params", [
+        hb.PendulumParams(),
+        hb.PendulumParams(gravity=4.0, friction=0.0, mass=1.5, length=0.7,
+                          torque_limit=1.0, dt=0.02),
+    ], ids=["default", "perturbed"])
+    def test_batch_equals_scalar_calls(self, inputs, params):
+        theta, omega, torque = inputs
+        (theta2, omega2), reward = hb.pendulum_step((theta, omega), torque, params)
+        assert theta2.shape == omega2.shape == reward.shape == theta.shape
+        rows = [hb.pendulum_step((t, w), q, params)
+                for t, w, q in zip(theta.tolist(), omega.tolist(), torque.tolist())]
+        assert bits(theta2) == bits([r[0][0] for r in rows])
+        assert bits(omega2) == bits([r[0][1] for r in rows])
+        assert bits(reward) == bits([r[1] for r in rows])
+        # and both equal the update on Python floats, squares by libm pow
+        ref = [scalar_pendulum_step(t, w, q, params)
+               for t, w, q in zip(theta.tolist(), omega.tolist(), torque.tolist())]
+        assert bits(theta2) == bits([r[0] for r in ref])
+        assert bits(omega2) == bits([r[1] for r in ref])
+        assert bits(reward) == bits([r[2] for r in ref])
+
+    def test_scalar_inputs_give_scalars(self):
+        (theta, omega), reward = hb.pendulum_step((1.0, 0.5), 1.0, hb.PendulumParams())
+        for value in (theta, omega, reward):
+            assert isinstance(value, float) and np.ndim(value) == 0
+
+    @pytest.mark.parametrize("where", ["theta", "omega", "torque"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected(self, where, bad):
+        arrays = {name: np.zeros(5) for name in ("theta", "omega", "torque")}
+        arrays[where][3] = bad
+        with pytest.raises(EnvError, match="non-finite"):
+            hb.pendulum_step((arrays["theta"], arrays["omega"]), arrays["torque"],
+                             hb.PendulumParams())
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(EnvError, match="shapes differ"):
+            hb.pendulum_step((np.zeros(3), np.zeros(3)), np.zeros(2), hb.PendulumParams())
+
+
 class TestPendulumEnv:
     def test_reset_deterministic(self):
         env = hb.make_env("pendulum")
@@ -123,6 +194,37 @@ class TestPendulumEnv:
         assert obs[0] == math.cos(theta)
         assert obs[1] == math.sin(theta)
         assert obs[2] == omega
+
+
+class TestPendulumSimulateStep:
+    def test_batch_equals_rows_one_at_a_time(self):
+        env = hb.make_env("pendulum", {"gravity": 7.0, "friction": 0.2})
+        rng = np.random.default_rng(1)
+        n = 2000
+        theta = rng.uniform(-math.pi, math.pi, n)
+        radius = rng.uniform(0.5, 1.5, n)  # noisy observations still decode
+        O = np.stack([radius * np.cos(theta), radius * np.sin(theta),
+                      rng.uniform(-8.0, 8.0, n)], axis=1)
+        A = rng.uniform(-3.0, 3.0, n)
+        batch = env.simulate_step(O, A)
+        assert batch.shape == (n, 3)
+        rows = [env.simulate_step(O[i:i + 1], A[i:i + 1]) for i in range(n)]
+        assert bits(batch) == bits(np.concatenate(rows))
+        expected = []
+        for (c, s, omega), a in zip(O.tolist(), A.tolist()):
+            theta2, omega2, _ = scalar_pendulum_step(wrap_angle(math.atan2(s, c)), omega,
+                                                     a, env.params)
+            expected.append((math.cos(theta2), math.sin(theta2), omega2))
+        assert bits(batch) == bits(expected)
+
+    def test_empty_batch(self):
+        out = hb.make_env("pendulum").simulate_step(np.empty((0, 3)), np.empty(0))
+        assert out.shape == (0, 3)
+
+    def test_non_invertible_row_rejected(self):
+        O = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(EnvError, match="not invertible"):
+            hb.make_env("pendulum").simulate_step(O, [0.0, 0.0])
 
 
 class TestWindyGrid:
