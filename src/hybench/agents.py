@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import Dataset, _int, check_field, check_format_version, load_json, save_json
+from .data import Dataset, _int, check_field, load_json, read_versioned, save_json
 from .envs import ContinuousActions, DiscreteActions, Environment, PendulumEnv
 from .models import (
     FEATURE_KINDS,
@@ -37,7 +37,7 @@ from .models import (
     disagreement,
     fit_ensemble,
 )
-from .records import field_types
+from .records import field_types, write_record
 from .seeding import (
     EVAL_ENV,
     EVAL_POLICY,
@@ -102,20 +102,24 @@ class AgentConfig:
         for name, tp in field_types(AgentConfig)[0].items():
             if tp is int:  # every int field is a count
                 check_field(name, _int, getattr(self, name))
-        if self.bc_threshold < 0 or self.bc_threshold > 1:
-            raise ValueError("bc_threshold must be in [0, 1]")
         for name in ("sweeps", "episodes_per_sweep", "q_iterations", "explore_hold",
-                     "n_step", "offline_iterations", "epochs", "eval_episodes"):
+                     "n_step", "offline_iterations", "epochs", "eval_episodes",
+                     "q_feature_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.rollout_horizon < 0 or self.rollout_batch < 0:
             raise ValueError("rollout horizon and batch must be >= 0")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must be in [0, 1)")
-        if not 0 <= self.mix_real <= 1:
-            raise ValueError(f"mix_real must be in [0, 1], got {self.mix_real}")
-        if not self.q_ridge > 0:
-            raise ValueError(f"q_ridge must be > 0, got {self.q_ridge}")
+        for name in ("mix_real", "bc_threshold", "epsilon_start", "epsilon_end",
+                     "rollout_epsilon"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("q_ridge", "q_bandwidth"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.action_grid is not None and not self.action_grid:
+            raise ValueError("action_grid must hold at least one action, or be null")
         for name, value, valid in (
             ("q_action_design", self.q_action_design, ("onehot", "quadratic")),
             ("q_feature_kind", self.q_feature_kind, FEATURE_KINDS),
@@ -710,14 +714,6 @@ def train_online_q(
     return result
 
 
-def _grid_action(a):
-    if isinstance(a, (np.floating, float)):
-        return float(a)
-    if isinstance(a, (np.integer, int)):
-        return int(a)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Offline behavior-constrained fitted-Q
 # ---------------------------------------------------------------------------
@@ -950,53 +946,37 @@ def _grid_action_space(grid: tuple):
 # Policy serialization (round-trip identity is the only contract)
 # ---------------------------------------------------------------------------
 
-POLICY_FORMAT_VERSION = "hybench-policy/1"
+POLICY_FORMAT_VERSION = "hybench-policy/2"
+
+
+@dataclass(frozen=True)
+class _PolicyRecord:
+    """A saved policy: a ``QPolicy``, or without ``q`` a ``UniformPolicy``."""
+
+    action_grid: tuple[float, ...]
+    epsilon: float
+    q: QFunction | None = None
+    behavior: BehaviorModel | None = None
+    bc_threshold: float = 0.0
 
 
 def policy_to_dict(policy: Policy) -> dict:
-    out = {
-        "format_version": POLICY_FORMAT_VERSION,
-        "action_grid": [_grid_action(a) for a in policy.action_grid],
-        "epsilon": policy.epsilon,
-    }
-    if isinstance(policy, UniformPolicy):
-        out["type"] = "uniform"
-        return out
     if isinstance(policy, QPolicy):
-        out["type"] = "q"
-        out["q"] = {
-            "features": policy.q.features.to_dict(),
-            "weights": policy.q.weights.tolist(),
-            "gamma": policy.q.gamma,
-            "action_design": policy.q.action_design,
-        }
-        out["bc_threshold"] = policy.bc_threshold
-        if policy.behavior is not None:
-            out["behavior"] = {
-                "features": policy.behavior.features.to_dict(),
-                "weights": policy.behavior.weights.tolist(),
-            }
-        return out
-    raise TypeError(f"cannot serialize policy type {type(policy).__name__}")
+        record = _PolicyRecord(policy.action_grid, policy.epsilon, policy.q,
+                               policy.behavior, policy.bc_threshold)
+    elif isinstance(policy, UniformPolicy):
+        record = _PolicyRecord(policy.action_grid, policy.epsilon)
+    else:
+        raise TypeError(f"cannot serialize policy type {type(policy).__name__}")
+    return {"format_version": POLICY_FORMAT_VERSION, **write_record(record)}
 
 
 def policy_from_dict(d: dict) -> Policy:
-    check_format_version(d, POLICY_FORMAT_VERSION, "policy")
-    grid = tuple(d["action_grid"])
-    if d["type"] == "uniform":
-        return UniformPolicy(grid)
-    q_d = d["q"]
-    design = q_d.get("action_design", "onehot")
-    q = QFunction(FeatureMap.from_dict(q_d["features"]), np.array(q_d["weights"]),
-                  q_d["gamma"], design, _action_basis(grid, design))
-    behavior = None
-    if "behavior" in d:
-        behavior = BehaviorModel(
-            FeatureMap.from_dict(d["behavior"]["features"]),
-            np.array(d["behavior"]["weights"]),
-        )
-    return QPolicy(q, grid, epsilon=d["epsilon"], behavior=behavior,
-                   bc_threshold=d.get("bc_threshold", 0.0))
+    r = read_versioned(_PolicyRecord, d, POLICY_FORMAT_VERSION, "policy")
+    if r.q is None:
+        return UniformPolicy(r.action_grid)
+    return QPolicy(r.q, r.action_grid, epsilon=r.epsilon, behavior=r.behavior,
+                   bc_threshold=r.bc_threshold)
 
 
 def save_policy(policy: Policy, path) -> None:

@@ -39,7 +39,7 @@ from .data import (
     read_dataset,
 )
 from .envs import Environment, make_env
-from .records import check_keys, field_types, read_record, read_value
+from .records import check_keys, field_types, read_record, read_value, write_record
 from .seeding import REFS, derived_seed
 from .wrappers import clone_env, env_signature
 
@@ -159,7 +159,7 @@ class BenchConfig:
         if self.dataset_path is not None:
             dataset = {"path": self.dataset_path}
         elif self.dataset_recipe is not None:
-            dataset = self.dataset_recipe.to_dict()
+            dataset = write_record(self.dataset_recipe)
         else:
             dataset = None
         return {
@@ -218,7 +218,7 @@ def config_hash(config: BenchConfig) -> str:
 
 def dataset_hash(dataset: Dataset) -> str:
     h = hashlib.sha256()
-    h.update(json.dumps(dataset.meta.to_dict(), sort_keys=True).encode())
+    h.update(json.dumps(write_record(dataset.meta), sort_keys=True).encode())
     O, A, R, O2, D = dataset.arrays()
     for arr in (O, np.asarray(A, dtype=float), R, O2, D.astype(np.uint8)):
         h.update(np.ascontiguousarray(arr).tobytes())

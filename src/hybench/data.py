@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
 
 from .envs import Environment, StepResult
-from .records import check_keys, key_errors, read_record
+from .records import check_keys, key_errors, read_record, write_record
 from .seeding import COLLECT_ENV, COLLECT_POLICY, DATA_NOISE, derived_rng, derived_seed
 from .wrappers import (
     EnvWrapper,
@@ -76,27 +75,6 @@ class TierError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(value):
-    """Convert parameter values to JSON-native types (tuples become lists,
-    exact fractions become 'p/q' strings) so metadata round-trips exactly."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (tuple, list)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
-def env_params_dict(env: Environment) -> dict:
-    params = env.params
-    return _jsonify(asdict(params) if is_dataclass(params) else dict(params))
-
-
 @dataclass
 class DatasetMeta:
     env_name: str
@@ -116,9 +94,6 @@ class DatasetMeta:
                 f"unknown behavior mode {self.behavior_mode!r}; valid: {BEHAVIOR_MODES}"
             )
         self.corruption = tuple(dict(c) for c in self.corruption)
-
-    def to_dict(self) -> dict:
-        return _jsonify(asdict(self))
 
 
 @dataclass(eq=False)
@@ -184,7 +159,7 @@ def _env_dataset(env: Environment, columns, tier: str, behavior_mode: str, seed:
                  corruption: tuple = ()) -> Dataset:
     meta = DatasetMeta(
         env_name=env.name,
-        env_params=env_params_dict(env),
+        env_params=write_record(env.params),
         tier=tier,
         corruption=corruption,
         behavior_mode=behavior_mode,
@@ -645,9 +620,6 @@ class DatasetRecipe:
             self, "corruption", tuple(check_spec(c, "data") for c in self.corruption)
         )
 
-    def to_dict(self) -> dict:
-        return _jsonify(asdict(self))
-
 
 def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Dataset:
     """Materialize a dataset from a recipe on (a clone of) the given true env."""
@@ -708,11 +680,12 @@ def _collect(collect_env, policy, count, recipe: DatasetRecipe, tier: str) -> Da
 # ---------------------------------------------------------------------------
 
 
-def check_format_version(d, expected: str, what: str) -> None:
-    """Raise unless ``d`` is an object whose ``format_version`` is ``expected``."""
+def read_versioned(cls, d, expected: str, what: str):
+    """The ``cls`` record of the JSON object ``d`` of format ``expected``."""
     version = d.get("format_version") if isinstance(d, dict) else None
     if version != expected:
         raise ValueError(f"unsupported {what} format {version!r}; expected {expected!r}")
+    return read_record(cls, {k: v for k, v in d.items() if k != "format_version"}, what)
 
 
 def save_json(payload: dict, path) -> None:
@@ -762,7 +735,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         bad = ", ".join(name for name, col_ok in finite.items() if not col_ok[i])
         raise ValueError(f"record {i}: non-finite {bad} cannot be serialized")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(dataset.meta.to_dict()) + "\n")
+        fh.write(json.dumps(write_record(dataset.meta)) + "\n")
         for o, a, r, o2, d in zip(O.tolist(), A.tolist(), R.tolist(), O2.tolist(),
                                   D.tolist()):
             fh.write(json.dumps({"o": o, "a": a, "r": r, "o2": o2, "d": d}) + "\n")

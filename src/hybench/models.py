@@ -18,14 +18,16 @@ uncertainty penalty used by model-based agents.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_format_version, load_json, save_json
+from .data import Dataset, _int, _ints, check_field, load_json, read_versioned, save_json
 from .envs import ContinuousActions, DiscreteActions
+from .records import read_value, write_record
 from .seeding import derived_rng
 
 
@@ -41,56 +43,76 @@ class ModelFitError(RuntimeError):
 FEATURE_KINDS = ("polynomial", "random_fourier")
 
 
+@dataclass(frozen=True)
 class FeatureMap:
     """Deterministic feature expansion with a bias column.
 
-    Two kinds: ``polynomial`` (all monomials up to a total degree) and
-    ``random_fourier`` (cosine features with a seeded frequency draw).  An
-    optional affine input transform ``(x + shift) * scale`` is part of the
-    map's identity; it exists purely for conditioning.
+    Two kinds: ``polynomial`` (all monomials up to a total ``degree``,
+    optionally capped per input dimension by ``dim_degrees``) and
+    ``random_fourier`` (``count`` cosine features with a frequency draw
+    seeded by ``seed``, scaled by ``bandwidth``).  The fields are the map's
+    identity; its tables are derived from them.  An affine input transform
+    ``(x + shift) * scale`` (zeros and ones when None) exists purely for
+    conditioning.
     """
 
-    def __init__(self, kind, input_dim, shift, scale, degree=None, count=None,
-                 bandwidth=None, seed=None, dim_degrees=None):
-        self.kind = kind
-        self.input_dim = int(input_dim)
-        self.shift = np.asarray(shift, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-        self.degree = degree
-        self.count = count
-        self.bandwidth = bandwidth
-        self.seed = seed
-        self.dim_degrees = tuple(dim_degrees) if dim_degrees is not None else None
-        if kind == "polynomial":
-            self._exponents = [
-                exps
-                for d in range(degree + 1)
-                for exps in _exponent_tuples(self.input_dim, d)
-                if self._within_caps(exps)
-            ]
-            self.output_dim = len(self._exponents)
+    kind: str
+    input_dim: int
+    shift: tuple[float, ...] | None = None
+    scale: tuple[float, ...] | None = None
+    degree: int | None = None
+    count: int | None = None
+    bandwidth: float | None = None
+    seed: int | None = None
+    dim_degrees: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in FEATURE_KINDS:
+            raise ValueError(f"unknown feature map kind {self.kind!r}; valid: {FEATURE_KINDS}")
+        n = check_field("input_dim", _int, self.input_dim)
+        put = functools.partial(object.__setattr__, self)
+        put("shift", (0.0,) * n if self.shift is None else tuple(map(float, self.shift)))
+        put("scale", (1.0,) * n if self.scale is None else tuple(map(float, self.scale)))
+        for name in ("shift", "scale", "dim_degrees"):
+            value = getattr(self, name)
+            if value is not None and len(value) != n:
+                raise ValueError(f"feature map {name} must have one entry per input "
+                                 f"dimension ({n}), got {len(value)}")
+        for name in (("count", "bandwidth", "seed") if self.kind == "polynomial"
+                     else ("degree", "dim_degrees")):
+            if getattr(self, name) is not None:
+                raise ValueError(f"a {self.kind} feature map takes no {name}")
+        put("_shift", np.array(self.shift))
+        put("_scale", np.array(self.scale))
+        if self.kind == "polynomial":
+            put("degree", check_field("degree", _int, self.degree))
+            if self.dim_degrees is not None:
+                put("dim_degrees", tuple(check_field("dim_degrees", _ints, self.dim_degrees)))
+            caps = self.dim_degrees or (self.degree,) * n
+            exponents = [exps for d in range(self.degree + 1) for exps in _exponent_tuples(n, d)
+                         if all(e <= caps[dim] for dim, e in exps)]
             # each monomial is a product of entries of a power table whose
             # column 0 is all ones and column k is Xs[:, dim] ** e for the
             # k-th distinct (dim, e); short monomials pad with column 0
-            self._powers = sorted({p for exps in self._exponents for p in exps})
-            slot = {p: k + 1 for k, p in enumerate(self._powers)}
-            width = max(1, max(len(exps) for exps in self._exponents))
-            self._factors = np.array(
-                [[slot[p] for p in exps] + [0] * (width - len(exps))
-                 for exps in self._exponents], dtype=np.intp
-            ).T
-        elif kind == "random_fourier":
-            rng = derived_rng(int(seed))
-            self._freqs = rng.standard_normal((count, self.input_dim)) / bandwidth
-            self._phases = rng.uniform(0.0, 2.0 * math.pi, size=count)
-            self.output_dim = count + 1  # + bias
+            powers = sorted({p for exps in exponents for p in exps})
+            slot = {p: k + 1 for k, p in enumerate(powers)}
+            width = max(1, max(len(exps) for exps in exponents))
+            put("_exponents", exponents)
+            put("_powers", powers)
+            put("_factors", np.array([[slot[p] for p in exps] + [0] * (width - len(exps))
+                                      for exps in exponents], dtype=np.intp).T)
+            put("output_dim", len(exponents))
         else:
-            raise ValueError(f"unknown feature kind {kind!r}")
-
-    def _within_caps(self, exps) -> bool:
-        if self.dim_degrees is None:
-            return True
-        return all(e <= self.dim_degrees[dim] for dim, e in exps)
+            put("count", check_field("count", _int, self.count))
+            put("bandwidth", float(read_value(float, self.bandwidth, "bandwidth")))
+            put("seed", check_field("seed", _int, self.seed))
+            for name in ("count", "bandwidth"):
+                if not getattr(self, name) > 0:
+                    raise ValueError(f"feature {name} must be > 0, got {getattr(self, name)}")
+            rng = derived_rng(self.seed)
+            put("_freqs", rng.standard_normal((self.count, n)) / self.bandwidth)
+            put("_phases", rng.uniform(0.0, 2.0 * math.pi, size=self.count))
+            put("output_dim", self.count + 1)  # + bias
 
     @classmethod
     def polynomial(cls, input_dim: int, degree: int, shift=None, scale=None,
@@ -99,24 +121,14 @@ class FeatureMap:
         optionally caps the exponent per input dimension (on a finite grid of
         k levels per dimension, caps of k-1 give a complete full-rank basis).
         """
-        if degree < 0:
-            raise ValueError("polynomial degree must be >= 0")
-        shift = np.zeros(input_dim) if shift is None else shift
-        scale = np.ones(input_dim) if scale is None else scale
-        return cls("polynomial", input_dim, shift, scale, degree=int(degree),
+        return cls("polynomial", input_dim, shift, scale, degree=degree,
                    dim_degrees=dim_degrees)
 
     @classmethod
     def random_fourier(cls, input_dim: int, count: int, bandwidth: float,
                        seed: int, shift=None, scale=None) -> "FeatureMap":
-        if count < 1:
-            raise ValueError("feature count must be >= 1")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
-        shift = np.zeros(input_dim) if shift is None else shift
-        scale = np.ones(input_dim) if scale is None else scale
         return cls("random_fourier", input_dim, shift, scale,
-                   count=int(count), bandwidth=float(bandwidth), seed=int(seed))
+                   count=count, bandwidth=bandwidth, seed=seed)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -126,7 +138,7 @@ class FeatureMap:
             raise ValueError(
                 f"feature map expects input dim {self.input_dim}, got {X.shape[1]}"
             )
-        Xs = (X + self.shift) * self.scale
+        Xs = (X + self._shift) * self._scale
         if self.kind == "polynomial":
             table = np.empty((X.shape[0], len(self._powers) + 1))
             table[:, 0] = 1.0
@@ -139,34 +151,6 @@ class FeatureMap:
         Z = Xs @ self._freqs.T + self._phases
         phi = math.sqrt(2.0 / self.count) * np.cos(Z)
         return np.concatenate([np.ones((X.shape[0], 1)), phi], axis=1)
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "shift": self.shift.tolist(),
-            "scale": self.scale.tolist(),
-        }
-        if self.kind == "polynomial":
-            out["degree"] = self.degree
-            out["dim_degrees"] = (
-                list(self.dim_degrees) if self.dim_degrees is not None else None
-            )
-        else:
-            out.update(count=self.count, bandwidth=self.bandwidth, seed=self.seed)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureMap":
-        if d["kind"] == "polynomial":
-            return cls.polynomial(d["input_dim"], d["degree"], d["shift"], d["scale"],
-                                  d.get("dim_degrees"))
-        return cls.random_fourier(
-            d["input_dim"], d["count"], d["bandwidth"], d["seed"], d["shift"], d["scale"]
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FeatureMap) and self.to_dict() == other.to_dict()
 
 
 def _exponent_tuples(dim: int, degree: int):
@@ -323,24 +307,24 @@ class ModelConfig:
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"unknown model feature_kind {self.feature_kind!r}; "
                              f"valid: {FEATURE_KINDS}")
-        if not self.ridge > 0:  # the fit's condition bound divides by it
-            raise ValueError(f"model ridge must be > 0, got {self.ridge}")
+        for name in ("ridge", "bandwidth"):  # the fit's condition bound divides by the ridge
+            if not getattr(self, name) > 0:
+                raise ValueError(f"model {name} must be > 0, got {getattr(self, name)}")
         for name in ("n_members", "feature_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"model {name} must be >= 1, got {getattr(self, name)}")
+        if self.poly_degree < 0:
+            raise ValueError(f"model poly_degree must be >= 0, got {self.poly_degree}")
         if not 0 <= self.holdout_fraction < 1:
             raise ValueError("model holdout_fraction must be in [0, 1), "
                              f"got {self.holdout_fraction}")
 
     def feature_map(self, input_dim: int, member_seed: int) -> FeatureMap:
-        shift = self.input_shift
-        scale = self.input_scale
         if self.feature_kind == "polynomial":
-            return FeatureMap.polynomial(input_dim, self.poly_degree, shift, scale,
-                                         self.poly_dim_degrees)
-        return FeatureMap.random_fourier(
-            input_dim, self.feature_count, self.bandwidth, member_seed, shift, scale
-        )
+            return FeatureMap.polynomial(input_dim, self.poly_degree, self.input_shift,
+                                         self.input_scale, self.poly_dim_degrees)
+        return FeatureMap.random_fourier(input_dim, self.feature_count, self.bandwidth,
+                                         member_seed, self.input_shift, self.input_scale)
 
 
 def disagreement(mus: np.ndarray) -> np.ndarray:
@@ -356,12 +340,13 @@ class CorrectionEnsemble:
     state-part is the next observation itself or a correction added to a
     simulator's prediction."""
 
-    members: list[GaussianRegressor]
+    members: tuple[GaussianRegressor, ...]
     mode: str  # "direct" | "correction"
     obs_dim: int
     action_space: DiscreteActions | ContinuousActions
 
     def __post_init__(self):
+        self.members = tuple(self.members)
         if self.mode not in ("direct", "correction"):
             raise ValueError(f"unknown ensemble mode {self.mode!r}")
         if len(self.members) < 1:
@@ -378,15 +363,6 @@ class CorrectionEnsemble:
         """Raw member mean targets, shape (N, n, T)."""
         X = encode_model_input(obs, actions, self.action_space)
         return np.stack([m.predict_mean(X) for m in self.members])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CorrectionEnsemble)
-            and self.mode == other.mode
-            and self.obs_dim == other.obs_dim
-            and self.action_space == other.action_space
-            and self.members == other.members
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -446,57 +422,15 @@ def fit_ensemble(dataset: Dataset, config: ModelConfig, sim_next_obs=None,
 # Serialization (round-trip identity is the only contract)
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_FORMAT_VERSION = "hybench-ensemble/1"
+ENSEMBLE_FORMAT_VERSION = "hybench-ensemble/2"
 
 
 def ensemble_to_dict(ens: CorrectionEnsemble) -> dict:
-    if isinstance(ens.action_space, DiscreteActions):
-        space = {"type": "discrete", "count": ens.action_space.count}
-    else:
-        space = {
-            "type": "continuous",
-            "low": ens.action_space.low,
-            "high": ens.action_space.high,
-            "dim": ens.action_space.dim,
-        }
-    return {
-        "format_version": ENSEMBLE_FORMAT_VERSION,
-        "mode": ens.mode,
-        "obs_dim": ens.obs_dim,
-        "action_encoding": "onehot",
-        "action_space": space,
-        "members": [
-            {
-                "features": m.features.to_dict(),
-                "weights": m.weights.tolist(),
-                "noise_var": m.noise_var.tolist(),
-                "ridge": m.ridge,
-            }
-            for m in ens.members
-        ],
-    }
+    return {"format_version": ENSEMBLE_FORMAT_VERSION, **write_record(ens)}
 
 
 def ensemble_from_dict(d: dict) -> CorrectionEnsemble:
-    check_format_version(d, ENSEMBLE_FORMAT_VERSION, "ensemble")
-    if d.get("action_encoding", "onehot") != "onehot":
-        raise ValueError(f"unsupported action encoding {d['action_encoding']!r}; "
-                         "expected 'onehot'")
-    space_d = d["action_space"]
-    if space_d["type"] == "discrete":
-        space = DiscreteActions(space_d["count"])
-    else:
-        space = ContinuousActions(space_d["low"], space_d["high"], space_d["dim"])
-    members = [
-        GaussianRegressor(
-            FeatureMap.from_dict(m["features"]),
-            np.array(m["weights"]),
-            np.array(m["noise_var"]),
-            m["ridge"],
-        )
-        for m in d["members"]
-    ]
-    return CorrectionEnsemble(members, d["mode"], d["obs_dim"], space)
+    return read_versioned(CorrectionEnsemble, d, ENSEMBLE_FORMAT_VERSION, "ensemble")
 
 
 def save_ensemble(ens: CorrectionEnsemble, path) -> None:

@@ -1,23 +1,30 @@
-"""The one reader of JSON config records into dataclasses.
+"""The one mapping of JSON records to and from dataclasses.
 
 A benchmark config's sections, dataset recipes, agent and model settings,
-environment parameters and dataset metadata all follow one rule: unknown
-and missing keys are errors; each value must match its field's annotation
-(``int`` rejects 2.5 and true, ``float`` takes a finite real, ``X | None``
-also takes null, a ``tuple`` field takes a list and checks its elements);
-and an accepted value keeps its type, so a config hashes as it always did.
-``__post_init__`` still checks ranges.
+environment parameters, dataset metadata, saved policies and saved
+ensembles all follow one rule: unknown and missing keys are errors; each
+value must match its field's annotation (``int`` rejects 2.5 and true,
+``float`` takes a finite real, ``X | None`` also takes null, a ``tuple``
+field takes a list and checks its elements, an ``np.ndarray`` field takes a
+nested list of finite numbers, and a dataclass takes an object, in a union
+read as the arm whose keys it has); and an accepted value keeps its type,
+so a config hashes as it always did.  ``__post_init__`` still checks
+ranges.  :func:`write_record` is the inverse of :func:`read_record`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import reprlib
 import types
 import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass, replace
+from fractions import Fraction
 from numbers import Integral, Real
+
+import numpy as np
 
 _MISMATCH = object()
 
@@ -64,31 +71,54 @@ def key_errors(obj, required, optional) -> tuple[list, list]:
     return unknown, [key for key in required if key not in obj]
 
 
-def read_record(cls, obj, what: str, base=None):
+def read_record(cls, obj, what: str, base=None, path: str = ""):
     """A ``cls`` dataclass read from the JSON object ``obj``.
 
     Without ``base`` every field without a default is required; with one,
     ``obj`` overrides the base's fields and a nested dataclass field is read
-    over the base's value.
+    over the base's value.  Messages name each field by ``path`` plus its
+    name, so a nested record's fields read ``outer.inner``.
     """
     annotations, required = field_types(cls)
     check_keys(obj, what, () if base is not None else required, annotations)
     values = {}
     for name, value in obj.items():
-        tp = annotations[name]
+        tp, where = annotations[name], path + name
         if is_dataclass(tp):
-            values[name] = read_record(tp, value, name, getattr(base, name, None))
+            values[name] = read_record(tp, value, where, getattr(base, name, None), where + ".")
         else:
-            values[name] = read_value(tp, value, name)
-    return replace(base, **values) if base is not None else cls(**values)
+            values[name] = read_value(tp, value, where)
+    try:
+        return replace(base, **values) if base is not None else cls(**values)
+    except ValueError as exc:  # a range check of a nested record: name where it sits
+        raise ValueError(f"{what}: {exc}" if path else str(exc)) from None
 
 
 def read_value(tp, value, name: str):
     """``value`` as the annotation ``tp`` reads it: lists become tuples."""
-    out = _convert(tp, value)
+    out = _convert(tp, value, name)
     if out is _MISMATCH:
-        raise ValueError(f"{name} must be {_describe(tp)}, got {value!r}")
+        got = reprlib.repr(value)  # bounded: a field may hold megabytes of weights
+        raise ValueError(f"{name} must be {_describe(tp)}, got "
+                         f"{got if len(got) <= 80 else got[:76] + ' ...'}")
     return out
+
+
+def write_record(value):
+    """``value`` as plain JSON, the inverse of :func:`read_record`: a
+    dataclass becomes an object of its init fields, a tuple or list a list,
+    an array or numpy scalar plain numbers, and a ``Fraction`` ``"p/q"``."""
+    if is_dataclass(value):
+        return {f.name: write_record(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (tuple, list)):
+        return [write_record(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: write_record(v) for k, v in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 @functools.cache
@@ -111,19 +141,42 @@ def _is_tuple(tp) -> bool:
     return tp is tuple or typing.get_origin(tp) is tuple
 
 
-def _convert(tp, value):
-    """``value`` read as ``tp``, or ``_MISMATCH``.  A parametrized tuple has
+def _is_number_list(value) -> bool:
+    """Whether ``value`` is a list nesting nothing but finite numbers."""
+    return isinstance(value, list) and all(
+        _is_number_list(v) if isinstance(v, list) else _is_finite_real(v) for v in value)
+
+
+def _convert(tp, value, name: str):
+    """``value`` read as ``tp``, or ``_MISMATCH``; a nested record that does
+    not read raises, naming its path from ``name``.  A parametrized tuple has
     one element type: ``tuple[X, ...]``, or ``tuple[X, X]`` of fixed length."""
     args = typing.get_args(tp)
+    if is_dataclass(tp):
+        return (read_record(tp, value, name, path=name + ".")
+                if isinstance(value, dict) else _MISMATCH)
     if typing.get_origin(tp) is types.UnionType:
-        outs = (_convert(arm, value) for arm in args)
+        records = [arm for arm in args if is_dataclass(arm)]
+        if records and isinstance(value, dict):
+            # the arm whose keys the object has; a lone record arm reports its own errors
+            fits = [arm for arm in records
+                    if not any(key_errors(value, *field_types(arm)[::-1]))]
+            return (_convert((fits + records)[0], value, name)
+                    if fits or len(records) == 1 else _MISMATCH)
+        outs = (_convert(arm, value, name) for arm in args)
         return next((out for out in outs if out is not _MISMATCH), _MISMATCH)
     if _is_tuple(tp):
         if not isinstance(value, (list, tuple)) or (
                 args and args[-1] is not ... and len(args) != len(value)):
             return _MISMATCH
-        out = tuple(_convert(args[0], v) for v in value) if args else tuple(value)
+        out = (tuple(_convert(args[0], v, f"{name}[{i}]") for i, v in enumerate(value))
+               if args else tuple(value))
         return _MISMATCH if any(v is _MISMATCH for v in out) else out
+    if tp is np.ndarray:
+        try:
+            return np.array(value, dtype=float) if _is_number_list(value) else _MISMATCH
+        except ValueError:  # ragged nesting
+            return _MISMATCH
     if not _SCALARS[tp][0](value):
         return _MISMATCH
     return dict(value) if tp is dict else value
@@ -140,4 +193,8 @@ def _describe(tp, plural: bool = False) -> str:
             return text
         count = "" if args[-1] is ... else f"{len(args)} "
         return f"{text} of {count}{_describe(args[0], plural=True)}"
+    if tp is np.ndarray:
+        return "nested lists of finite numbers" if plural else "a nested list of finite numbers"
+    if is_dataclass(tp):
+        return f"{tp.__name__} objects" if plural else f"a {tp.__name__} object"
     return _SCALARS[tp][2 if plural else 1]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hybench.agents import (
     train_mopo_lite,
     train_offline_bcq,
     train_online_q,
+    with_epsilon,
 )
 
 
@@ -478,6 +480,27 @@ class TestConfigValidation:
             AgentConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
+        # all of these used to be accepted
+        ("q_feature_count", 0),
+        ("q_bandwidth", 0.0),
+        ("q_bandwidth", -1.0),
+        ("model.bandwidth", 0.0),
+        ("model.bandwidth", -0.5),
+        ("model.poly_degree", -1),
+        ("action_grid", []),
+        ("epsilon_start", 1.5),
+        ("epsilon_end", -0.1),
+        ("rollout_epsilon", 2.0),
+    ])
+    def test_out_of_range_value_rejected_when_config_loads(self, field, value):
+        *model, name = field.split(".")
+        overrides = {"model": {name: value}} if model else {name: value}
+        config = {"benchmark_id": "x", "env": {"name": "windygrid"},
+                  "agent": {"name": "online_q", "config": overrides}}
+        with pytest.raises(ValueError, match=name):
+            hb.bench.BenchConfig.from_dict(config)
+
+    @pytest.mark.parametrize("field,value", [
         ("eval_episodes", 2.5),  # used to fail at the first evaluation
         ("sweeps", True),
         ("epochs", "3"),
@@ -513,6 +536,39 @@ class TestPolicySerialization:
         agents.save_policy(res.policy, path)
         back = agents.load_policy(path)
         assert np.array_equal(back.q.weights, res.policy.q.weights)
+
+
+    def test_json_round_trip_is_bit_exact(self, pendulum_bcq_policy):
+        # a float grid, the quadratic design and a behavior mask, through JSON text
+        pol = with_epsilon(pendulum_bcq_policy, 0.1)
+        back = policy_from_dict(json.loads(json.dumps(policy_to_dict(pol))))
+        assert back.action_grid == pol.action_grid and back.epsilon == 0.1
+        assert back.bc_threshold == pol.bc_threshold
+        assert back.q.features == pol.q.features
+        for a, b in ((back.q.weights, pol.q.weights), (back.q.basis, pol.q.basis),
+                     (back.behavior.weights, pol.behavior.weights)):
+            assert bits(a) == bits(b)
+        obs = np.random.default_rng(0).normal(size=(200, 3))
+        assert np.array_equal(back.action_indices(obs), pol.action_indices(obs))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("epsilon"), r"policy is missing required keys \['epsilon'\]"),
+        (lambda d: d.update(type="q"), r"unknown policy keys \['type'\]"),
+        (lambda d: d["q"].update(gamma="0.9"), r"q.gamma must be a finite number"),
+        (lambda d: d["q"]["weights"][3].append("x"), r"q.weights must be a nested list"),
+        (lambda d: d["q"]["features"].update(kind="x"),
+         r"q.features: unknown feature map kind 'x'"),
+        (lambda d: d["behavior"]["features"].pop("seed"), r"behavior.features: .*seed"),
+        (lambda d: d.update(format_version="hybench-policy/1"),
+         r"unsupported policy format 'hybench-policy/1'"),
+    ], ids=["missing", "unknown", "type", "ragged", "kind", "seed", "version"])
+    def test_malformed_policy_fails_naming_field(self, pendulum_bcq_policy, edit, message):
+        # these used to fail with a KeyError or TypeError, or to load
+        d = json.loads(json.dumps(policy_to_dict(pendulum_bcq_policy)))
+        edit(d)
+        with pytest.raises(ValueError, match=message) as err:
+            policy_from_dict(d)
+        assert len(str(err.value)) < 300
 
 
 def direct_action_index(policy, obs):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import hybench as hb
 from hybench import agents, data, models
 from hybench.envs import EnvError, Environment
 from hybench.models import FeatureMap, ModelConfig, encode_model_input
+from hybench.records import read_record, write_record
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +93,40 @@ class TestFeatureMap:
             FeatureMap.polynomial(2, 3, dim_degrees=(2, 1)),
             FeatureMap.random_fourier(4, 32, 0.7, seed=9),
         ):
-            back = FeatureMap.from_dict(fm.to_dict())
+            back = read_record(FeatureMap, write_record(fm), "feature map")
             assert back == fm
             X = np.random.default_rng(1).normal(size=(5, fm.input_dim))
             assert np.array_equal(back.transform(X), fm.transform(X))
+
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(kind="x", input_dim=2), "kind"),
+        (dict(kind="polynomial", input_dim=3, degree=2, shift=(0.0,)), "shift"),
+        (dict(kind="polynomial", input_dim=3, degree=2, scale=(1.0,)), "scale"),
+        (dict(kind="polynomial", input_dim=3, degree=2, dim_degrees=(1,)), "dim_degrees"),
+        (dict(kind="polynomial", input_dim=3, degree=-1), "degree"),
+        (dict(kind="polynomial", input_dim=3), "degree"),
+        (dict(kind="polynomial", input_dim=3, degree=2, seed=1), "seed"),
+        (dict(kind="random_fourier", input_dim=3, count=8, bandwidth=1.0), "seed"),
+        (dict(kind="random_fourier", input_dim=3, count=8, bandwidth=1.0, seed=2.5), "seed"),
+        (dict(kind="random_fourier", input_dim=3, count=0, bandwidth=1.0, seed=1), "count"),
+        (dict(kind="random_fourier", input_dim=3, count=8, bandwidth=0.0, seed=1),
+         "bandwidth"),
+        (dict(kind="random_fourier", input_dim=3, count=8, bandwidth=1.0, seed=1,
+              scale=(1.0, 2.0)), "scale"),
+    ])
+    def test_bad_setting_fails_at_construction_naming_field(self, kwargs, field):
+        # short shift, scale and dim_degrees used to broadcast or fail with an
+        # IndexError; a missing seed failed with a TypeError
+        with pytest.raises(ValueError, match=field):
+            FeatureMap(**kwargs)
+
+    def test_short_input_scale_fails_before_training(self):
+        # a length-1 q_input_scale on the 3-dim windygrid used to train
+        env = hb.make_env("windygrid")
+        cfg = dataclasses.replace(agents.default_agent_config(env), q_input_scale=(1.0,))
+        with pytest.raises(ValueError, match="scale"):
+            agents.train_online_q(env, cfg, seed=0, budget=50)
 
 
 class TestAugmentation:
@@ -356,11 +388,40 @@ class TestEnsembleSerialization:
             models.load_ensemble(path)
 
     def test_only_onehot_encoding_read(self, pendulum_random_dataset):
+        # actions are always one-hot encoded; the key that said so is gone
         tr, *_ = split(pendulum_random_dataset, 300)
         d = models.ensemble_to_dict(models.fit_ensemble(tr, model_config(n_members=1)))
-        assert d["action_encoding"] == "onehot"
-        with pytest.raises(ValueError, match="action encoding"):
+        with pytest.raises(ValueError, match=r"unknown ensemble keys \['action_encoding'\]"):
             models.ensemble_from_dict(dict(d, action_encoding="numeric"))
+
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("obs_dim"), r"ensemble is missing required keys \['obs_dim'\]"),
+        (lambda d: d["members"][2].update(bias=0), r"unknown members\[2\] keys \['bias'\]"),
+        (lambda d: d.update(obs_dim=3.5), r"obs_dim must be an integer"),
+        (lambda d: d["members"][4]["weights"][-1].__setitem__(0, "nan"),
+         r"members\[4\].weights must be a nested list of finite numbers"),
+        (lambda d: d["members"][1]["features"].update(kind="x"),
+         r"members\[1\].features: unknown feature map kind 'x'"),
+        (lambda d: d["members"][1]["features"].update(scale=[1.0]),
+         r"members\[1\].features: feature map scale"),
+        (lambda d: d["action_space"].update(count=9),
+         r"action_space must be a DiscreteActions object or a ContinuousActions object"),
+        (lambda d: d.update(format_version="hybench-ensemble/1"),
+         r"unsupported ensemble format 'hybench-ensemble/1'"),
+    ], ids=["missing", "unknown", "type", "weights", "kind", "scale", "action_space",
+            "version"])
+    def test_malformed_ensemble_fails_naming_field(self, pendulum_random_dataset, edit,
+                                                   message):
+        # a full ensemble: the message must not repeat its megabytes of weights
+        tr, *_ = split(pendulum_random_dataset, 3_000)
+        d = json.loads(json.dumps(models.ensemble_to_dict(
+            models.fit_ensemble(tr, model_config()))))
+        assert models.ensemble_from_dict(json.loads(json.dumps(d))) is not None
+        edit(d)
+        with pytest.raises(ValueError, match=message) as err:
+            models.ensemble_from_dict(d)
+        assert len(str(err.value)) < 300
 
 
 class TestDeterminism:

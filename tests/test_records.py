@@ -1,15 +1,18 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hybench import agents, data, envs, models
-from hybench.records import check_keys, field_types, read_record, read_value
+from hybench.records import check_keys, field_types, read_record, read_value, write_record
 
 # every dataclass a JSON record is read into
 RECORD_CLASSES = [agents.AgentConfig, models.ModelConfig, data.DatasetRecipe,
                   data.DatasetMeta, envs.PendulumParams, envs.WindyGridParams,
-                  envs.BanditSpec]
+                  envs.BanditSpec, models.FeatureMap, models.GaussianRegressor,
+                  models.CorrectionEnsemble, agents._PolicyRecord, agents.QFunction,
+                  agents.BehaviorModel]
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
@@ -81,3 +84,53 @@ def test_post_init_range_checks_still_run():
         read_record(agents.AgentConfig, {"epochs": 0}, "agent config")
     with pytest.raises(ValueError, match="missing required keys"):
         read_record(data.DatasetMeta, {"env_name": "x"}, "metadata")
+
+
+@pytest.mark.parametrize("value", [[[1, 2], [3]], [1, "2"], [True, 1.0], [float("inf")],
+                                   "12", 3.0, [[1, [2]]]])
+def test_array_field_takes_only_nested_lists_of_finite_numbers(value):
+    with pytest.raises(ValueError, match="w must be a nested list of finite numbers"):
+        read_value(np.ndarray, value, "w")
+
+
+def test_array_field_reads_floats():
+    arr = read_value(np.ndarray, [[1, 2.5], [-3, 0]], "w")
+    assert arr.dtype == float and arr.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
+
+
+def test_union_of_records_reads_the_arm_whose_keys_it_has():
+    space = envs.DiscreteActions | envs.ContinuousActions
+    assert read_value(space, {"count": 3}, "s") == envs.DiscreteActions(3)
+    assert read_value(space, {"low": -1, "high": 1}, "s") == envs.ContinuousActions(-1, 1)
+    with pytest.raises(ValueError, match="s must be a DiscreteActions object or a "
+                                         "ContinuousActions object, got {'count': 3, 'x': 1}"):
+        read_value(space, {"count": 3, "x": 1}, "s")
+    # a lone record arm reports its own errors, by path
+    with pytest.raises(ValueError, match=r"unknown s keys \['x'\]"):
+        read_value(envs.DiscreteActions | None, {"count": 3, "x": 1}, "s")
+    with pytest.raises(ValueError, match=r"s\[1\].count must be an integer"):
+        read_value(tuple[envs.DiscreteActions, ...], [{"count": 1}, {"count": 1.5}], "s")
+
+
+def test_nested_range_check_names_its_path():
+    with pytest.raises(ValueError, match=r"^s\[0\]: unknown feature map kind 'x'"):
+        read_value(tuple[models.FeatureMap, ...], [{"kind": "x", "input_dim": 1}], "s")
+
+
+def test_mismatch_message_is_bounded():
+    with pytest.raises(ValueError) as err:
+        read_value(int, list(range(10**5)), "n")
+    assert str(err.value).startswith("n must be an integer, got [0, 1, 2")
+    assert len(str(err.value)) < 120
+
+
+def test_write_record_is_the_inverse_of_read_record():
+    spec = envs.BanditSpec()  # exact Fractions become "p/q"
+    assert write_record(spec)["p_z0"] == "1/3"
+    fm = models.FeatureMap.polynomial(2, 3, shift=(1, -1), dim_degrees=(2, 1))
+    reg = models.GaussianRegressor(fm, np.arange(6.0).reshape(3, 2), np.full(2, 0.5),
+                                   np.float64(1e-3))
+    out = write_record(reg)
+    assert out["weights"] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert type(out["ridge"]) is float and out["features"]["shift"] == [1.0, -1.0]
+    assert read_record(models.GaussianRegressor, out, "regressor") == reg

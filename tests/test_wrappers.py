@@ -6,7 +6,7 @@ from hybench import agents, data
 from hybench.bench import BenchConfig, config_hash
 from hybench.data import SPEC_KINDS, DatasetRecipe, apply_specs, check_spec
 from hybench.envs import EnvError
-from hybench.records import read_record
+from hybench.records import read_record, write_record
 from hybench.wrappers import clone_env, env_signature
 
 
@@ -253,7 +253,8 @@ def round_trip(spec, stage):
         cfg = BenchConfig("x", "pendulum", {}, sim2real=(spec,), agent="online_q")
         return BenchConfig.from_dict(cfg.to_dict()).to_dict()["sim2real"][0]
     recipe = DatasetRecipe(corruption=(spec,))
-    return read_record(DatasetRecipe, recipe.to_dict(), "recipe").to_dict()["corruption"][0]
+    back = read_record(DatasetRecipe, write_record(recipe), "recipe")
+    return write_record(back)["corruption"][0]
 
 
 @pytest.fixture(scope="module")
