@@ -422,6 +422,24 @@ def _build_q_features(env_obs_dim: int, config: AgentConfig, seed: int) -> Featu
     )
 
 
+def check_feature_maps(env: Environment, config: AgentConfig, model_based: bool) -> None:
+    """Build the Q feature map for ``env``'s observations and, for a
+    model-based agent that fits a model, one model feature map for its
+    (obs, action) inputs, so that a setting that does not fit those
+    dimensions (an input shift, scale or degree cap of the wrong length)
+    fails when a config loads, not in every seed."""
+    maps = [("Q", lambda: _build_q_features(env.obs_dim, config, 0))]
+    if model_based and config.rollout_horizon > 0 and config.rollout_batch > 0:
+        space = _grid_action_space(resolve_action_grid(env, config))
+        width = space.count if isinstance(space, DiscreteActions) else space.dim
+        maps.append(("model", lambda: config.model.feature_map(env.obs_dim + width, 0)))
+    for what, build in maps:
+        try:
+            build()
+        except ValueError as exc:
+            raise ValueError(f"agent config {what} features: {exc}") from None
+
+
 class _Block:
     """Feature-expanded transition block for one data source.
 
@@ -438,8 +456,8 @@ class _Block:
         self.A = np.asarray(A, dtype=int)
         self.R = np.asarray(R, dtype=float)
         self.D = np.asarray(D, dtype=bool)
-        self.Phi = fm.transform(np.asarray(O))
-        self.Phi2 = fm.transform(np.asarray(O2))
+        self.Phi = fm.transform_distinct(O)
+        self.Phi2 = fm.transform_distinct(O2)
         self.n = len(self.A)
         self.boot_gamma = boot_gamma  # bootstrap discount (gamma^n for n-step rows)
         F = self.Phi.shape[1]

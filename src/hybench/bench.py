@@ -142,10 +142,11 @@ class BenchConfig:
             raise ValueError("at least one seed is required")
         if check_field("eval_episodes", _int, self.eval_episodes) < 1:
             raise ValueError("eval_episodes must be >= 1")
-        # bad env params, agent overrides and sim2real specs fail here, not in
-        # every seed
+        # bad env params, agent overrides, feature settings and sim2real specs
+        # fail here, not in every seed
         env = make_env(self.env_name, self.env_params)
-        _agent_config(env, self.agent_overrides)
+        agents.check_feature_maps(env, _agent_config(env, self.agent_overrides),
+                                  self.agent in ("mopo_lite", "hymopo"))
         apply_specs(env, self.sim2real, "env")
         object.__setattr__(
             self, "sim2real", tuple(check_spec(s, "env") for s in self.sim2real)

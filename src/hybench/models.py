@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Dataset, _int, _ints, check_field, load_json, read_versioned, save_json
 from .envs import ContinuousActions, DiscreteActions
-from .records import read_value, write_record
+from .records import field_types, read_value, write_record
 from .seeding import derived_rng
 
 
@@ -151,6 +151,24 @@ class FeatureMap:
         Z = Xs @ self._freqs.T + self._phases
         phi = math.sqrt(2.0 / self.count) * np.cos(Z)
         return np.concatenate([np.ones((X.shape[0], 1)), phi], axis=1)
+
+    def transform_distinct(self, X: np.ndarray) -> np.ndarray:
+        """``transform(X)``, bit for bit, computed once per distinct row.
+
+        Rows are keyed on their bytes, so -0.0 and 0.0 (and NaN payloads)
+        stay apart.  The plain transform runs when fewer than 2 rows are
+        distinct (a one-row random-Fourier product goes through a different
+        BLAS kernel than the same row inside a batch, and its bits differ)
+        or when more than half are (continuous inputs; it also keeps the
+        peak memory at the plain transform's)."""
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or not X.size:
+            return self.transform(X)
+        keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if not 2 <= len(first) <= len(X) / 2:
+            return self.transform(X)
+        return self.transform(X[first])[inverse]
 
 
 def _exponent_tuples(dim: int, degree: int):
@@ -280,9 +298,9 @@ def fit_gaussian_regressor(
 ) -> GaussianRegressor:
     if ridge <= 0:
         raise ValueError("ridge must be > 0")
-    Phi = features.transform(X)
+    Phi = features.transform_distinct(X)
     W = _solve_ridge(Phi, Y, ridge)
-    resid = val_Y - features.transform(val_X) @ W
+    resid = val_Y - features.transform_distinct(val_X) @ W
     noise_var = np.mean(resid**2, axis=0)
     return GaussianRegressor(features, W, noise_var, float(ridge))
 
@@ -307,14 +325,17 @@ class ModelConfig:
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"unknown model feature_kind {self.feature_kind!r}; "
                              f"valid: {FEATURE_KINDS}")
+        for name, tp in field_types(ModelConfig)[0].items():
+            if tp is int:  # every int field is a count or a seed
+                check_field(name, _int, getattr(self, name))
+        if self.poly_dim_degrees is not None:
+            check_field("poly_dim_degrees", _ints, self.poly_dim_degrees)
         for name in ("ridge", "bandwidth"):  # the fit's condition bound divides by the ridge
             if not getattr(self, name) > 0:
                 raise ValueError(f"model {name} must be > 0, got {getattr(self, name)}")
         for name in ("n_members", "feature_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"model {name} must be >= 1, got {getattr(self, name)}")
-        if self.poly_degree < 0:
-            raise ValueError(f"model poly_degree must be >= 0, got {self.poly_degree}")
         if not 0 <= self.holdout_fraction < 1:
             raise ValueError("model holdout_fraction must be in [0, 1), "
                              f"got {self.holdout_fraction}")

@@ -729,3 +729,16 @@ class TestBellmanKernel:
         W = agents._bellman_iterate(blocks, weights, basis, *args)
         W_ref = bellman_two_solves(blocks, weights, grid, design, *args)
         np.testing.assert_allclose(W, W_ref, rtol=1e-9, atol=1e-9 * np.abs(W_ref).max())
+
+    @pytest.mark.parametrize("kind", ["polynomial", "random_fourier"])
+    def test_block_features_equal_the_plain_transform(self, grid_env, kind):
+        # the block transforms each distinct windygrid observation once
+        config = dataclasses.replace(default_agent_config(grid_env), q_feature_kind=kind)
+        grid = agents.resolve_action_grid(grid_env, config)
+        fm = agents._build_q_features(grid_env.obs_dim, config, seed=0)
+        ds = data.collect_dataset(grid_env, UniformPolicy(grid, seed=1), 3000, "observed", 1)
+        O, A, R, O2, D = ds.arrays()
+        assert 2 * len(np.unique(O, axis=0)) < len(O)
+        block = agents._Block(fm, agents._action_basis(grid, "onehot"), O, A, R, O2, D)
+        assert bits(block.Phi) == bits(fm.transform(O))
+        assert bits(block.Phi2) == bits(fm.transform(O2))

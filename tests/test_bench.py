@@ -225,6 +225,37 @@ class TestConfigParsing:
         with pytest.raises((ValueError, hb.EnvError), match=name):
             BenchConfig.from_dict(dict(self.BASE, **patch))
 
+    @pytest.mark.parametrize("agent,overrides,match", [
+        # all of these used to load and then fail in every seed
+        ("online_q", {"q_input_scale": [1.0]}, "Q features: .*scale"),
+        ("hymopo", {"q_input_shift": [0.0, 0.0, 0.0, 0.0]}, "Q features: .*shift"),
+        ("offline_bcq", {"q_poly_dim_degrees": [4]}, "Q features: .*dim_degrees"),
+        ("hymopo", {"model": {"input_scale": [1.0, 1.0, 1.0]}}, "model features: .*scale"),
+        ("mopo_lite", {"model": {"input_shift": [0.0]}}, "model features: .*shift"),
+    ])
+    def test_feature_setting_of_wrong_length_rejected_at_load(self, agent, overrides,
+                                                              match):
+        with pytest.raises(ValueError, match=match):
+            BenchConfig.from_dict(self._for_agent(agent, overrides))
+
+    @pytest.mark.parametrize("agent,overrides", [
+        ("online_q", {}),
+        ("online_q", {"model": {"input_scale": [1.0]}}),  # no model is fitted
+        ("hymopo", {"rollout_horizon": 0, "model": {"input_scale": [1.0]}}),
+        ("hymopo", {"q_feature_kind": "random_fourier", "q_poly_dim_degrees": [1]}),
+        ("mopo_lite", {}),
+    ])
+    def test_unused_or_fitting_feature_setting_loads(self, agent, overrides):
+        BenchConfig.from_dict(self._for_agent(agent, overrides))
+
+    def _for_agent(self, agent, overrides) -> dict:
+        d = dict(self.BASE, agent={"name": agent, "config": overrides})
+        if agent == "online_q":
+            del d["dataset"]
+        if agent in ("online_q", "offline_bcq", "mopo_lite"):
+            del d["sim2real"]
+        return d
+
     def test_medium_replay_with_history_rejected_at_load(self):
         bad = dict(self.BASE, dataset={"tier": "medium_replay", "history_k": 3})
         with pytest.raises(ValueError, match="medium_replay"):

@@ -53,6 +53,61 @@ def test_bad_model_value_rejected_naming_field(field, value):
         ModelConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    # all of these used to construct; n_members 2.5 then failed in the fit
+    ("n_members", 2.5),
+    ("feature_count", True),
+    ("poly_degree", 1.5),
+    ("seed", -1),
+    ("poly_dim_degrees", (1, 1.5)),
+])
+def test_non_integer_model_count_rejected_naming_field(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ModelConfig(**{field: value})
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike ``np.array_equal``, -0.0 differs
+    from 0.0 and a NaN equals itself."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def windygrid_model_data():
+    """(obs, one-hot action) model inputs and (next_obs, reward) targets of
+    2000 uniform windygrid records: few distinct rows, many repeats."""
+    env = hb.make_env("windygrid")
+    pol = agents.UniformPolicy((0, 1, 2, 3), seed=0)
+    O, A, R, O2, _ = data.collect_dataset(env, pol, 2000, "observed", seed=0).arrays()
+    X = encode_model_input(O, A, env.action_space)
+    return X, np.concatenate([O2, R[:, None]], axis=1)
+
+
+def windygrid_model_map(seed=3) -> FeatureMap:
+    return model_config("windygrid").feature_map(7, seed)
+
+
+def transform_rows(monkeypatch) -> list:
+    """The row count of each ``FeatureMap.transform`` call from now on."""
+    calls = []
+    plain = FeatureMap.transform
+
+    def spy(self, rows):
+        calls.append(len(np.atleast_2d(rows)))
+        return plain(self, rows)
+
+    monkeypatch.setattr(FeatureMap, "transform", spy)
+    return calls
+
+
+def transformed_rows(monkeypatch, fm, X):
+    """``fm.transform_distinct(X)`` and the row count of each ``transform``
+    call it made."""
+    with monkeypatch.context() as m:
+        calls = transform_rows(m)
+        return fm.transform_distinct(X), calls
+
+
 class TestFeatureMap:
     def test_polynomial_output_dim(self):
         fm = FeatureMap.polynomial(3, 4)
@@ -127,6 +182,97 @@ class TestFeatureMap:
         cfg = dataclasses.replace(agents.default_agent_config(env), q_input_scale=(1.0,))
         with pytest.raises(ValueError, match="scale"):
             agents.train_online_q(env, cfg, seed=0, budget=50)
+
+
+FEATURE_MAPS = {
+    "polynomial": FeatureMap.polynomial(3, 4, shift=(0.5, 0.0, -1.0), scale=(1.0, 2.0, 0.5)),
+    "random_fourier": FeatureMap.random_fourier(3, 256, 0.7, seed=5, scale=(1.0, 2.0, 0.5)),
+}
+
+
+class TestTransformDistinct:
+    @pytest.mark.parametrize("kind", sorted(FEATURE_MAPS))
+    @pytest.mark.parametrize("distinct,transformed", [
+        (1, 120),  # one distinct row: the plain transform of all 120
+        (2, 2),
+        (3, 3),
+        (50, 50),
+        (60, 60),  # exactly half
+        (61, 120),  # more than half: the plain transform
+        (120, 120),  # all distinct
+    ])
+    def test_equals_transform_bit_for_bit(self, monkeypatch, kind, distinct, transformed):
+        fm = FEATURE_MAPS[kind]
+        rng = np.random.default_rng(distinct)
+        base = rng.normal(size=(distinct, 3))
+        X = base[rng.permutation(np.resize(np.arange(distinct), 120))]
+        out, calls = transformed_rows(monkeypatch, fm, X)
+        assert calls == [transformed]
+        assert same_bits(out, fm.transform(X))
+
+    @pytest.mark.parametrize("kind", sorted(FEATURE_MAPS))
+    def test_rows_keyed_on_their_bytes(self, monkeypatch, kind):
+        # -0.0 and 0.0, and NaNs with different payloads, are different rows
+        other_nan = (np.array([np.nan]).view(np.uint64) | 1).view(float)[0]
+        keys = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, -0.0, 2.0],
+                         [np.nan, 1.0, 2.0], [other_nan, 1.0, 2.0]])
+        X = np.tile(keys, (4, 1))
+        fm = FEATURE_MAPS[kind]
+        out, calls = transformed_rows(monkeypatch, fm, X)
+        assert calls == [len(keys)]
+        assert same_bits(out, fm.transform(X))
+
+    @pytest.mark.parametrize("kind", sorted(FEATURE_MAPS))
+    def test_one_dimensional_input_is_one_row(self, kind):
+        fm = FEATURE_MAPS[kind]
+        x = np.array([0.3, -1.0, 2.0])
+        assert same_bits(fm.transform_distinct(x), fm.transform(x))
+        assert fm.transform_distinct(x).shape == (1, fm.output_dim)
+
+    def test_wrong_input_dim_named(self):
+        with pytest.raises(ValueError, match="input dim 3, got 2"):
+            FEATURE_MAPS["polynomial"].transform_distinct(np.zeros((10, 2)))
+
+    def test_nan_input_still_raises_fit_error(self, windygrid_model_data):
+        X, Y = windygrid_model_data
+        X = X.copy()
+        X[7, 0] = np.nan
+        with pytest.raises(models.ModelFitError, match="non-finite features"):
+            models.fit_gaussian_regressor(windygrid_model_map(), X, Y, 1e-3, X[:50], Y[:50])
+
+    @pytest.mark.parametrize("fm", [
+        windygrid_model_map(),
+        FeatureMap.random_fourier(4, 256, 1.0, seed=11, scale=(1.0, 1.0, 0.125, 0.5)),
+    ], ids=["windygrid_model", "pendulum_model"])
+    def test_random_fourier_rows_match_inside_any_batch_of_two_or_more(self, fm):
+        # what the dedupe rests on: a row's random-Fourier features do not
+        # depend on the other rows of a batch of 2 or more (a batch of one
+        # goes through a different BLAS kernel, so it is not used)
+        X = np.random.default_rng(4).normal(size=(300, fm.input_dim))
+        full = fm.transform(X)
+        for size in (2, 3, 5, 17, 64, 139, 299):
+            for start in (0, 1):
+                rows = slice(start, start + size)
+                assert same_bits(fm.transform(X[rows]), full[rows]), (size, start)
+        order = np.random.default_rng(5).permutation(len(X))
+        assert same_bits(fm.transform(X[order]), full[order])
+
+    def test_fit_on_repeated_rows_equals_hand_solve(self, windygrid_model_data,
+                                                    monkeypatch):
+        X, Y = windygrid_model_data
+        rng = np.random.default_rng(6)
+        rows, val = rng.integers(len(X), size=1800), np.arange(200)
+        fm = windygrid_model_map()
+        with monkeypatch.context() as m:
+            calls = transform_rows(m)
+            reg = models.fit_gaussian_regressor(fm, X[rows], Y[rows], 1e-3, X[val], Y[val])
+        # the fit transformed the distinct rows of its training and validation inputs
+        assert calls == [len(np.unique(X[rows], axis=0)), len(np.unique(X[val], axis=0))]
+        assert calls[0] < 200
+        W = models._solve_ridge(fm.transform(X[rows]), Y[rows], 1e-3)
+        noise_var = np.mean((Y[val] - fm.transform(X[val]) @ W) ** 2, axis=0)
+        assert same_bits(reg.weights, W)
+        assert same_bits(reg.noise_var, noise_var)
 
 
 class TestAugmentation:
