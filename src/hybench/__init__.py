@@ -23,7 +23,10 @@ from .agents import (
     train_online_q,
 )
 from .bench import (
+    BenchAgent,
     BenchConfig,
+    BenchEnv,
+    DatasetFile,
     ReferencePair,
     RunResult,
     compute_reference_pair,

@@ -262,8 +262,6 @@ class QFunction:
 
     features: FeatureMap
     weights: np.ndarray  # (F, m)
-    gamma: float
-    action_design: str
     basis: np.ndarray  # (m, K)
 
     def values(self, obs_batch: np.ndarray) -> np.ndarray:
@@ -597,15 +595,12 @@ class OnlineTrainResult:
     replay: tuple  # (O, A, R, O2, D) columns, one row per env step
     features: FeatureMap
     action_grid: tuple
-    gamma: float
-    action_design: str
+    basis: np.ndarray  # the Q-function's action basis
     best_index: int = -1
 
     def checkpoint_policy(self, index: int) -> QPolicy:
         ck = self.checkpoints[index]
-        q = QFunction(self.features, ck["weights"].copy(), self.gamma,
-                      self.action_design,
-                      _action_basis(self.action_grid, self.action_design))
+        q = QFunction(self.features, ck["weights"].copy(), self.basis)
         return QPolicy(q, self.action_grid)
 
     def replay_prefix(self, index: int) -> tuple:
@@ -709,7 +704,7 @@ def train_online_q(
                              config.q_ridge, config.q_iterations,
                              None if policy is None else policy.q.weights)
         policy = QPolicy(
-            QFunction(fm, W, config.gamma, config.q_action_design, basis), grid
+            QFunction(fm, W, basis), grid
         )
         score, _ = evaluate_policy(eval_env, policy, config.eval_episodes,
                                    derived_seed(seed, EVAL_ENV, sweep))
@@ -726,8 +721,7 @@ def train_online_q(
     near_best = np.nonzero(tail >= tail.max() - tol)[0]
     best = tail_start + int(near_best[-1])
     replay_cols = tuple(np.concatenate(col) for col in zip(*replay))
-    result = OnlineTrainResult(None, curve, checkpoints, replay_cols, fm, grid,
-                               config.gamma, config.q_action_design, best)
+    result = OnlineTrainResult(None, curve, checkpoints, replay_cols, fm, grid, basis, best)
     result.policy = result.checkpoint_policy(best)
     return result
 
@@ -783,7 +777,7 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0
     block = _Block(fm, basis, O, idx, R, O2, D, mask2=mask2)
     W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
                          config.q_ridge, config.offline_iterations, None)
-    q = QFunction(fm, W, config.gamma, config.q_action_design, basis)
+    q = QFunction(fm, W, basis)
     policy = QPolicy(q, grid, behavior=behavior, bc_threshold=config.bc_threshold)
     return OfflineTrainResult(policy, q, behavior)
 
@@ -947,7 +941,7 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
             weights = [config.mix_real / n_real, (1.0 - config.mix_real) / len(SO)]
         W = _bellman_iterate(blocks, weights, basis, config.gamma, config.q_ridge,
                              config.q_iterations, None if q is None else q.weights)
-        q = QFunction(fm, W, config.gamma, config.q_action_design, basis)
+        q = QFunction(fm, W, basis)
 
     trace = RolloutTrace.concat(parts, obs_dim, simulator is not None)
     return ModelBasedTrainResult(QPolicy(q, grid), q, ens, trace)
@@ -964,7 +958,7 @@ def _grid_action_space(grid: tuple):
 # Policy serialization (round-trip identity is the only contract)
 # ---------------------------------------------------------------------------
 
-POLICY_FORMAT_VERSION = "hybench-policy/2"
+POLICY_FORMAT_VERSION = "hybench-policy/3"
 
 
 @dataclass(frozen=True)

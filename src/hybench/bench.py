@@ -29,17 +29,14 @@ from .data import (
     DEFAULT_TIER_BUDGET,
     Dataset,
     DatasetRecipe,
-    _int,
-    _ints,
     apply_specs,
-    check_field,
     check_spec,
     generate_dataset,
     online_training_run,
     read_dataset,
 )
 from .envs import Environment, make_env
-from .records import check_keys, field_types, read_record, read_value, write_record
+from .records import field_types, read_record, write_record
 from .seeding import REFS, derived_seed
 from .wrappers import clone_env, env_signature
 
@@ -105,99 +102,72 @@ def compute_reference_pair(
 
 
 @dataclass(frozen=True)
+class BenchEnv:
+    """A config's ``env`` section: an environment name and its parameters."""
+
+    name: str
+    params: dict | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", dict(self.params or {}))  # null means {}
+
+
+@dataclass(frozen=True)
+class BenchAgent:
+    """A config's ``agent`` section: an agent name and its config overrides."""
+
+    name: str
+    config: dict | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "config", dict(self.config or {}))  # null means {}
+
+
+@dataclass(frozen=True)
+class DatasetFile:
+    """A config's ``dataset`` section naming a dataset file."""
+
+    path: str
+
+
+@dataclass(frozen=True)
 class BenchConfig:
+    """One benchmark config, read from and written to JSON by ``records``:
+    ``read_record(BenchConfig, d, "config")`` and ``write_record(config)``."""
+
     benchmark_id: str
-    env_name: str
-    env_params: dict
+    env: BenchEnv
+    agent: BenchAgent
     sim2real: tuple[dict, ...] = ()
-    dataset_path: str | None = None
-    dataset_recipe: DatasetRecipe | None = None
-    agent: str = "offline_bcq"
-    agent_overrides: dict | None = None
+    dataset: DatasetFile | DatasetRecipe | None = None
     seeds: tuple[int, ...] = (0, 1, 2)
     eval_episodes: int = 20
     out: str | None = None
 
     def __post_init__(self):
-        for name, tp in (("benchmark_id", str), ("env_name", str), ("agent", str),
-                         ("sim2real", tuple[dict, ...]), ("dataset_path", str | None),
-                         ("out", str | None)):
-            object.__setattr__(self, name, read_value(tp, getattr(self, name), name))
-        if self.agent not in AGENT_NAMES:
-            raise ValueError(f"unknown agent {self.agent!r}; valid: {AGENT_NAMES}")
-        uses_dataset = self.agent in ("offline_bcq", "mopo_lite", "hymopo")
-        has_dataset = self.dataset_path is not None or self.dataset_recipe is not None
-        if uses_dataset and not has_dataset:
-            raise ValueError(f"agent {self.agent!r} requires a dataset")
-        if self.agent == "online_q" and has_dataset:
+        agent = self.agent.name
+        if agent not in AGENT_NAMES:
+            raise ValueError(f"unknown agent {agent!r}; valid: {AGENT_NAMES}")
+        if agent != "online_q" and self.dataset is None:
+            raise ValueError(f"agent {agent!r} requires a dataset")
+        if agent == "online_q" and self.dataset is not None:
             raise ValueError("agent 'online_q' does not use a dataset; remove it")
-        if self.agent in ("offline_bcq", "mopo_lite") and self.sim2real:
-            raise ValueError(
-                f"agent {self.agent!r} does not use a simulator; remove sim2real"
-            )
-        if self.dataset_path is not None and self.dataset_recipe is not None:
-            raise ValueError("give either a dataset path or a recipe, not both")
-        object.__setattr__(self, "seeds", tuple(check_field("seeds", _ints, self.seeds)))
+        if agent in ("offline_bcq", "mopo_lite") and self.sim2real:
+            raise ValueError(f"agent {agent!r} does not use a simulator; remove sim2real")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if check_field("eval_episodes", _int, self.eval_episodes) < 1:
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
         # bad env params, agent overrides, feature settings and sim2real specs
         # fail here, not in every seed
-        env = make_env(self.env_name, self.env_params)
-        agents.check_feature_maps(env, _agent_config(env, self.agent_overrides),
-                                  self.agent in ("mopo_lite", "hymopo"))
+        env = make_env(self.env.name, self.env.params)
+        agents.check_feature_maps(env, _agent_config(env, self.agent.config),
+                                  agent in ("mopo_lite", "hymopo"))
         apply_specs(env, self.sim2real, "env")
         object.__setattr__(
             self, "sim2real", tuple(check_spec(s, "env") for s in self.sim2real)
-        )
-        # None and {} mean the same; store {} so that from_dict(to_dict()) is equal
-        object.__setattr__(self, "env_params", dict(self.env_params or {}))
-        object.__setattr__(self, "agent_overrides", dict(self.agent_overrides or {}))
-
-    def to_dict(self) -> dict:
-        dataset: dict | str | None
-        if self.dataset_path is not None:
-            dataset = {"path": self.dataset_path}
-        elif self.dataset_recipe is not None:
-            dataset = write_record(self.dataset_recipe)
-        else:
-            dataset = None
-        return {
-            "benchmark_id": self.benchmark_id,
-            "env": {"name": self.env_name, "params": dict(self.env_params)},
-            "sim2real": [dict(s) for s in self.sim2real],
-            "dataset": dataset,
-            "agent": {"name": self.agent, "config": dict(self.agent_overrides)},
-            "seeds": list(self.seeds),
-            "eval_episodes": self.eval_episodes,
-            "out": self.out,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchConfig":
-        check_keys(d, "config", ("benchmark_id", "env", "agent"),
-                   ("sim2real", "dataset", "seeds", "eval_episodes", "out"))
-        env_d = check_keys(d["env"], "env", ("name",), ("params",))
-        agent_d = check_keys(d["agent"], "agent", ("name",), ("config",))
-        ds = d.get("dataset")
-        dataset_path = recipe = None
-        if isinstance(ds, dict) and set(ds) == {"path"}:
-            dataset_path = ds["path"]
-        elif ds is not None:
-            recipe = read_record(DatasetRecipe, ds, "dataset recipe")
-        return cls(
-            benchmark_id=d["benchmark_id"],
-            env_name=env_d["name"],
-            env_params=env_d.get("params"),
-            sim2real=d.get("sim2real", ()),
-            dataset_path=dataset_path,
-            dataset_recipe=recipe,
-            agent=agent_d["name"],
-            agent_overrides=agent_d.get("config"),
-            seeds=d.get("seeds", (0, 1, 2)),
-            eval_episodes=d.get("eval_episodes", 20),
-            out=d.get("out"),
         )
 
 
@@ -209,11 +179,11 @@ def load_configs(path) -> list[BenchConfig]:
         payload = [payload]
     if not isinstance(payload, list):
         raise ValueError("config file must hold a JSON object or array of objects")
-    return [BenchConfig.from_dict(item) for item in payload]
+    return [read_record(BenchConfig, item, "config") for item in payload]
 
 
 def config_hash(config: BenchConfig) -> str:
-    canon = json.dumps(config.to_dict(), sort_keys=True)
+    canon = json.dumps(write_record(config), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -257,27 +227,22 @@ class RunFailure:
     error: str
     error_type: str
 
-    @classmethod
-    def from_exception(cls, config: BenchConfig, seed: int, exc: Exception) -> RunFailure:
-        return cls(config.benchmark_id, config.agent, seed, str(exc), type(exc).__name__)
 
-
-def _agent_config(env: Environment, overrides: dict | None) -> agents.AgentConfig:
+def _agent_config(env: Environment, overrides: dict) -> agents.AgentConfig:
     """The environment's default agent config with a config's overrides."""
-    return read_record(agents.AgentConfig, {} if overrides is None else overrides,
-                       "agent config", agents.default_agent_config(env))
+    return read_record(agents.AgentConfig, overrides, "agent config",
+                       agents.default_agent_config(env))
 
 
 _DATASET_MEMO: dict = {}  # the last dataset, by canonical env + dataset JSON
 
 
 def obtain_dataset(config: BenchConfig) -> Dataset | None:
-    d = config.to_dict()
-    key = json.dumps([d["env"], d["dataset"]], sort_keys=True)
-    if d["dataset"] is not None and key not in _DATASET_MEMO:
-        dataset = (read_dataset(config.dataset_path) if config.dataset_path is not None
-                   else generate_dataset(make_env(config.env_name, config.env_params),
-                                         config.dataset_recipe))
+    key = json.dumps(write_record([config.env, config.dataset]), sort_keys=True)
+    if config.dataset is not None and key not in _DATASET_MEMO:
+        dataset = (read_dataset(config.dataset.path) if isinstance(config.dataset, DatasetFile)
+                   else generate_dataset(make_env(config.env.name, config.env.params),
+                                         config.dataset))
         _DATASET_MEMO.clear()  # one entry: consecutive tasks share a recipe
         _DATASET_MEMO[key] = dataset
     return _DATASET_MEMO.get(key)
@@ -286,17 +251,18 @@ def obtain_dataset(config: BenchConfig) -> Dataset | None:
 def _run_single_seed(config: BenchConfig, seed: int, dataset: Dataset | None
                      ) -> RunResult:
     start = time.monotonic()
-    true_env = make_env(config.env_name, config.env_params)
-    cfg = _agent_config(true_env, config.agent_overrides)
+    true_env = make_env(config.env.name, config.env.params)
+    cfg = _agent_config(true_env, config.agent.config)
     refs = compute_reference_pair(true_env)
 
     # the training simulator: the true environment with the sim2real gap
-    sim = apply_specs(make_env(config.env_name, config.env_params), config.sim2real, "env")
-    if config.agent == "online_q":
+    sim = apply_specs(make_env(config.env.name, config.env.params), config.sim2real, "env")
+    agent = config.agent.name
+    if agent == "online_q":
         policy = agents.train_online_q(sim, cfg, seed).policy
-    elif config.agent == "offline_bcq":
+    elif agent == "offline_bcq":
         policy = agents.train_offline_bcq(dataset, cfg, seed).policy
-    elif config.agent == "mopo_lite":
+    elif agent == "mopo_lite":
         policy = agents.train_mopo_lite(dataset, cfg, seed).policy
     else:  # hymopo
         policy = agents.train_hymopo(dataset, sim, cfg, seed).policy
@@ -306,7 +272,7 @@ def _run_single_seed(config: BenchConfig, seed: int, dataset: Dataset | None
     ds_hash = dataset_hash(dataset) if dataset is not None else "-"
     return RunResult(
         benchmark_id=config.benchmark_id,
-        agent=config.agent,
+        agent=agent,
         seed=seed,
         raw_return=float(raw),
         normalized_score=float(score),
@@ -318,12 +284,13 @@ def _run_single_seed(config: BenchConfig, seed: int, dataset: Dataset | None
 
 def _worker(payload: tuple) -> tuple:
     config_dict, seed = payload
-    config = BenchConfig.from_dict(config_dict)
+    config = read_record(BenchConfig, config_dict, "config")
     try:
         dataset = obtain_dataset(config)
         return ("ok", _run_single_seed(config, seed, dataset))
     except Exception as exc:  # per-seed isolation: other seeds continue
-        return ("error", RunFailure.from_exception(config, seed, exc))
+        return ("error", RunFailure(config.benchmark_id, config.agent.name, seed, str(exc),
+                                    type(exc).__name__))
 
 
 def run_benchmark(
@@ -348,7 +315,7 @@ def run_benchmarks(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(config.to_dict(), seed) for config in configs for seed in config.seeds]
+    tasks = [(write_record(config), seed) for config in configs for seed in config.seeds]
     workers = min(jobs, len(tasks))
     results: list[RunResult] = []
     failures: list[RunFailure] = []
@@ -374,15 +341,19 @@ def run_benchmarks(
 
 
 def append_results(path, results: list[RunResult]) -> None:
-    """Append rows to a results CSV, writing the header on first touch."""
+    """Append rows to a results CSV, writing the header on first touch; a
+    non-empty file that does not start with the header is left unchanged."""
     try:
         with open(path, encoding="utf-8") as fh:
-            has_header = fh.readline().strip() == ",".join(RESULTS_HEADER)
+            first = fh.readline()
     except FileNotFoundError:
-        has_header = False
+        first = ""
+    if first and first.strip() != ",".join(RESULTS_HEADER):
+        raise ValueError(f"{path} is not a results file: its first line is "
+                         f"{first.strip()[:80]!r}, not the header {list(RESULTS_HEADER)}")
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if not has_header:
+        if not first:
             writer.writerow(RESULTS_HEADER)
         for res in results:
             writer.writerow(res.row())
@@ -495,11 +466,10 @@ def grid_configs(
                 configs.append(
                     BenchConfig(
                         benchmark_id=f"{env_name}-{sim_label}-{ds_label}-{agent}",
-                        env_name=env_name,
-                        env_params=dict(env_params),
+                        env=BenchEnv(env_name, env_params),
+                        agent=BenchAgent(agent),
                         sim2real=tuple(specs) if uses_sim else (),
-                        dataset_recipe=recipe if uses_data else None,
-                        agent=agent,
+                        dataset=recipe if uses_data else None,
                         seeds=seeds,
                         eval_episodes=eval_episodes,
                     )

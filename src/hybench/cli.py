@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import bench, oracle
 from .data import DatasetRecipe, generate_dataset, write_dataset
-from .envs import BanditSpec, Environment, make_env
+from .envs import BanditSpec, make_env
 from .records import check_keys, read_record
 
 
@@ -30,11 +30,6 @@ def _fmt_exact(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator} ({float(value):.6f})"
     return f"{float(value):.6f}"
-
-
-def _make_env(env_d: dict) -> Environment:
-    check_keys(env_d, "env", ("name",), ("params",))
-    return make_env(env_d["name"], env_d.get("params"))
 
 
 def cmd_gen_data(args) -> int:
@@ -46,8 +41,8 @@ def cmd_gen_data(args) -> int:
     out = args.out or payload.get("out")
     if not out:
         raise ValueError("gen-data needs an output path (config 'out' or --out)")
-    env = _make_env(payload["env"])
-    dataset = generate_dataset(env, recipe)
+    env = read_record(bench.BenchEnv, payload["env"], "env")
+    dataset = generate_dataset(make_env(env.name, env.params), recipe)
     write_dataset(dataset, out)
     print(f"wrote {len(dataset)} records to {out}")
     return 0
@@ -109,8 +104,8 @@ def cmd_refs(args) -> int:
         env_d = json.load(fh)
     if isinstance(env_d, dict) and "env" in env_d:  # {"env": {...}} or the env itself
         env_d = check_keys(env_d, "refs config", ("env",))["env"]
-    env = _make_env(env_d)
-    pair = bench.compute_reference_pair(env, seed=args.seed or 0)
+    env = read_record(bench.BenchEnv, env_d, "env")
+    pair = bench.compute_reference_pair(make_env(env.name, env.params), seed=args.seed or 0)
     record = {
         "env": env_d,
         "seed": args.seed or 0,

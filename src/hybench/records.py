@@ -98,10 +98,13 @@ def read_value(tp, value, name: str):
     """``value`` as the annotation ``tp`` reads it: lists become tuples."""
     out = _convert(tp, value, name)
     if out is _MISMATCH:
-        got = reprlib.repr(value)  # bounded: a field may hold megabytes of weights
-        raise ValueError(f"{name} must be {_describe(tp)}, got "
-                         f"{got if len(got) <= 80 else got[:76] + ' ...'}")
+        raise ValueError(_mismatch(tp, value, name))
     return out
+
+
+def _mismatch(tp, value, name: str) -> str:
+    got = reprlib.repr(value)  # bounded: a field may hold megabytes of weights
+    return f"{name} must be {_describe(tp)}, got {got if len(got) <= 80 else got[:76] + ' ...'}"
 
 
 def write_record(value):
@@ -149,8 +152,9 @@ def _is_number_list(value) -> bool:
 
 def _convert(tp, value, name: str):
     """``value`` read as ``tp``, or ``_MISMATCH``; a nested record that does
-    not read raises, naming its path from ``name``.  A parametrized tuple has
-    one element type: ``tuple[X, ...]``, or ``tuple[X, X]`` of fixed length."""
+    not read, or an object that fits no record arm of a union, raises, naming
+    its path from ``name``.  A parametrized tuple has one element type:
+    ``tuple[X, ...]``, or ``tuple[X, X]`` of fixed length."""
     args = typing.get_args(tp)
     if is_dataclass(tp):
         return (read_record(tp, value, name, path=name + ".")
@@ -158,11 +162,16 @@ def _convert(tp, value, name: str):
     if typing.get_origin(tp) is types.UnionType:
         records = [arm for arm in args if is_dataclass(arm)]
         if records and isinstance(value, dict):
-            # the arm whose keys the object has; a lone record arm reports its own errors
-            fits = [arm for arm in records
-                    if not any(key_errors(value, *field_types(arm)[::-1]))]
-            return (_convert((fits + records)[0], value, name)
-                    if fits or len(records) == 1 else _MISMATCH)
+            # the arm whose keys the object has; a lone record arm reports its own
+            # errors, and when no arm fits, each arm's stray or missing keys are named
+            keys = {arm: key_errors(value, *field_types(arm)[::-1]) for arm in records}
+            fits = [arm for arm in records if not any(keys[arm])]
+            if fits or len(records) == 1:
+                return _convert((fits + records)[0], value, name)
+            why = [f"as {arm.__name__}, unknown keys {unknown}" if unknown
+                   else f"as {arm.__name__}, missing keys {missing}"
+                   for arm, (unknown, missing) in keys.items()]
+            raise ValueError("; ".join([_mismatch(tp, value, name), *why]))
         outs = (_convert(arm, value, name) for arm in args)
         return next((out for out in outs if out is not _MISMATCH), _MISMATCH)
     if _is_tuple(tp):

@@ -356,10 +356,9 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         # identical config + seeds reproduce identical result rows
         cfg = bench.BenchConfig(
             benchmark_id="wg-determinism",
-            env_name="windygrid",
-            env_params={},
-            dataset_recipe=DatasetRecipe(tier="random", n_records=4_000, seed=0),
-            agent="offline_bcq",
+            env=bench.BenchEnv("windygrid"),
+            agent=bench.BenchAgent("offline_bcq"),
+            dataset=DatasetRecipe(tier="random", n_records=4_000, seed=0),
             seeds=(0, 1),
             eval_episodes=30,
         )
@@ -396,11 +395,10 @@ def test_criterion_9_hybrid_directional_checks():
         ):
             cfg = bench.BenchConfig(
                 benchmark_id=f"wg-gap-{agent}",
-                env_name="windygrid",
-                env_params={"wind_prob": 0.3},
+                env=bench.BenchEnv("windygrid", {"wind_prob": 0.3}),
+                agent=bench.BenchAgent(agent),
                 sim2real=sim2real,
-                dataset_recipe=ds if agent != "online_q" else None,
-                agent=agent,
+                dataset=ds if agent != "online_q" else None,
                 seeds=(0, 1, 2),
                 eval_episodes=200,
             )

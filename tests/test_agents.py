@@ -6,6 +6,7 @@ import pytest
 
 import hybench as hb
 from hybench import agents, data, models, oracle
+from hybench.records import read_record
 from hybench.seeding import EVAL_ENV, EVAL_POLICY, derived_seed
 from hybench.wrappers import clone_env
 from hybench.agents import (
@@ -498,7 +499,7 @@ class TestConfigValidation:
         config = {"benchmark_id": "x", "env": {"name": "windygrid"},
                   "agent": {"name": "online_q", "config": overrides}}
         with pytest.raises(ValueError, match=name):
-            hb.bench.BenchConfig.from_dict(config)
+            read_record(hb.bench.BenchConfig, config, "config")
 
     @pytest.mark.parametrize("field,value", [
         ("eval_episodes", 2.5),  # used to fail at the first evaluation
@@ -554,7 +555,8 @@ class TestPolicySerialization:
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d.pop("epsilon"), r"policy is missing required keys \['epsilon'\]"),
         (lambda d: d.update(type="q"), r"unknown policy keys \['type'\]"),
-        (lambda d: d["q"].update(gamma="0.9"), r"q.gamma must be a finite number"),
+        (lambda d: d["q"]["features"].update(bandwidth="0.9"),
+         r"q.features.bandwidth must be a finite number"),
         (lambda d: d["q"]["weights"][3].append("x"), r"q.weights must be a nested list"),
         (lambda d: d["q"]["features"].update(kind="x"),
          r"q.features: unknown feature map kind 'x'"),
@@ -623,8 +625,7 @@ class TestActionMemo:
         fm = agents._build_q_features(env.obs_dim, cfg, seed=0)
         basis = agents._action_basis(grid, cfg.q_action_design)
         weights = np.random.default_rng(0).standard_normal((fm.output_dim, basis.shape[0]))
-        policy = QPolicy(agents.QFunction(fm, weights, cfg.gamma, cfg.q_action_design,
-                                          basis), grid)
+        policy = QPolicy(agents.QFunction(fm, weights, basis), grid)
         observations = np.random.default_rng(1).uniform(-1.0, 1.0, (1000, env.obs_dim))
         for obs in observations:
             assert policy.action_index(obs) == direct_action_index(policy, obs)

@@ -7,8 +7,13 @@ import pytest
 
 import hybench as hb
 from hybench import agents, bench, data
-from hybench.bench import BenchConfig, RunResult
+from hybench.bench import BenchAgent, BenchConfig, BenchEnv, DatasetFile, RunResult
 from hybench.data import DatasetRecipe
+from hybench.records import read_record, write_record
+
+
+def load(d: dict) -> BenchConfig:
+    return read_record(BenchConfig, d, "config")
 
 
 class TestNormalizeScore:
@@ -78,16 +83,39 @@ class TestConfigParsing:
         "eval_episodes": 5,
     }
 
+    PATH = {"benchmark_id": "p", "env": {"name": "pendulum"}, "dataset": {"path": "x.jsonl"},
+            "agent": {"name": "offline_bcq"}}
+
     def test_round_trip(self):
-        cfg = BenchConfig.from_dict(self.BASE)
-        assert BenchConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = load(self.BASE)
+        assert load(write_record(cfg)) == cfg
+
+    def test_round_trip_of_a_path_config(self):
+        cfg = load(self.PATH)
+        assert cfg.dataset == DatasetFile("x.jsonl")
+        assert load(write_record(cfg)) == cfg
 
     def test_round_trip_without_agent_overrides(self):
-        cfg = BenchConfig(benchmark_id="wg-online", env_name="windygrid", env_params={},
-                          agent="online_q")
-        back = BenchConfig.from_dict(cfg.to_dict())
+        cfg = BenchConfig(benchmark_id="wg-online", env=BenchEnv("windygrid"),
+                          agent=BenchAgent("online_q"))
+        back = load(write_record(cfg))
         assert back == cfg
         assert bench.config_hash(back) == bench.config_hash(cfg)
+
+    @pytest.mark.parametrize("d,digest", [
+        ({"benchmark_id": "windygrid-windgap-medium-hymopo",
+          "env": {"name": "windygrid", "params": {"wind_prob": 0.3}},
+          "sim2real": [{"kind": "transition_param_override",
+                        "overrides": {"wind_prob": 0.4}}],
+          "dataset": {"tier": "medium", "n_records": 5000, "seed": 0},
+          "agent": {"name": "hymopo", "config": {"epochs": 10}},
+          "seeds": [0, 1], "eval_episodes": 50, "out": "results.csv"}, "128726e8a8353946"),
+        (BASE, "09c66a29d749dad1"),
+        (PATH, "a4d6d147de690750"),
+    ], ids=["perfbench_windygrid", "base", "pendulum_path"])
+    def test_config_hash_is_pinned(self, d, digest):
+        # results files carry this hash: a change to the config's JSON shows here
+        assert bench.config_hash(load(d)) == digest
 
     @pytest.mark.parametrize("params", [[1], "x", 3])
     def test_non_object_env_params_rejected(self, params):
@@ -95,18 +123,24 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="'params' must be an object"):
             hb.make_env("windygrid", params)
         bad = dict(self.BASE, env={"name": "windygrid", "params": params})
-        with pytest.raises(ValueError, match="'params' must be an object"):
-            BenchConfig.from_dict(bad)
+        with pytest.raises(ValueError, match="env.params must be an object"):
+            load(bad)
 
     def test_unknown_top_level_key_rejected(self):
         bad = dict(self.BASE, typo_key=1)
         with pytest.raises(ValueError):
-            BenchConfig.from_dict(bad)
+            load(bad)
 
     def test_unknown_recipe_key_rejected(self):
         bad = dict(self.BASE, dataset={"tier": "medium", "n_rec": 10})
         with pytest.raises(ValueError):
-            BenchConfig.from_dict(bad)
+            load(bad)
+
+    def test_dataset_typo_is_named(self):
+        # the message used to name the union's arms but not the stray key
+        bad = dict(self.BASE, dataset={"tier": "medium", "n_rec": 10})
+        with pytest.raises(ValueError, match=r"as DatasetRecipe, unknown keys \['n_rec'\]"):
+            load(bad)
 
     @pytest.mark.parametrize("tag", [
         {"kind": "teleport"},
@@ -117,7 +151,7 @@ class TestConfigParsing:
     def test_bad_corruption_rejected_at_load(self, tag):
         bad = dict(self.BASE, dataset={"tier": "medium", "n_records": 10, "corruption": [tag]})
         with pytest.raises(ValueError, match="corruption kind"):
-            BenchConfig.from_dict(bad)
+            load(bad)
 
     @pytest.mark.parametrize("field,value", [
         ("n_records", 0), ("n_records", -5), ("history_k", 0), ("train_budget", 0),
@@ -128,7 +162,7 @@ class TestConfigParsing:
         # n_records 0 used to give the default size and -5 to drop records
         bad = dict(self.BASE, dataset=dict(self.BASE["dataset"], **{field: value}))
         with pytest.raises(ValueError, match=field):
-            BenchConfig.from_dict(bad)
+            load(bad)
 
     @pytest.mark.parametrize("field,value", [
         ("seeds", "12"),  # used to give seeds (1, 2)
@@ -157,7 +191,7 @@ class TestConfigParsing:
         else:
             bad[field] = value
         with pytest.raises(ValueError, match=f"{field} must be"):
-            BenchConfig.from_dict(bad)
+            load(bad)
 
     @pytest.mark.parametrize("value", ["12", [1.9], [True], [-1]])
     def test_hidden_during_collection_takes_integers(self, value):
@@ -167,7 +201,7 @@ class TestConfigParsing:
         bad = dict(self.BASE, dataset=dict(self.BASE["dataset"],
                                            hidden_during_collection=value))
         with pytest.raises(ValueError, match="hidden_during_collection must be"):
-            BenchConfig.from_dict(bad)
+            load(bad)
 
     def test_list_values_of_tuple_fields_become_tuples(self):
         # q_poly_dim_degrees used to stay a list: the config was unhashable
@@ -183,7 +217,7 @@ class TestConfigParsing:
 
     def test_negative_seed_override_rejected_at_load(self):
         # the CLI's --seed replaces the seeds; -1 used to fail in every seed
-        cfg = BenchConfig.from_dict(self.BASE)
+        cfg = load(self.BASE)
         with pytest.raises(ValueError, match="seeds must be"):
             dataclasses.replace(cfg, seeds=(-1,))
 
@@ -210,10 +244,10 @@ class TestConfigParsing:
         ({"agent": {"name": "hymopo", "config": {"model": "x"}}}, "model"),
         ({"agent": {"name": "hymopo", "config": [1]}}, "config"),
         ({"env": ["windygrid"]}, "env"),
-        ({"env": {"name": ["windygrid"]}}, "env_name"),
+        ({"env": {"name": ["windygrid"]}}, "env.name"),
         ({"benchmark_id": 5}, "benchmark_id"),
         ({"sim2real": 5}, "sim2real"),
-        ({"dataset": {"path": 5}}, "dataset_path"),
+        ({"dataset": {"path": 5}}, "dataset.path"),
     ], ids=["env_param", "agent_key", "model_key", "agent_value", "sim2real_key",
             "sim2real_wind_prob", "sim2real_horizon", "width", "pendulum_horizon",
             "windygrid_horizon", "p_z0", "gamma", "collect_epsilon", "model",
@@ -223,7 +257,7 @@ class TestConfigParsing:
         # the first four used to fail in every seed, the agent ones after
         # dataset generation
         with pytest.raises((ValueError, hb.EnvError), match=name):
-            BenchConfig.from_dict(dict(self.BASE, **patch))
+            load(dict(self.BASE, **patch))
 
     @pytest.mark.parametrize("agent,overrides,match", [
         # all of these used to load and then fail in every seed
@@ -236,7 +270,7 @@ class TestConfigParsing:
     def test_feature_setting_of_wrong_length_rejected_at_load(self, agent, overrides,
                                                               match):
         with pytest.raises(ValueError, match=match):
-            BenchConfig.from_dict(self._for_agent(agent, overrides))
+            load(self._for_agent(agent, overrides))
 
     @pytest.mark.parametrize("agent,overrides", [
         ("online_q", {}),
@@ -246,7 +280,7 @@ class TestConfigParsing:
         ("mopo_lite", {}),
     ])
     def test_unused_or_fitting_feature_setting_loads(self, agent, overrides):
-        BenchConfig.from_dict(self._for_agent(agent, overrides))
+        load(self._for_agent(agent, overrides))
 
     def _for_agent(self, agent, overrides) -> dict:
         d = dict(self.BASE, agent={"name": agent, "config": overrides})
@@ -259,33 +293,33 @@ class TestConfigParsing:
     def test_medium_replay_with_history_rejected_at_load(self):
         bad = dict(self.BASE, dataset={"tier": "medium_replay", "history_k": 3})
         with pytest.raises(ValueError, match="medium_replay"):
-            BenchConfig.from_dict(bad)
+            load(bad)
 
     def test_corruption_keys_accepted(self):
         tags = [{"kind": "obs_noise", "sigma": 0.1}, {"kind": "obs_noise", "sigma": 0.1, "seed": 3},
                 {"kind": "hidden_dims", "indices": [2]}]
-        cfg = BenchConfig.from_dict(dict(self.BASE, dataset={"tier": "medium", "corruption": tags}))
-        assert list(cfg.dataset_recipe.corruption) == tags
+        cfg = load(dict(self.BASE, dataset={"tier": "medium", "corruption": tags}))
+        assert list(cfg.dataset.corruption) == tags
 
     def test_agent_dataset_coherence(self):
         missing = dict(self.BASE, agent={"name": "offline_bcq"})
         missing["dataset"] = None
         missing["sim2real"] = []
         with pytest.raises(ValueError, match="requires a dataset"):
-            BenchConfig.from_dict(missing)
+            load(missing)
 
         online_with_data = dict(self.BASE, agent={"name": "online_q"})
         with pytest.raises(ValueError, match="does not use a dataset"):
-            BenchConfig.from_dict(online_with_data)
+            load(online_with_data)
 
         offline_with_sim = dict(self.BASE, agent={"name": "offline_bcq"})
         with pytest.raises(ValueError, match="does not use a simulator"):
-            BenchConfig.from_dict(offline_with_sim)
+            load(offline_with_sim)
 
     def test_unknown_agent_rejected(self):
         bad = dict(self.BASE, agent={"name": "sac"})
         with pytest.raises(ValueError):
-            BenchConfig.from_dict(bad)
+            load(bad)
 
     def test_grid_expansion_counts(self):
         # 2 discrepancies x (4 dataset tiers) x 3 agents, online_q collapses
@@ -311,10 +345,9 @@ class TestConfigParsing:
 def small_run():
     cfg = BenchConfig(
         benchmark_id="wg-small",
-        env_name="windygrid",
-        env_params={},
-        dataset_recipe=DatasetRecipe(tier="random", n_records=3000, seed=0),
-        agent="offline_bcq",
+        env=BenchEnv("windygrid"),
+        agent=BenchAgent("offline_bcq"),
+        dataset=DatasetRecipe(tier="random", n_records=3000, seed=0),
         seeds=(0, 1, 2),
         eval_episodes=40,
     )
@@ -344,9 +377,9 @@ class TestRunBenchmark:
         # a 2-config x 2-seed grid sharing one random-tier recipe
         recipe = DatasetRecipe(tier="random", n_records=1000, seed=0)
         configs = [
-            BenchConfig(benchmark_id=f"wg-jobs-{agent}", env_name="windygrid",
-                        env_params={}, dataset_recipe=recipe, agent=agent,
-                        agent_overrides={"epochs": 3}, seeds=(0, 1), eval_episodes=10)
+            BenchConfig(benchmark_id=f"wg-jobs-{agent}", env=BenchEnv("windygrid"),
+                        agent=BenchAgent(agent, {"epochs": 3}), dataset=recipe,
+                        seeds=(0, 1), eval_episodes=10)
             for agent in ("offline_bcq", "mopo_lite")
         ]
         # pool workers fork from this process: the wrappers below reach them,
@@ -394,10 +427,9 @@ class TestRunBenchmark:
     def test_failures_are_isolated(self, tmp_path):
         cfg = BenchConfig(
             benchmark_id="wg-bad",
-            env_name="windygrid",
-            env_params={},
-            dataset_path=str(tmp_path / "missing.ds"),
-            agent="offline_bcq",
+            env=BenchEnv("windygrid"),
+            agent=BenchAgent("offline_bcq"),
+            dataset=DatasetFile(str(tmp_path / "missing.ds")),
             seeds=(0, 1),
             eval_episodes=2,
         )
@@ -437,8 +469,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(bench, "_worker", fake_worker)
         configs = [
-            BenchConfig(benchmark_id=name, env_name="windygrid", env_params={},
-                        dataset_path="unused.ds", seeds=seeds,
+            BenchConfig(benchmark_id=name, env=BenchEnv("windygrid"),
+                        agent=BenchAgent("offline_bcq"), dataset=DatasetFile("unused.ds"),
+                        seeds=seeds,
                         out=str(tmp_path / f"{name}.csv"))
             for name, seeds in (("a", (0, 1)), ("b", (5,)))
         ]
@@ -453,14 +486,16 @@ class TestRunBenchmark:
         generate = bench.generate_dataset
         monkeypatch.setattr(bench, "generate_dataset",
                             lambda *a: generated.append(a) or generate(*a))
-        cfg = BenchConfig(benchmark_id="wg-memo", env_name="windygrid", env_params={},
-                          dataset_recipe=DatasetRecipe(tier="random", n_records=200, seed=0))
+        cfg = BenchConfig(benchmark_id="wg-memo", env=BenchEnv("windygrid"),
+                          agent=BenchAgent("offline_bcq"),
+                          dataset=DatasetRecipe(tier="random", n_records=200, seed=0))
         other = dataclasses.replace(
-            cfg, dataset_recipe=DatasetRecipe(tier="random", n_records=200, seed=1))
+            cfg, dataset=DatasetRecipe(tier="random", n_records=200, seed=1))
         monkeypatch.setattr(bench, "_DATASET_MEMO", {})
         first = bench.obtain_dataset(cfg)
         # the agent is not part of the key; another recipe replaces the entry
-        assert bench.obtain_dataset(dataclasses.replace(cfg, agent="mopo_lite")) is first
+        assert bench.obtain_dataset(dataclasses.replace(cfg, agent=BenchAgent("mopo_lite"))
+                                    ) is first
         assert bench.obtain_dataset(other) is not first
         assert len(bench._DATASET_MEMO) == 1
         assert bench.obtain_dataset(cfg) == first
@@ -474,6 +509,19 @@ class TestRunBenchmark:
         assert back == list(results)
         header = path.read_text().splitlines()[0]
         assert header == "benchmark_id,agent,seed,raw_return,normalized_score,wall_time,config_hash,dataset_hash"
+
+    def test_append_to_a_file_without_the_header_fails(self, small_run, tmp_path):
+        # the rows and a second header used to land below the file's own lines
+        _, results = small_run
+        path = tmp_path / "notes.csv"
+        path.write_text("name,value\nx,1\n")
+        with pytest.raises(ValueError, match="notes.csv"):
+            bench.append_results(path, results)
+        assert path.read_text() == "name,value\nx,1\n"
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        bench.append_results(empty, results)  # an empty file takes the header
+        assert bench.read_results(empty) == list(results)
 
 
 class TestReports:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hybench import agents, data, envs, models
+from hybench import agents, bench, data, envs, models
 from hybench.records import check_keys, field_types, read_record, read_value, write_record
 
 # every dataclass a JSON record is read into
@@ -12,7 +12,8 @@ RECORD_CLASSES = [agents.AgentConfig, models.ModelConfig, data.DatasetRecipe,
                   data.DatasetMeta, envs.PendulumParams, envs.WindyGridParams,
                   envs.BanditSpec, models.FeatureMap, models.GaussianRegressor,
                   models.CorrectionEnsemble, agents._PolicyRecord, agents.QFunction,
-                  agents.BehaviorModel]
+                  agents.BehaviorModel, bench.BenchConfig, bench.BenchEnv,
+                  bench.BenchAgent, bench.DatasetFile]
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
@@ -103,8 +104,12 @@ def test_union_of_records_reads_the_arm_whose_keys_it_has():
     assert read_value(space, {"count": 3}, "s") == envs.DiscreteActions(3)
     assert read_value(space, {"low": -1, "high": 1}, "s") == envs.ContinuousActions(-1, 1)
     with pytest.raises(ValueError, match="s must be a DiscreteActions object or a "
-                                         "ContinuousActions object, got {'count': 3, 'x': 1}"):
+                                         "ContinuousActions object, got {'count': 3, 'x': 1}"
+                       ) as err:
         read_value(space, {"count": 3, "x": 1}, "s")
+    # no arm fits: each arm's own key error follows
+    assert str(err.value).endswith("; as DiscreteActions, unknown keys ['x']"
+                                   "; as ContinuousActions, unknown keys ['count', 'x']")
     # a lone record arm reports its own errors, by path
     with pytest.raises(ValueError, match=r"unknown s keys \['x'\]"):
         read_value(envs.DiscreteActions | None, {"count": 3, "x": 1}, "s")

@@ -3,7 +3,7 @@ import pytest
 
 import hybench as hb
 from hybench import agents, data
-from hybench.bench import BenchConfig, config_hash
+from hybench.bench import BenchAgent, BenchConfig, BenchEnv, config_hash
 from hybench.data import SPEC_KINDS, DatasetRecipe, apply_specs, check_spec
 from hybench.envs import EnvError
 from hybench.records import read_record, write_record
@@ -248,10 +248,11 @@ def kind_stages():
 
 def round_trip(spec, stage):
     """The spec as a config's sim2real or a recipe's corruption, after
-    to_dict and reading it back."""
+    writing it and reading it back."""
     if stage == "env":
-        cfg = BenchConfig("x", "pendulum", {}, sim2real=(spec,), agent="online_q")
-        return BenchConfig.from_dict(cfg.to_dict()).to_dict()["sim2real"][0]
+        cfg = BenchConfig("x", BenchEnv("pendulum"), BenchAgent("online_q"), sim2real=(spec,))
+        back = read_record(BenchConfig, write_record(cfg), "config")
+        return write_record(back)["sim2real"][0]
     recipe = DatasetRecipe(corruption=(spec,))
     back = read_record(DatasetRecipe, write_record(recipe), "recipe")
     return write_record(back)["corruption"][0]
@@ -307,7 +308,8 @@ class TestPerturbSpecs:
     def test_integer_and_float_values_hash_alike(self):
         def cfg(sigma):
             recipe = DatasetRecipe(corruption=({"kind": "obs_noise", "sigma": sigma},))
-            return BenchConfig("x", "pendulum", {}, dataset_recipe=recipe)
+            return BenchConfig("x", BenchEnv("pendulum"), BenchAgent("offline_bcq"),
+                               dataset=recipe)
 
         assert config_hash(cfg(1)) == config_hash(cfg(1.0))
         for bad in ("abc", "1.0", None, True, float("nan"), -0.5):
