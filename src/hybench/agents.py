@@ -23,21 +23,22 @@ simulator-anchored hybrid ``train_hymopo``.  Training is deterministic given
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import Literal
 
 import numpy as np
 
-from .data import Dataset, _int, check_field, load_json, read_versioned, save_json
+from .data import Dataset, load_json, read_versioned, save_json
 from .envs import ContinuousActions, DiscreteActions, Environment, PendulumEnv
 from .models import (
-    FEATURE_KINDS,
     CorrectionEnsemble,
+    FeatureKind,
     FeatureMap,
     ModelConfig,
     _tril_inverse,
     disagreement,
     fit_ensemble,
 )
-from .records import field_types, write_record
+from .records import check_fields, read_value, write_record
 from .seeding import (
     EVAL_ENV,
     EVAL_POLICY,
@@ -65,7 +66,7 @@ class AgentConfig:
     action_grid: tuple[float, ...] | None = None
     gamma: float = 0.99
     # Q-function features
-    q_feature_kind: str = "random_fourier"
+    q_feature_kind: FeatureKind = "random_fourier"
     q_feature_count: int = 256
     q_bandwidth: float = 1.0
     q_poly_degree: int = 9
@@ -73,7 +74,7 @@ class AgentConfig:
     q_input_shift: tuple[float, ...] | None = None
     q_input_scale: tuple[float, ...] | None = None
     q_ridge: float = 1e-6
-    q_action_design: str = "onehot"  # or "quadratic"
+    q_action_design: Literal["onehot", "quadratic"] = "onehot"
     # online training
     sweeps: int = 40
     episodes_per_sweep: int = 5
@@ -99,16 +100,12 @@ class AgentConfig:
     model: ModelConfig = ModelConfig()
 
     def __post_init__(self):
-        for name, tp in field_types(AgentConfig)[0].items():
-            if tp is int:  # every int field is a count
-                check_field(name, _int, getattr(self, name))
+        check_fields(self)
         for name in ("sweeps", "episodes_per_sweep", "q_iterations", "explore_hold",
                      "n_step", "offline_iterations", "epochs", "eval_episodes",
                      "q_feature_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.rollout_horizon < 0 or self.rollout_batch < 0:
-            raise ValueError("rollout horizon and batch must be >= 0")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must be in [0, 1)")
         for name in ("mix_real", "bc_threshold", "epsilon_start", "epsilon_end",
@@ -120,12 +117,6 @@ class AgentConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.action_grid is not None and not self.action_grid:
             raise ValueError("action_grid must hold at least one action, or be null")
-        for name, value, valid in (
-            ("q_action_design", self.q_action_design, ("onehot", "quadratic")),
-            ("q_feature_kind", self.q_feature_kind, FEATURE_KINDS),
-        ):
-            if value not in valid:
-                raise ValueError(f"unknown {name} {value!r}; valid: {valid}")
 
 
 def default_agent_config(env: Environment) -> AgentConfig:
@@ -557,7 +548,7 @@ def evaluate_policy(
     one batch of greedy actions per time step
     (``PendulumEnv.lockstep_returns``); every other case runs them one by one.
     """
-    episodes = check_field("episodes", _int, episodes)
+    episodes = read_value(int, episodes, "episodes")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     policy.reseed(derived_seed(seed, EVAL_POLICY))

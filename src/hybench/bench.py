@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
+from typing import Literal
 
 import numpy as np
 
@@ -36,11 +37,9 @@ from .data import (
     read_dataset,
 )
 from .envs import Environment, make_env
-from .records import field_types, read_record, write_record
+from .records import check_fields, field_types, read_record, write_record
 from .seeding import REFS, derived_seed
 from .wrappers import clone_env, env_signature
-
-AGENT_NAMES = ("online_q", "offline_bcq", "mopo_lite", "hymopo")
 
 
 def normalize_score(raw: float, random_ref: float, expert_ref: float) -> float:
@@ -109,18 +108,20 @@ class BenchEnv:
     params: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params or {}))  # null means {}
+        check_fields(self)
+        object.__setattr__(self, "params", self.params or {})  # null means {}
 
 
 @dataclass(frozen=True)
 class BenchAgent:
     """A config's ``agent`` section: an agent name and its config overrides."""
 
-    name: str
+    name: Literal["online_q", "offline_bcq", "mopo_lite", "hymopo"]
     config: dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "config", dict(self.config or {}))  # null means {}
+        check_fields(self)
+        object.__setattr__(self, "config", self.config or {})  # null means {}
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,9 @@ class DatasetFile:
     """A config's ``dataset`` section naming a dataset file."""
 
     path: str
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -145,9 +149,8 @@ class BenchConfig:
     out: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         agent = self.agent.name
-        if agent not in AGENT_NAMES:
-            raise ValueError(f"unknown agent {agent!r}; valid: {AGENT_NAMES}")
         if agent != "online_q" and self.dataset is None:
             raise ValueError(f"agent {agent!r} requires a dataset")
         if agent == "online_q" and self.dataset is not None:
@@ -156,8 +159,6 @@ class BenchConfig:
             raise ValueError(f"agent {agent!r} does not use a simulator; remove sim2real")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
         # bad env params, agent overrides, feature settings and sim2real specs

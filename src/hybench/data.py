@@ -18,17 +18,18 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
+from typing import Literal
 
 import numpy as np
 
 from .envs import Environment, StepResult
-from .records import check_keys, key_errors, read_record, write_record
+from .records import check_fields, check_keys, key_errors, read_record, read_value, write_record
 from .seeding import COLLECT_ENV, COLLECT_POLICY, DATA_NOISE, derived_rng, derived_seed
 from .wrappers import (
     EnvWrapper,
     clone_env,
     env_signature,
+    hidden_indices,
     with_action_delay,
     with_action_noise,
     with_hidden_dims,
@@ -37,8 +38,8 @@ from .wrappers import (
 )
 
 FORMAT_VERSION = "b4mrl-ds/1"
-DATASET_TIERS = ("random", "medium", "medium_replay", "medium_expert", "expert")
-BEHAVIOR_MODES = ("observed", "privileged")
+Tier = Literal["random", "medium", "medium_replay", "medium_expert", "expert"]
+BehaviorMode = Literal["observed", "privileged"]
 
 DEFAULT_TIER_BUDGET = {"pendulum": 40_000, "windygrid": 25_000, "bandit": 2_000}
 DEFAULT_DATASET_SIZE = {"pendulum": 100_000, "windygrid": 20_000, "bandit": 10_000}
@@ -79,21 +80,15 @@ class TierError(RuntimeError):
 class DatasetMeta:
     env_name: str
     env_params: dict
-    tier: str
+    tier: Tier
     corruption: tuple[dict, ...] = ()
-    behavior_mode: str = "observed"
+    behavior_mode: BehaviorMode = "observed"
     seed: int = 0
     format_version: str = FORMAT_VERSION
     record_count: int = 0
 
     def __post_init__(self):
-        if self.tier not in DATASET_TIERS:
-            raise ValueError(f"unknown tier {self.tier!r}; valid: {DATASET_TIERS}")
-        if self.behavior_mode not in BEHAVIOR_MODES:
-            raise ValueError(
-                f"unknown behavior mode {self.behavior_mode!r}; valid: {BEHAVIOR_MODES}"
-            )
-        self.corruption = tuple(dict(c) for c in self.corruption)
+        check_fields(self)
 
 
 @dataclass(eq=False)
@@ -209,8 +204,7 @@ def collect_dataset(
     ``full_state()`` while the records keep only the emitted observations.
     Episodes reset on done.
     """
-    if behavior_mode not in BEHAVIOR_MODES:
-        raise ValueError(f"unknown behavior mode {behavior_mode!r}")
+    read_value(BehaviorMode, behavior_mode, "behavior_mode")
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
     policy.reseed(derived_seed(seed, COLLECT_POLICY))
@@ -368,17 +362,12 @@ def corrupt_hide_dims(dataset: Dataset, indices) -> Dataset:
     used those entries; zeroing an already-zero column changes nothing and
     keeps the dataset's observed/privileged label intact.
     """
-    idx = tuple(sorted({int(i) for i in indices}))
-    dim = dataset.O.shape[1]
-    for i in idx:
-        if not 0 <= i < dim:
-            raise ValueError(f"hidden index {i} out of range for observation dim {dim}")
-    cols = list(idx)
+    cols = list(hidden_indices(indices, dataset.O.shape[1]))
     O, O2 = dataset.O.copy(), dataset.O2.copy()
     changed = bool(np.any(O[:, cols] != 0.0) or np.any(O2[:, cols] != 0.0))
     O[:, cols] = 0.0
     O2[:, cols] = 0.0
-    tag = {"kind": "hidden_dims", "indices": list(idx)}
+    tag = {"kind": "hidden_dims", "indices": cols}
     return _with_observations(dataset, O, O2, tag, changed)
 
 
@@ -391,8 +380,6 @@ def corrupt_hide_dims(dataset: Dataset, indices) -> Dataset:
 class TierPolicy:
     tier: str
     policy: object
-    raw_score: float
-    normalized_score: float
     train_result: object | None = None
     checkpoint_index: int | None = None
 
@@ -429,12 +416,12 @@ def train_tier_policy(
     config=None,
     refs=None,
 ) -> TierPolicy:
-    """Produce the behavior policy for a dataset tier, with measured scores.
+    """Produce the behavior policy for a dataset tier.
 
     ``random`` is the uniform policy; ``expert`` is the final policy of an
     online training run; ``medium`` is the earliest training checkpoint whose
-    normalized score crosses the medium target.  Scores are normalized
-    against the environment's reference pair.
+    score, normalized against the environment's reference pair (``refs``,
+    computed when None), crosses the medium target.
     """
     from . import agents, bench
 
@@ -443,41 +430,24 @@ def train_tier_policy(
     if budget is None:
         budget = DEFAULT_TIER_BUDGET.get(env.name, 20_000)
     cfg = config if config is not None else agents.default_agent_config(env)
-    if refs is None:
-        refs = bench.compute_reference_pair(env, seed=seed, budget=budget, config=cfg)
-
     if tier == "random":
-        policy = agents.UniformPolicy(agents.resolve_action_grid(env, cfg), seed=seed)
-        raw, _ = agents.evaluate_policy(clone_env(env), policy, episodes=100, seed=seed)
-        return TierPolicy(
-            tier, policy, raw, bench.normalize_score(raw, refs.random_ref, refs.expert_ref)
-        )
+        return TierPolicy(tier, agents.UniformPolicy(agents.resolve_action_grid(env, cfg),
+                                                     seed=seed))
 
     result = online_training_run(env, budget, seed, cfg)
     if tier == "expert":
-        raw = result.curve[result.best_index][1]
-        return TierPolicy(
-            tier,
-            result.policy,
-            raw,
-            bench.normalize_score(raw, refs.random_ref, refs.expert_ref),
-            train_result=result,
-            checkpoint_index=result.best_index,
-        )
+        return TierPolicy(tier, result.policy, train_result=result,
+                          checkpoint_index=result.best_index)
 
+    if refs is None:
+        refs = bench.compute_reference_pair(env, seed=seed, budget=budget, config=cfg)
     best = -np.inf
     for i, (steps, raw) in enumerate(result.curve):
         score = bench.normalize_score(raw, refs.random_ref, refs.expert_ref)
         best = max(best, score)
         if score >= MEDIUM_NORMALIZED_TARGET:
-            return TierPolicy(
-                "medium",
-                result.checkpoint_policy(i),
-                raw,
-                score,
-                train_result=result,
-                checkpoint_index=i,
-            )
+            return TierPolicy("medium", result.checkpoint_policy(i), train_result=result,
+                              checkpoint_index=i)
     raise TierError(
         f"medium tier unreachable within budget {budget}: best normalized score "
         f"achieved was {best:.1f} (target {MEDIUM_NORMALIZED_TARGET})"
@@ -489,57 +459,27 @@ def train_tier_policy(
 # ---------------------------------------------------------------------------
 
 
-def _real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
-        raise ValueError(f"must be a finite number >= 0, got {value!r}")
-    return float(value)
-
-
-def _int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-        raise ValueError(f"must be an integer >= 0, got {value!r}")
-    return int(value)
-
-
-def _ints(value) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"must be a list of integers >= 0, got {value!r}")
-    return [_int(i) for i in value]
-
-
-def check_field(name: str, coerce, value):
-    """``coerce(value)``, failing with a message that names the field."""
-    try:
-        return coerce(value)
-    except ValueError as exc:
-        raise ValueError(f"{name} {exc}") from None
-
-
-def _params(value) -> dict:
-    if not isinstance(value, Mapping):
-        raise ValueError(f"must be an object of parameter values, got {value!r}")
-    return dict(value)
-
-
 # kind -> stage -> (operator, required fields, optional fields).  Stage "env"
 # perturbs a training simulator (``sim2real``), stage "data" corrupts a
 # generated dataset (``corruption``).  The operator runs as op(target, **fields);
-# each field maps to its JSON value's coercion.  Every number is >= 0.
+# each field maps to its annotation, which ``records.read_value`` reads it as,
+# so every integer is >= 0.  A ``sigma`` is also >= 0, and is stored as a float.
 SPEC_KINDS = {
-    "transition_param_override": {"env": (with_transition_error, {"overrides": _params}, {})},
-    "obs_noise": {"env": (with_obs_noise, {"sigma": _real}, {}),
-                  "data": (corrupt_obs_noise, {"sigma": _real}, {"seed": _int})},
-    "hidden_dims": {"env": (with_hidden_dims, {"indices": _ints}, {}),
-                    "data": (corrupt_hide_dims, {"indices": _ints}, {})},
-    "action_noise": {"env": (with_action_noise, {"sigma": _real}, {})},
-    "action_delay": {"env": (with_action_delay, {"delay": _int}, {})},
+    "transition_param_override": {"env": (with_transition_error, {"overrides": dict}, {})},
+    "obs_noise": {"env": (with_obs_noise, {"sigma": float}, {}),
+                  "data": (corrupt_obs_noise, {"sigma": float}, {"seed": int})},
+    "hidden_dims": {"env": (with_hidden_dims, {"indices": tuple[int, ...]}, {}),
+                    "data": (corrupt_hide_dims, {"indices": tuple[int, ...]}, {})},
+    "action_noise": {"env": (with_action_noise, {"sigma": float}, {})},
+    "action_delay": {"env": (with_action_delay, {"delay": int}, {})},
 }
 _STAGE_NOUNS = {"env": "sim2real", "data": "corruption"}
 
 
 def check_spec(spec, stage: str) -> dict:
     """Validate one spec for ``stage`` and return its canonical form: a new
-    dict of the kind and each given field, coerced to its JSON type."""
+    dict of the kind and each given field, read as its annotation and
+    written back as JSON."""
     noun = _STAGE_NOUNS[stage]
     if not isinstance(spec, Mapping):
         raise ValueError(f"a {noun} spec must be an object with a 'kind', got {spec!r}")
@@ -555,9 +495,14 @@ def check_spec(spec, stage: str) -> dict:
     if unknown:
         raise ValueError(f"unknown keys {unknown} for {noun} kind {kind!r}")
     out = {"kind": kind}
-    for name, coerce in {**required, **optional}.items():
+    for name, tp in {**required, **optional}.items():
         if name in spec:
-            out[name] = check_field(f"{noun} kind {kind!r}: {name!r}", coerce, spec[name])
+            where = f"{noun} kind {kind!r}: {name!r}"
+            out[name] = write_record(read_value(tp, spec[name], where))
+            if name == "sigma":  # a standard deviation; 1 and 1.0 hash alike
+                if out[name] < 0:
+                    raise ValueError(f"{where} must be >= 0, got {out[name]!r}")
+                out[name] = float(out[name])
     return out
 
 
@@ -589,9 +534,9 @@ class DatasetRecipe:
     checkpoint, so ``n_records`` only caps the size.
     """
 
-    tier: str = "medium"
+    tier: Tier = "medium"
     n_records: int | None = None
-    behavior_mode: str = "observed"
+    behavior_mode: BehaviorMode = "observed"
     hidden_during_collection: tuple[int, ...] = ()
     corruption: tuple[dict, ...] = ()
     history_k: int | None = None
@@ -600,22 +545,16 @@ class DatasetRecipe:
     train_budget: int | None = None
 
     def __post_init__(self):
-        if self.tier not in DATASET_TIERS:
-            raise ValueError(f"unknown tier {self.tier!r}; valid: {DATASET_TIERS}")
-        if self.behavior_mode not in BEHAVIOR_MODES:
-            raise ValueError(f"unknown behavior mode {self.behavior_mode!r}")
+        check_fields(self)
         # None alone means "the environment's default"
         for name in ("n_records", "history_k", "train_budget"):
             value = getattr(self, name)
-            if value is not None and check_field(name, _int, value) < 1:
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1 or null, got {value}")
         if not 0.0 <= self.collect_epsilon <= 1.0:
             raise ValueError(f"collect_epsilon must be in [0, 1], got {self.collect_epsilon}")
-        check_field("seed", _int, self.seed)
         if self.tier == "medium_replay" and (self.history_k or 1) > 1:
             raise ValueError("history-aware collection is not defined for medium_replay")
-        object.__setattr__(self, "hidden_during_collection", tuple(
-            check_field("hidden_during_collection", _ints, self.hidden_during_collection)))
         object.__setattr__(
             self, "corruption", tuple(check_spec(c, "data") for c in self.corruption)
         )
@@ -642,8 +581,8 @@ def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Data
         policy_env = HistoryStack(policy_env, recipe.history_k)
 
     def tier_policy(tier: str):
-        tp = train_tier_policy(policy_env, tier, budget, recipe.seed, refs=refs)
-        return agents.with_epsilon(tp.policy, recipe.collect_epsilon), tp
+        policy = train_tier_policy(policy_env, tier, budget, recipe.seed, refs=refs).policy
+        return agents.with_epsilon(policy, recipe.collect_epsilon)
 
     if recipe.tier == "medium_replay":
         tp = train_tier_policy(policy_env, "medium", budget, recipe.seed, refs=refs)
@@ -654,14 +593,11 @@ def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Data
         half = n_records // 2
         parts = []
         for tier, count in (("medium", half), ("expert", n_records - half)):
-            pol, _ = tier_policy(tier)
-            parts.append(
-                _collect(collect_env, pol, count, recipe, tier)
-            )
+            parts.append(_collect(collect_env, tier_policy(tier), count, recipe, tier))
         dataset = concat_datasets(parts, "medium_expert", recipe.seed)
     else:
-        pol, _ = tier_policy(recipe.tier)
-        dataset = _collect(collect_env, pol, n_records, recipe, recipe.tier)
+        dataset = _collect(collect_env, tier_policy(recipe.tier), n_records, recipe,
+                           recipe.tier)
 
     return apply_specs(dataset, recipe.corruption, "data")
 

@@ -22,12 +22,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .data import Dataset, _int, _ints, check_field, load_json, read_versioned, save_json
+from .data import Dataset, load_json, read_versioned, save_json
 from .envs import ContinuousActions, DiscreteActions
-from .records import field_types, read_value, write_record
+from .records import check_fields, read_value, write_record
 from .seeding import derived_rng
 
 
@@ -40,7 +41,7 @@ class ModelFitError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-FEATURE_KINDS = ("polynomial", "random_fourier")
+FeatureKind = Literal["polynomial", "random_fourier"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class FeatureMap:
     conditioning.
     """
 
-    kind: str
+    kind: FeatureKind
     input_dim: int
     shift: tuple[float, ...] | None = None
     scale: tuple[float, ...] | None = None
@@ -67,9 +68,8 @@ class FeatureMap:
     dim_degrees: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature map kind {self.kind!r}; valid: {FEATURE_KINDS}")
-        n = check_field("input_dim", _int, self.input_dim)
+        check_fields(self)
+        n = self.input_dim
         put = functools.partial(object.__setattr__, self)
         put("shift", (0.0,) * n if self.shift is None else tuple(map(float, self.shift)))
         put("scale", (1.0,) * n if self.scale is None else tuple(map(float, self.scale)))
@@ -85,9 +85,7 @@ class FeatureMap:
         put("_shift", np.array(self.shift))
         put("_scale", np.array(self.scale))
         if self.kind == "polynomial":
-            put("degree", check_field("degree", _int, self.degree))
-            if self.dim_degrees is not None:
-                put("dim_degrees", tuple(check_field("dim_degrees", _ints, self.dim_degrees)))
+            read_value(int, self.degree, "degree")  # not null
             caps = self.dim_degrees or (self.degree,) * n
             exponents = [exps for d in range(self.degree + 1) for exps in _exponent_tuples(n, d)
                          if all(e <= caps[dim] for dim, e in exps)]
@@ -103,9 +101,9 @@ class FeatureMap:
                                       for exps in exponents], dtype=np.intp).T)
             put("output_dim", len(exponents))
         else:
-            put("count", check_field("count", _int, self.count))
-            put("bandwidth", float(read_value(float, self.bandwidth, "bandwidth")))
-            put("seed", check_field("seed", _int, self.seed))
+            for name, tp in (("count", int), ("bandwidth", float), ("seed", int)):
+                read_value(tp, getattr(self, name), name)  # not null
+            put("bandwidth", float(self.bandwidth))
             for name in ("count", "bandwidth"):
                 if not getattr(self, name) > 0:
                     raise ValueError(f"feature {name} must be > 0, got {getattr(self, name)}")
@@ -313,7 +311,7 @@ class ModelConfig:
     ridge: float = 1e-3
     holdout_fraction: float = 0.1
     seed: int = 0
-    feature_kind: str = "random_fourier"
+    feature_kind: FeatureKind = "random_fourier"
     feature_count: int = 256
     bandwidth: float = 1.0
     poly_degree: int = 3
@@ -322,14 +320,7 @@ class ModelConfig:
     input_scale: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.feature_kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown model feature_kind {self.feature_kind!r}; "
-                             f"valid: {FEATURE_KINDS}")
-        for name, tp in field_types(ModelConfig)[0].items():
-            if tp is int:  # every int field is a count or a seed
-                check_field(name, _int, getattr(self, name))
-        if self.poly_dim_degrees is not None:
-            check_field("poly_dim_degrees", _ints, self.poly_dim_degrees)
+        check_fields(self)
         for name in ("ridge", "bandwidth"):  # the fit's condition bound divides by the ridge
             if not getattr(self, name) > 0:
                 raise ValueError(f"model {name} must be > 0, got {getattr(self, name)}")
@@ -362,14 +353,12 @@ class CorrectionEnsemble:
     simulator's prediction."""
 
     members: tuple[GaussianRegressor, ...]
-    mode: str  # "direct" | "correction"
+    mode: Literal["direct", "correction"]
     obs_dim: int
     action_space: DiscreteActions | ContinuousActions
 
     def __post_init__(self):
-        self.members = tuple(self.members)
-        if self.mode not in ("direct", "correction"):
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
+        check_fields(self)
         if len(self.members) < 1:
             raise ValueError("ensemble needs at least one member")
         dims = {m.weights.shape for m in self.members}

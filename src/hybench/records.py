@@ -1,14 +1,20 @@
-"""The one mapping of JSON records to and from dataclasses.
+"""The one mapping of JSON records to and from dataclasses, and the one
+check of their field types.
 
 A benchmark config's sections, dataset recipes, agent and model settings,
 environment parameters, dataset metadata, saved policies and saved
 ensembles all follow one rule: unknown and missing keys are errors; each
-value must match its field's annotation (``int`` rejects 2.5 and true,
-``float`` takes a finite real, ``X | None`` also takes null, a ``tuple``
-field takes a list and checks its elements, an ``np.ndarray`` field takes a
-nested list of finite numbers, and a dataclass takes an object, in a union
-read as the arm whose keys it has); and an accepted value keeps its type,
-so a config hashes as it always did.  ``__post_init__`` still checks
+value must match its field's annotation (``int`` takes an integer >= 0,
+since every integer field is a count, size, seed or index, and rejects 2.5
+and true; ``float`` takes a finite real, ``Literal[...]`` one of its
+strings, ``X | None`` also null; a ``tuple`` field takes a list and checks
+its elements, an ``np.ndarray`` field takes a nested list of finite
+numbers, and a dataclass takes an object, in a union read as the arm whose
+keys it has, or an instance of itself, which checked itself when it was
+built); and an accepted real keeps its type (an integer is stored as a
+Python int), so a config hashes as it always did.  Config records call
+:func:`check_fields` first in ``__post_init__``, so a record built in
+Python is checked as one read from JSON; ``__post_init__`` then checks
 ranges.  :func:`write_record` is the inverse of :func:`read_record`.
 """
 
@@ -41,7 +47,7 @@ def _is_finite_real(value) -> bool:
 
 # scalar annotation -> (accepts, singular, plural)
 _SCALARS = {
-    int: (_is_int, "an integer", "integers"),
+    int: (lambda v: _is_int(v) and v >= 0, "an integer >= 0", "integers >= 0"),
     float: (_is_finite_real, "a finite number", "finite numbers"),
     bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
     str: (lambda v: isinstance(v, str), "a string", "strings"),
@@ -92,6 +98,13 @@ def read_record(cls, obj, what: str, base=None, path: str = ""):
         return replace(base, **values) if base is not None else cls(**values)
     except ValueError as exc:  # a range check of a nested record: name where it sits
         raise ValueError(f"{what}: {exc}" if path else str(exc)) from None
+
+
+def check_fields(record) -> None:
+    """Read each field of the dataclass instance ``record`` as its annotation
+    and store the value read, so that lists become tuples."""
+    for name, tp in field_types(type(record))[0].items():
+        object.__setattr__(record, name, read_value(tp, getattr(record, name), name))
 
 
 def read_value(tp, value, name: str):
@@ -157,8 +170,12 @@ def _convert(tp, value, name: str):
     ``tuple[X, ...]``, or ``tuple[X, X]`` of fixed length."""
     args = typing.get_args(tp)
     if is_dataclass(tp):
+        if isinstance(value, tp):
+            return value
         return (read_record(tp, value, name, path=name + ".")
                 if isinstance(value, dict) else _MISMATCH)
+    if typing.get_origin(tp) is typing.Literal:
+        return value if isinstance(value, str) and value in args else _MISMATCH
     if typing.get_origin(tp) is types.UnionType:
         records = [arm for arm in args if is_dataclass(arm)]
         if records and isinstance(value, dict):
@@ -188,7 +205,7 @@ def _convert(tp, value, name: str):
             return _MISMATCH
     if not _SCALARS[tp][0](value):
         return _MISMATCH
-    return dict(value) if tp is dict else value
+    return dict(value) if tp is dict else int(value) if tp is int else value
 
 
 def _describe(tp, plural: bool = False) -> str:
@@ -206,4 +223,8 @@ def _describe(tp, plural: bool = False) -> str:
         return "nested lists of finite numbers" if plural else "a nested list of finite numbers"
     if is_dataclass(tp):
         return f"{tp.__name__} objects" if plural else f"a {tp.__name__} object"
+    if typing.get_origin(tp) is typing.Literal:
+        if not all(isinstance(arg, str) for arg in args):
+            raise KeyError(tp)
+        return f"{'values' if plural else 'one'} of {', '.join(map(repr, args))}"
     return _SCALARS[tp][2 if plural else 1]

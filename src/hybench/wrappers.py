@@ -17,7 +17,10 @@ sigma = 0, delay = 0, empty index set).
 
 The ``with_*`` functions are the operators behind the serializable
 ``sim2real`` specs: ``hybench.data.SPEC_KINDS`` names each kind, its fields
-and its operator, and ``hybench.data.apply_specs`` applies a list of specs.
+with their annotations and its operator, ``hybench.data.check_spec`` reads
+a spec's fields through ``hybench.records``, and ``hybench.data.apply_specs``
+applies a list of specs.  :func:`hidden_indices` is the one check of hidden
+observation indices, shared with the dataset corruption that zeroes them.
 """
 
 from __future__ import annotations
@@ -154,6 +157,16 @@ def with_obs_noise(env: Environment, sigma: float) -> ObsNoiseWrapper:
     return ObsNoiseWrapper(env, sigma)
 
 
+def hidden_indices(indices, obs_dim: int) -> tuple[int, ...]:
+    """The distinct ``indices`` in ascending order, each checked to name one
+    of ``obs_dim`` observation entries."""
+    idx = tuple(sorted({int(i) for i in indices}))
+    for i in idx:
+        if not 0 <= i < obs_dim:
+            raise ValueError(f"hidden index {i} out of range for observation dim {obs_dim}")
+    return idx
+
+
 class HiddenDimsWrapper(EnvWrapper):
     """Fixes the named observation entries to exactly 0.0.
 
@@ -164,14 +177,8 @@ class HiddenDimsWrapper(EnvWrapper):
     _args = ("indices",)
 
     def __init__(self, env: Environment, indices):
-        idx = tuple(sorted({int(i) for i in indices}))
-        for i in idx:
-            if not 0 <= i < env.obs_dim:
-                raise ValueError(
-                    f"hidden index {i} out of range for observation dim {env.obs_dim}"
-                )
         super().__init__(env)
-        self.indices = idx
+        self.indices = hidden_indices(indices, env.obs_dim)
 
     def _mask(self, obs: np.ndarray) -> np.ndarray:
         if not self.indices:

@@ -559,7 +559,7 @@ class TestPolicySerialization:
          r"q.features.bandwidth must be a finite number"),
         (lambda d: d["q"]["weights"][3].append("x"), r"q.weights must be a nested list"),
         (lambda d: d["q"]["features"].update(kind="x"),
-         r"q.features: unknown feature map kind 'x'"),
+         r"q.features.kind must be one of 'polynomial', 'random_fourier', got 'x'"),
         (lambda d: d["behavior"]["features"].pop("seed"), r"behavior.features: .*seed"),
         (lambda d: d.update(format_version="hybench-policy/1"),
          r"unsupported policy format 'hybench-policy/1'"),

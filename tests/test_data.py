@@ -387,6 +387,33 @@ class TestSerialization:
                         behavior_mode="psychic")
 
 
+def counting(calls, key, fn):
+    def wrapped(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class TestTierPolicies:
+    # the random and expert tiers used to compute the reference pair, and the
+    # random tier to evaluate the uniform policy, for scores that nothing read
+    @pytest.mark.parametrize("tier,expected", [
+        ("random", {"refs": 0, "training": 0, "evaluations": 0}),
+        ("expert", {"refs": 0, "training": 1}),
+        ("medium", {"refs": 1, "training": 1}),
+    ], ids=["random", "expert", "medium"])
+    def test_only_the_medium_tier_asks_for_references(self, monkeypatch, tier, expected):
+        calls = dict.fromkeys(("refs", "training", "evaluations"), 0)
+        for module, name, key in ((bench, "compute_reference_pair", "refs"),
+                                  (data, "online_training_run", "training"),
+                                  (agents, "evaluate_policy", "evaluations")):
+            monkeypatch.setattr(module, name, counting(calls, key, getattr(module, name)))
+        recipe = data.DatasetRecipe(tier=tier, n_records=300, seed=3)
+        dataset = data.generate_dataset(hb.make_env("windygrid"), recipe)
+        assert len(dataset) == 300 and dataset.meta.tier == tier
+        assert {key: calls[key] for key in expected} == expected
+
+
 class TestConcat:
     def test_concat_preserves_records(self, grid_dataset):
         half = len(grid_dataset) // 2

@@ -62,7 +62,7 @@ def test_bad_model_value_rejected_naming_field(field, value):
     ("poly_dim_degrees", (1, 1.5)),
 ])
 def test_non_integer_model_count_rejected_naming_field(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    with pytest.raises(ValueError, match=f"{field} must be (an integer|a list of integers)"):
         ModelConfig(**{field: value})
 
 
@@ -548,7 +548,8 @@ class TestEnsembleSerialization:
         (lambda d: d["members"][4]["weights"][-1].__setitem__(0, "nan"),
          r"members\[4\].weights must be a nested list of finite numbers"),
         (lambda d: d["members"][1]["features"].update(kind="x"),
-         r"members\[1\].features: unknown feature map kind 'x'"),
+         r"members\[1\].features.kind must be one of 'polynomial', 'random_fourier', "
+         r"got 'x'"),
         (lambda d: d["members"][1]["features"].update(scale=[1.0]),
          r"members\[1\].features: feature map scale"),
         (lambda d: d["action_space"].update(count=9),

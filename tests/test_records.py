@@ -1,11 +1,19 @@
 import dataclasses
 from fractions import Fraction
+from typing import Literal
 
 import numpy as np
 import pytest
 
 from hybench import agents, bench, data, envs, models
-from hybench.records import check_keys, field_types, read_record, read_value, write_record
+from hybench.records import (
+    check_fields,
+    check_keys,
+    field_types,
+    read_record,
+    read_value,
+    write_record,
+)
 
 # every dataclass a JSON record is read into
 RECORD_CLASSES = [agents.AgentConfig, models.ModelConfig, data.DatasetRecipe,
@@ -13,7 +21,8 @@ RECORD_CLASSES = [agents.AgentConfig, models.ModelConfig, data.DatasetRecipe,
                   envs.BanditSpec, models.FeatureMap, models.GaussianRegressor,
                   models.CorrectionEnsemble, agents._PolicyRecord, agents.QFunction,
                   agents.BehaviorModel, bench.BenchConfig, bench.BenchEnv,
-                  bench.BenchAgent, bench.DatasetFile]
+                  bench.BenchAgent, bench.DatasetFile, bench.RunResult,
+                  envs.DiscreteActions, envs.ContinuousActions]
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
@@ -60,19 +69,27 @@ def test_nested_record_read_over_its_base():
     assert cfg.model.input_scale == (1, 0.5)
 
 
+# the ids set by hand keep each case's name, which quotes its message without ">= 0"
 @pytest.mark.parametrize("tp,value,message", [
-    (int, True, "x must be an integer, got True"),
-    (int, 2.0, "x must be an integer, got 2.0"),
+    pytest.param(int, True, "x must be an integer >= 0, got True",
+                 id="int-True-x must be an integer, got True"),
+    pytest.param(int, 2.0, "x must be an integer >= 0, got 2.0",
+                 id="int-2.0-x must be an integer, got 2.0"),
     (float, float("nan"), "x must be a finite number, got nan"),
     (float, False, "x must be a finite number, got False"),
     (bool, 1, "x must be true or false, got 1"),
     (str, 1, "x must be a string, got 1"),
     (dict, [], "x must be an object, got []"),
-    (int | None, "1", "x must be an integer or null, got '1'"),
-    (tuple[int, ...], "12", "x must be a list of integers, got '12'"),
-    (tuple[int, int], [1, 2, 3], "x must be a list of 2 integers, got [1, 2, 3]"),
+    pytest.param(int | None, "1", "x must be an integer >= 0 or null, got '1'",
+                 id="tp7-1-x must be an integer or null, got '1'"),
+    pytest.param(tuple[int, ...], "12", "x must be a list of integers >= 0, got '12'",
+                 id="tuple-12-x must be a list of integers, got '12'"),
+    pytest.param(tuple[int, int], [1, 2, 3],
+                 "x must be a list of 2 integers >= 0, got [1, 2, 3]",
+                 id="tuple-value9-x must be a list of 2 integers, got [1, 2, 3]"),
     (tuple[tuple[float, float], tuple[float, float]], [[1, 2], [3]],
      "x must be a list of 2 lists of 2 finite numbers, got [[1, 2], [3]]"),
+    (int, -1, "x must be an integer >= 0, got -1"),
 ])
 def test_value_mismatch_names_field_and_type(tp, value, message):
     with pytest.raises(ValueError) as err:
@@ -118,14 +135,15 @@ def test_union_of_records_reads_the_arm_whose_keys_it_has():
 
 
 def test_nested_range_check_names_its_path():
-    with pytest.raises(ValueError, match=r"^s\[0\]: unknown feature map kind 'x'"):
-        read_value(tuple[models.FeatureMap, ...], [{"kind": "x", "input_dim": 1}], "s")
+    fm = {"kind": "random_fourier", "input_dim": 1, "count": 0, "bandwidth": 1, "seed": 0}
+    with pytest.raises(ValueError, match=r"^s\[0\]: feature count must be > 0, got 0"):
+        read_value(tuple[models.FeatureMap, ...], [fm], "s")
 
 
 def test_mismatch_message_is_bounded():
     with pytest.raises(ValueError) as err:
         read_value(int, list(range(10**5)), "n")
-    assert str(err.value).startswith("n must be an integer, got [0, 1, 2")
+    assert str(err.value).startswith("n must be an integer >= 0, got [0, 1, 2")
     assert len(str(err.value)) < 120
 
 
@@ -139,3 +157,79 @@ def test_write_record_is_the_inverse_of_read_record():
     assert out["weights"] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
     assert type(out["ridge"]) is float and out["features"]["shift"] == [1.0, -1.0]
     assert read_record(models.GaussianRegressor, out, "regressor") == reg
+
+
+def test_literal_takes_one_of_its_strings():
+    mode = Literal["direct", "correction"]
+    assert read_value(mode, "direct", "m") == "direct"
+    with pytest.raises(ValueError) as err:
+        read_value(mode, "both", "m")
+    assert str(err.value) == "m must be one of 'direct', 'correction', got 'both'"
+    for value in (1, None, ["direct"]):
+        with pytest.raises(ValueError, match="m must be one of 'direct', 'correction'"):
+            read_value(mode, value, "m")
+
+
+def test_literal_of_non_strings_is_unreadable():
+    @dataclasses.dataclass
+    class Odd:
+        level: Literal[1, 2]
+
+    with pytest.raises(TypeError, match="Odd.level"):
+        field_types(Odd)
+
+
+def test_check_fields_stores_lists_as_tuples():
+    cfg = agents.AgentConfig(action_grid=[0, 1, 2, 3], q_input_scale=[1, 0.5, 2])
+    assert cfg.action_grid == (0, 1, 2, 3) and cfg.q_input_scale == (1, 0.5, 2)
+    # used to construct unhashable, and the training cache keys on the hash
+    assert cfg == agents.AgentConfig(action_grid=(0, 1, 2, 3), q_input_scale=(1, 0.5, 2))
+    assert hash(cfg) == hash(agents.AgentConfig(action_grid=(0, 1, 2, 3),
+                                                q_input_scale=(1, 0.5, 2)))
+
+
+def test_check_fields_accepts_a_nested_instance_as_it_is():
+    model = models.ModelConfig(n_members=3)
+    assert agents.AgentConfig(model=model).model is model
+    recipe = data.DatasetRecipe(tier="random")
+    config = bench.BenchConfig("x", bench.BenchEnv("windygrid"),
+                               bench.BenchAgent("offline_bcq"), dataset=recipe)
+    assert config.dataset is recipe
+
+    @dataclasses.dataclass
+    class Holder:
+        space: envs.DiscreteActions | envs.ContinuousActions
+
+        def __post_init__(self):
+            check_fields(self)
+
+    space = envs.ContinuousActions(-1.0, 1.0)
+    assert Holder(space).space is space
+    with pytest.raises(ValueError, match="space must be a DiscreteActions object or a "
+                                         "ContinuousActions object, got 3"):
+        Holder(3)
+
+
+def _bench_config(**fields):
+    return bench.BenchConfig("x", bench.BenchEnv("windygrid"), bench.BenchAgent("online_q"),
+                             **fields)
+
+
+@pytest.mark.parametrize("build,message", [
+    # all of these used to construct, or to fail with a bare TypeError
+    (lambda: _bench_config(seeds=(0.5,)),
+     r"seeds must be a list of integers >= 0, got \(0.5,\)"),
+    (lambda: _bench_config(eval_episodes=2.5),
+     "eval_episodes must be an integer >= 0, got 2.5"),
+    (lambda: _bench_config(out=3), "out must be a string or null, got 3"),
+    (lambda: agents.AgentConfig(gamma="0.9"), "gamma must be a finite number, got '0.9'"),
+    (lambda: models.ModelConfig(ridge="1"), "ridge must be a finite number, got '1'"),
+    (lambda: data.DatasetRecipe(collect_epsilon="0.1"),
+     "collect_epsilon must be a finite number, got '0.1'"),
+    (lambda: bench.BenchAgent("sac"), "name must be one of 'online_q', "),
+    (lambda: data.DatasetRecipe(behavior_mode="full"), "behavior_mode must be one of "),
+], ids=["seeds", "eval_episodes", "out", "gamma", "ridge", "collect_epsilon", "agent",
+        "behavior_mode"])
+def test_record_built_in_python_is_checked_naming_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
