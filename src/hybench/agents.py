@@ -17,7 +17,8 @@ Four trainers share one fitted-Q core (Bellman targets, zeroed at done,
 bootstrap values clipped to the feasible range implied by observed rewards):
 ``train_online_q``, ``train_offline_bcq``, ``train_mopo_lite`` and the
 simulator-anchored hybrid ``train_hymopo``.  Training is deterministic given
-(inputs, config, seed), bit-exactly.
+(inputs, config, seed), bit-exactly at a fixed BLAS thread count: grams and
+Cholesky factors can change bits between 1 and 2 OpenBLAS threads.
 """
 
 from __future__ import annotations

@@ -22,11 +22,12 @@ from typing import Literal
 
 import numpy as np
 
-from .envs import Environment, StepResult
+from .envs import Environment
 from .records import check_fields, check_keys, key_errors, read_record, read_value, write_record
 from .seeding import COLLECT_ENV, COLLECT_POLICY, DATA_NOISE, derived_rng, derived_seed
 from .wrappers import (
-    EnvWrapper,
+    FullStateObservation,
+    HistoryStack,
     clone_env,
     env_signature,
     hidden_indices,
@@ -252,60 +253,6 @@ def collect_history_confounded(
         tier, "privileged" if k > 1 else "observed", seed,
         corruption=({"kind": "history_confounded", "k": int(k)},),
     )
-
-
-class HistoryStack(EnvWrapper):
-    """Observation wrapper exposing the concatenation of the last k
-    observations (zero-padded after reset).  Used to train history-aware
-    behavior policies; not an error-injection wrapper."""
-
-    _args = ("k",)
-
-    def __init__(self, env: Environment, k: int):
-        if k < 1:
-            raise ValueError("history length k must be >= 1")
-        super().__init__(env)
-        self.k = int(k)
-        self._window = np.zeros((self.k, env.obs_dim))
-
-    @property
-    def obs_dim(self) -> int:  # type: ignore[override]
-        return self.env.obs_dim * self.k
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        obs = self.env.reset(seed)
-        self._window = np.zeros((self.k, self.env.obs_dim))
-        self._window[-1] = obs
-        return self._window.reshape(-1).copy()
-
-    def step(self, action) -> StepResult:
-        res = self.env.step(action)
-        self._window = np.roll(self._window, -1, axis=0)
-        self._window[-1] = res.obs
-        return StepResult(self._window.reshape(-1).copy(), res.reward, res.done)
-
-
-class FullStateObservation(EnvWrapper):
-    """Observation wrapper that emits ``full_state()`` directly.  Used to
-    train privileged behavior policies whose input is the full state."""
-
-    def __init__(self, env: Environment):
-        super().__init__(env)
-        probe = type(env.unwrapped)(env.unwrapped.params)
-        probe.reset(seed=0)
-        self._state_dim = probe.full_state().shape[0]
-
-    @property
-    def obs_dim(self) -> int:  # type: ignore[override]
-        return self._state_dim
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        self.env.reset(seed)
-        return self.env.full_state()
-
-    def step(self, action) -> StepResult:
-        res = self.env.step(action)
-        return StepResult(self.env.full_state(), res.reward, res.done)
 
 
 # ---------------------------------------------------------------------------

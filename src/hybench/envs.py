@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .records import read_record, read_value
+from .records import check_fields, read_record, read_value
 from .seeding import DYNAMICS, derived_rng
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +51,9 @@ class StepResult:
 class DiscreteActions:
     count: int
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class ContinuousActions:
@@ -58,13 +61,17 @@ class ContinuousActions:
     high: float
     dim: int = 1
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 class Environment:
     """Base class for seeded, steppable environments.
 
     Subclasses set ``name``, ``obs_dim`` and ``action_space`` and implement
-    ``reset``/``step``/``full_state``.  ``full_state`` exposes the privileged
-    internal state (a superset of what observations reveal) and is never
+    ``_start`` (the first state of an episode), ``step`` and ``full_state``.
+    ``full_state`` exposes the privileged internal state (a superset of what
+    observations reveal), is defined from construction on, and is never
     touched by observation wrappers.
     """
 
@@ -73,32 +80,38 @@ class Environment:
     action_space: DiscreteActions | ContinuousActions = DiscreteActions(1)
 
     def __init__(self):
-        self._rng: np.random.Generator | None = None
+        self._rng: np.random.Generator | None = None  # None until the first reset
         self._done = True
-        self._needs_reset = True
+        self._t = 0
 
     @property
     def params(self):
-        raise NotImplementedError
+        """The dynamics parameter record, which subclasses store as ``_params``."""
+        return self._params
 
     @property
     def unwrapped(self) -> "Environment":
         return self
 
-    def _reseed(self, seed: int | None) -> None:
-        if seed is None:
-            if self._rng is None:
-                raise EnvError(f"{self.name}: first reset() requires an integer seed")
-        else:
-            self._rng = derived_rng(int(seed), DYNAMICS)
-
     def _check_steppable(self) -> None:
-        if self._needs_reset:
+        if self._rng is None:
             raise EnvError(f"{self.name}: step() called before reset()")
         if self._done:
             raise EnvError(f"{self.name}: step() called after done; reset() first")
 
     def reset(self, seed: int | None = None) -> np.ndarray:
+        """Start an episode and return its first observation; without a seed
+        the dynamics stream carries on, so the first reset needs one."""
+        if seed is not None:
+            self._rng = derived_rng(int(seed), DYNAMICS)
+        elif self._rng is None:
+            raise EnvError(f"{self.name}: first reset() requires an integer seed")
+        self._t = 0
+        self._done = False
+        return self._start()
+
+    def _start(self) -> np.ndarray:
+        """Draw the first state from ``_rng`` and return its observation."""
         raise NotImplementedError
 
     def step(self, action) -> StepResult:
@@ -157,6 +170,7 @@ class PendulumParams:
     horizon: int = 200
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("gravity", "mass", "length", "torque_limit", "dt"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"pendulum parameter {name} must be > 0")
@@ -237,20 +251,11 @@ class PendulumEnv(Environment):
         )
         self._theta = 0.0
         self._omega = 0.0
-        self._t = 0
 
-    @property
-    def params(self) -> PendulumParams:
-        return self._params
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        self._reseed(seed)
+    def _start(self) -> np.ndarray:
         # uniform(-pi, pi) samples [-pi, pi); negating yields (-pi, pi]
         self._theta = -float(self._rng.uniform(-math.pi, math.pi))
         self._omega = float(self._rng.uniform(-1.0, 1.0))
-        self._t = 0
-        self._done = False
-        self._needs_reset = False
         return _pendulum_obs(self._theta, self._omega)
 
     def step(self, action) -> StepResult:
@@ -338,12 +343,11 @@ class WindyGridParams:
     discount: float = 0.95
 
     def __post_init__(self):
+        check_fields(self)
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be >= 1")
         if not 0.0 <= self.wind_prob <= 1.0:
             raise ValueError("wind_prob must be in [0, 1]")
-        object.__setattr__(self, "goal", tuple(int(v) for v in self.goal))
-        object.__setattr__(self, "start", tuple(int(v) for v in self.start))
         for label, cell in (("goal", self.goal), ("start", self.start)):
             x, y = cell
             if not (0 <= x < self.width and 0 <= y < self.height):
@@ -397,11 +401,6 @@ class WindyGridEnv(Environment):
         self.action_space = DiscreteActions(4)
         self._cell = self._params.start
         self._wind = 0
-        self._t = 0
-
-    @property
-    def params(self) -> WindyGridParams:
-        return self._params
 
     def _obs(self) -> np.ndarray:
         return np.array(
@@ -411,13 +410,9 @@ class WindyGridEnv(Environment):
     def _sample_wind(self) -> int:
         return int(self._rng.random() < self._params.wind_prob)
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        self._reseed(seed)
+    def _start(self) -> np.ndarray:
         self._cell = self._params.start
         self._wind = self._sample_wind()
-        self._t = 0
-        self._done = False
-        self._needs_reset = False
         return self._obs()
 
     def step(self, action) -> StepResult:
@@ -489,14 +484,11 @@ class BanditSpec:
     )
 
     def __post_init__(self):
+        check_fields(self)
         _check_prob(self.p_z0, "p_z0")
-        table = tuple(tuple(row) for row in self.reward_table)
-        if len(table) != 2 or any(len(row) != 2 for row in table):
-            raise ValueError("reward_table must be 2x2 (z rows, action columns)")
-        for z, row in enumerate(table):
+        for z, row in enumerate(self.reward_table):
             for a, p in enumerate(row):
                 _check_prob(p, f"reward_table[z={z}][a={a}]")
-        object.__setattr__(self, "reward_table", table)
 
     @property
     def p_z1(self):
@@ -524,15 +516,8 @@ class BanditEnv(Environment):
         self.action_space = DiscreteActions(2)
         self._z = 0
 
-    @property
-    def params(self) -> BanditSpec:
-        return self._params
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        self._reseed(seed)
+    def _start(self) -> np.ndarray:
         self._z = int(self._rng.random() >= float(self._params.p_z0))
-        self._done = False
-        self._needs_reset = False
         return np.empty(0, dtype=float)
 
     def step(self, action) -> StepResult:

@@ -10,12 +10,15 @@ and true; ``float`` takes a finite real, ``Literal[...]`` one of its
 strings, ``X | None`` also null; a ``tuple`` field takes a list and checks
 its elements, an ``np.ndarray`` field takes a nested list of finite
 numbers, and a dataclass takes an object, in a union read as the arm whose
-keys it has, or an instance of itself, which checked itself when it was
-built); and an accepted real keeps its type (an integer is stored as a
-Python int), so a config hashes as it always did.  Config records call
-:func:`check_fields` first in ``__post_init__``, so a record built in
-Python is checked as one read from JSON; ``__post_init__`` then checks
-ranges.  :func:`write_record` is the inverse of :func:`read_record`.
+keys it has, or an instance of itself, accepted as it is); and an accepted
+real keeps its type (an integer is stored as a Python int), so a config
+hashes as it always did.  Config, environment-parameter and action-space
+records call :func:`check_fields` first in ``__post_init__``, so a record
+built in Python is checked as one read from JSON; ``__post_init__`` then
+checks ranges.  The records holding arrays (``GaussianRegressor``,
+``QFunction``, ``BehaviorModel``) do not: :func:`check_fields` cannot read
+an ndarray instance, so they are checked only when read from JSON.
+:func:`write_record` is the inverse of :func:`read_record`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Composable error-injection wrappers.
+"""Composable environment wrappers.
 
-Each wrapper injects one kind of simulator/reality discrepancy into an
-environment while preserving its observation dimension, action space,
-horizon and done semantics:
+Each error-injection wrapper injects one kind of simulator/reality
+discrepancy into an environment while preserving its observation
+dimension, action space, horizon and done semantics:
 
 * transition-parameter overrides (wrong physics),
 * additive Gaussian observation noise,
@@ -13,7 +13,14 @@ horizon and done semantics:
 ``full_state`` always bypasses observation wrappers: it is the privileged
 channel used to manufacture confounded datasets.  Every wrapper is the exact
 identity when its parameter is the neutral element (empty override map,
-sigma = 0, delay = 0, empty index set).
+sigma = 0, delay = 0, empty index set).  :class:`HistoryStack` and
+:class:`FullStateObservation` change what a behavior policy observes.
+
+:class:`EnvWrapper` writes the episode protocol once: a wrapper supplies
+only its ``_start``/``_observe``/``_execute`` hooks.  Copying lives in one
+place too: ``with_params`` rebuilds a wrapper chain around a copy of the
+base environment, and :func:`clone_env` and :func:`with_transition_error`
+are each one call of it.
 
 The ``with_*`` functions are the operators behind the serializable
 ``sim2real`` specs: ``hybench.data.SPEC_KINDS`` names each kind, its fields
@@ -34,10 +41,14 @@ from .seeding import ACTION_NOISE, OBS_NOISE, derived_rng
 
 
 class EnvWrapper(Environment):
-    """Delegating base wrapper.  Subclasses take ``(env, *args)``, store each
-    argument under its name and list those names in ``_args``: that is what
-    rebuilds a wrapper chain around a replacement inner environment, and what
-    cache keys see (never run-time state)."""
+    """Delegating base wrapper, and the one episode protocol of wrappers:
+    ``reset`` calls ``_start(seed)`` after the inner reset, ``step`` hands the
+    inner environment ``_execute(action)``, and both return ``_observe`` of
+    the inner observation.  Subclasses override only these hooks.  They take
+    ``(env, *args)``, store each argument under its name and list the names
+    in ``_args``: ``with_params`` rebuilds a wrapper chain from them around
+    a replacement inner environment, and cache keys see them (never
+    run-time state)."""
 
     _args: tuple[str, ...] = ()
 
@@ -64,17 +75,27 @@ class EnvWrapper(Environment):
     def unwrapped(self) -> Environment:
         return self.env.unwrapped
 
-    def _rebuild(self, inner: Environment) -> "EnvWrapper":
-        return type(self)(inner, *(getattr(self, name) for name in self._args))
-
     def with_params(self, **overrides) -> Environment:
-        return self._rebuild(self.env.with_params(**overrides))
+        args = (getattr(self, name) for name in self._args)
+        return type(self)(self.env.with_params(**overrides), *args)
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        return self.env.reset(seed)
+        obs = self.env.reset(seed)
+        self._start(seed)
+        return self._observe(obs)
 
     def step(self, action) -> StepResult:
-        return self.env.step(action)
+        res = self.env.step(self._execute(action))
+        return StepResult(self._observe(res.obs), res.reward, res.done)
+
+    def _start(self, seed: int | None) -> None:
+        pass
+
+    def _observe(self, obs: np.ndarray) -> np.ndarray:
+        return obs
+
+    def _execute(self, action):
+        return action
 
     def full_state(self) -> np.ndarray:
         return self.env.full_state()
@@ -85,36 +106,22 @@ class EnvWrapper(Environment):
 
 def clone_env(env: Environment) -> Environment:
     """Fresh, unseeded copy of an environment including its wrapper chain."""
-    if isinstance(env, EnvWrapper):
-        return env._rebuild(clone_env(env.env))
     return env.with_params()
 
 
 def env_signature(env: Environment) -> tuple:
-    """Hashable description of an environment including its wrapper chain."""
-
-    def _freeze(value):
-        if isinstance(value, (int, float, str, bool, type(None))):
-            return value
-        if isinstance(value, tuple):
-            return tuple(_freeze(v) for v in value)
-        return repr(value)
-
+    """Hashable description of an environment including its wrapper chain;
+    every wrapper argument is a number or a tuple of integers."""
     if isinstance(env, EnvWrapper):
-        args = tuple((name, _freeze(getattr(env, name))) for name in env._args)
+        args = tuple((name, getattr(env, name)) for name in env._args)
         return (type(env).__name__, args, env_signature(env.env))
     return (type(env).__name__, repr(env.params))
 
 
 def with_transition_error(env: Environment, overrides: dict) -> Environment:
-    """Copy of ``env`` whose innermost dynamics parameters are overridden.
-
-    Works through wrapper chains: the chain is rebuilt around a base
-    environment with the new parameters.  Unknown parameter names are an
-    error; an empty override map yields a bit-identical environment.
-    """
-    if isinstance(env, EnvWrapper):
-        return env._rebuild(with_transition_error(env.env, overrides))
+    """Copy of ``env``, wrapper chain included, whose innermost dynamics
+    parameters are overridden.  Unknown parameter names are an error; an
+    empty override map yields a bit-identical environment."""
     return env.with_params(**dict(overrides))
 
 
@@ -135,22 +142,16 @@ class ObsNoiseWrapper(EnvWrapper):
         self.sigma = float(sigma)
         self._noise_rng = None
 
-    def _noisy(self, obs: np.ndarray) -> np.ndarray:
+    def _start(self, seed: int | None) -> None:
+        if seed is not None:
+            self._noise_rng = derived_rng(int(seed), OBS_NOISE)
+
+    def _observe(self, obs: np.ndarray) -> np.ndarray:
         if self.sigma == 0.0:
             return obs
         if self._noise_rng is None:
             raise EnvError("observation-noise wrapper used before a seeded reset")
         return obs + self.sigma * self._noise_rng.standard_normal(obs.shape)
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        obs = self.env.reset(seed)
-        if seed is not None:
-            self._noise_rng = derived_rng(int(seed), OBS_NOISE)
-        return self._noisy(obs)
-
-    def step(self, action) -> StepResult:
-        res = self.env.step(action)
-        return StepResult(self._noisy(res.obs), res.reward, res.done)
 
 
 def with_obs_noise(env: Environment, sigma: float) -> ObsNoiseWrapper:
@@ -180,19 +181,12 @@ class HiddenDimsWrapper(EnvWrapper):
         super().__init__(env)
         self.indices = hidden_indices(indices, env.obs_dim)
 
-    def _mask(self, obs: np.ndarray) -> np.ndarray:
+    def _observe(self, obs: np.ndarray) -> np.ndarray:
         if not self.indices:
             return obs
         out = obs.copy()
         out[list(self.indices)] = 0.0
         return out
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        return self._mask(self.env.reset(seed))
-
-    def step(self, action) -> StepResult:
-        res = self.env.step(action)
-        return StepResult(self._mask(res.obs), res.reward, res.done)
 
 
 def with_hidden_dims(env: Environment, indices) -> HiddenDimsWrapper:
@@ -219,24 +213,21 @@ class ActionNoiseWrapper(EnvWrapper):
         self._noise_rng = None
         self.last_executed_action: np.ndarray | None = None
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        obs = self.env.reset(seed)
+    def _start(self, seed: int | None) -> None:
         if seed is not None:
             self._noise_rng = derived_rng(int(seed), ACTION_NOISE)
         self.last_executed_action = None
-        return obs
 
-    def step(self, action) -> StepResult:
+    def _execute(self, action):
         if self.sigma == 0.0:
-            return self.env.step(action)
+            return action
         if self._noise_rng is None:
             raise EnvError("action-noise wrapper used before a seeded reset")
         space = self.env.action_space
         a = np.asarray(action, dtype=float).reshape(-1)
         noisy = a + self.sigma * self._noise_rng.standard_normal(a.shape)
-        executed = np.clip(noisy, space.low, space.high)
-        self.last_executed_action = executed
-        return self.env.step(executed)
+        self.last_executed_action = np.clip(noisy, space.low, space.high)
+        return self.last_executed_action
 
 
 def with_action_noise(env: Environment, sigma: float) -> ActionNoiseWrapper:
@@ -262,18 +253,54 @@ class ActionDelayWrapper(EnvWrapper):
             return np.zeros(space.dim)
         return 0
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        obs = self.env.reset(seed)
+    def _start(self, seed: int | None) -> None:
         self._queue = deque(self._zero_action() for _ in range(self.delay))
-        return obs
 
-    def step(self, action) -> StepResult:
+    def _execute(self, action):
         if self.delay == 0:
-            return self.env.step(action)
+            return action
         self._queue.append(action)
-        executed = self._queue.popleft()
-        return self.env.step(executed)
+        return self._queue.popleft()
 
 
 def with_action_delay(env: Environment, delay: int) -> ActionDelayWrapper:
     return ActionDelayWrapper(env, delay)
+
+
+class HistoryStack(EnvWrapper):
+    """Observation wrapper exposing the concatenation of the last k
+    observations (zero-padded after reset).  Used to train history-aware
+    behavior policies; not an error-injection wrapper."""
+
+    _args = ("k",)
+
+    def __init__(self, env: Environment, k: int):
+        if k < 1:
+            raise ValueError("history length k must be >= 1")
+        super().__init__(env)
+        self.k = int(k)
+        self._window = np.zeros((self.k, env.obs_dim))
+
+    @property
+    def obs_dim(self) -> int:  # type: ignore[override]
+        return self.env.obs_dim * self.k
+
+    def _start(self, seed: int | None) -> None:
+        self._window = np.zeros((self.k, self.env.obs_dim))
+
+    def _observe(self, obs: np.ndarray) -> np.ndarray:
+        self._window = np.roll(self._window, -1, axis=0)
+        self._window[-1] = obs
+        return self._window.reshape(-1).copy()
+
+
+class FullStateObservation(EnvWrapper):
+    """Observation wrapper that emits ``full_state()`` directly.  Used to
+    train privileged behavior policies whose input is the full state."""
+
+    @property
+    def obs_dim(self) -> int:  # type: ignore[override]
+        return len(self.env.full_state())
+
+    def _observe(self, obs: np.ndarray) -> np.ndarray:
+        return self.env.full_state()

@@ -1,11 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hybench as hb
-from hybench.envs import EnvError, pendulum_energy, wrap_angle
+from hybench.envs import (ContinuousActions, DiscreteActions, EnvError, pendulum_energy,
+                          wrap_angle)
 
 
 def rollout(env, actions, seed=0):
@@ -418,6 +420,30 @@ class TestConstruction:
             hb.make_env("pendulum", {"gravity": -1.0})
         with pytest.raises(EnvError):
             hb.make_env("windygrid", {"start": [4, 1]})  # equals goal
+
+    @pytest.mark.parametrize("build,field", [
+        # each of these used to construct and run (8- and 3-step episodes)
+        (lambda: hb.WindyGridParams(width=5.5), "width"),
+        (lambda: hb.WindyGridParams(horizon=7.5), "horizon"),
+        (lambda: hb.PendulumParams(horizon=2.5), "horizon"),
+        (lambda: DiscreteActions(2.5), "count"),
+        (lambda: ContinuousActions(-1.0, 1.0, dim=1.5), "dim"),
+        (lambda: hb.WindyGridParams(goal=(4.0, 1)), "goal"),
+        (lambda: hb.BanditSpec(reward_table=((0.5, 0.5),)), "reward_table"),
+        (lambda: hb.BanditSpec(reward_table=((0.5, 0.5), (0.5,))), "reward_table"),
+    ], ids=["width", "windygrid_horizon", "pendulum_horizon", "count", "dim", "goal",
+            "one_row", "short_row"])
+    def test_param_record_checks_its_fields(self, build, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            build()
+
+    def test_param_records_store_read_values(self):
+        params = hb.WindyGridParams(goal=[4, np.int64(2)], start=[0, 4])
+        assert params.goal == (4, 2) and type(params.goal[1]) is int
+        assert params.start == (0, 4)
+        spec = hb.BanditSpec(reward_table=[[Fraction(1, 5), 0.5], [0, 1]])
+        assert spec.reward_table == ((Fraction(1, 5), 0.5), (0, 1))
+        assert type(spec.reward_table[0][0]) is Fraction and type(spec.p_z0) is Fraction
 
     def test_wrap_angle_range(self):
         for x in np.linspace(-20, 20, 401):

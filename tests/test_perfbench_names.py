@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hybench import agents, bench, cli, data, models
+from hybench import agents, bench, cli, data, models, wrappers
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -38,7 +38,8 @@ def test_tracer_bindings_exist():
     (bench, "compute_reference_pair"), (bench, "read_results"), (cli, "main"),
     (agents, "resolve_action_grid"), (agents, "default_agent_config"),
     (agents, "UniformPolicy"), (data, "collect_dataset"), (data, "corrupt_obs_noise"),
-    (data, "write_dataset"), (data, "read_dataset"),
+    (data, "write_dataset"), (data, "read_dataset"), (wrappers, "env_signature"),
+    (wrappers, "clone_env"),
 ])
 def test_called_name_exists(module, name):
     assert callable(getattr(module, name))

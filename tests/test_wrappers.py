@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from hybench.bench import BenchAgent, BenchConfig, BenchEnv, config_hash
 from hybench.data import SPEC_KINDS, DatasetRecipe, apply_specs, check_spec
 from hybench.envs import EnvError
 from hybench.records import read_record, write_record
-from hybench.wrappers import clone_env, env_signature
+from hybench.wrappers import (EnvWrapper, FullStateObservation, HistoryStack, clone_env,
+                              env_signature)
 
 
 def run_trajectory(env, actions, seed=0):
@@ -232,6 +235,80 @@ class TestInvariants:
         assert obs[2] == 0.0
         assert state[2] in (0.0, 1.0)
         assert float(state[0]).is_integer() and float(state[1]).is_integer()
+
+
+# a non-default value for every wrapper argument
+WRAPPER_ARGS = {"sigma": 0.3, "indices": (0, 2), "delay": 2, "k": 3}
+
+
+def wrapper_classes(cls=EnvWrapper):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from wrapper_classes(sub)
+
+
+class TestWrapperArgs:
+    @pytest.mark.parametrize("cls", list(wrapper_classes()), ids=lambda c: c.__name__)
+    def test_args_are_the_init_parameters(self, cls):
+        # a parameter missing from _args would be dropped from copies and cache keys
+        params = list(inspect.signature(cls.__init__).parameters)
+        assert params[:2] == ["self", "env"]
+        assert cls._args == tuple(params[2:])
+
+    @pytest.mark.parametrize("cls", list(wrapper_classes()), ids=lambda c: c.__name__)
+    def test_copies_and_signatures_keep_every_arg(self, cls):
+        env = cls(hb.make_env("pendulum"), *(WRAPPER_ARGS[name] for name in cls._args))
+        copy = clone_env(env)
+        assert type(copy) is cls and copy is not env and copy.env is not env.env
+        for name in cls._args:
+            assert getattr(copy, name) == getattr(env, name) == WRAPPER_ARGS[name]
+        assert env_signature(env) == env_signature(copy)
+        assert env_signature(env)[1] == tuple((name, WRAPPER_ARGS[name]) for name in cls._args)
+
+
+class TestHistoryStack:
+    def test_obs_dim_is_k_times_inner(self):
+        for name in ("pendulum", "windygrid"):
+            env = hb.make_env(name)
+            assert HistoryStack(env, 4).obs_dim == 4 * env.obs_dim
+
+    def test_reset_zero_pads_and_puts_newest_last(self):
+        plain, stacked = hb.make_env("pendulum"), HistoryStack(hb.make_env("pendulum"), 3)
+        window = stacked.reset(seed=4).reshape(3, 3)
+        assert np.array_equal(window[:2], np.zeros((2, 3)))
+        assert np.array_equal(window[2], plain.reset(seed=4))
+
+    def test_each_step_shifts_the_window_by_one(self):
+        plain, stacked = hb.make_env("pendulum"), HistoryStack(hb.make_env("pendulum"), 3)
+        window = stacked.reset(seed=4).reshape(3, 3)
+        plain.reset(seed=4)
+        for action in (1.0, -2.0, 0.5, 0.0):
+            res, ref = stacked.step(action), plain.step(action)
+            new = res.obs.reshape(3, 3)
+            assert np.array_equal(new[:2], window[1:])
+            assert np.array_equal(new[2], ref.obs)
+            assert (res.reward, res.done) == (ref.reward, ref.done)
+            window = new
+
+
+class TestFullStateObservation:
+    @pytest.mark.parametrize("name", ["pendulum", "windygrid", "bandit"])
+    def test_obs_dim_before_any_reset(self, name):
+        env = hb.make_env(name)
+        assert FullStateObservation(env).obs_dim == len(env.full_state())
+
+    @pytest.mark.parametrize("name,action", [("pendulum", 1.0), ("windygrid", 3),
+                                             ("bandit", 1)])
+    def test_reset_and_step_emit_full_state(self, name, action):
+        plain, full = hb.make_env(name), FullStateObservation(hb.make_env(name))
+        plain.reset(seed=2)
+        assert np.array_equal(full.reset(seed=2), plain.full_state())
+        for _ in range(3):
+            res, ref = full.step(action), plain.step(action)
+            assert np.array_equal(res.obs, plain.full_state())
+            assert (res.reward, res.done) == (ref.reward, ref.done)
+            if ref.done:
+                break
 
 
 # one valid pendulum value for every field name that SPEC_KINDS declares
