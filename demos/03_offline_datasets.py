@@ -22,7 +22,7 @@ def main():
     datasets = {}
     for tier in ("random", "medium", "medium_replay", "medium_expert"):
         recipe = data.DatasetRecipe(tier=tier, n_records=5_000, seed=0)
-        datasets[tier] = data.generate_dataset(env, recipe, refs=refs)
+        datasets[tier] = data.generate_dataset(env, recipe)
         rewards = datasets[tier].R
         print(
             f"{tier:14s} {len(datasets[tier])} records, "

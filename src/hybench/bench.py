@@ -262,7 +262,7 @@ def _run_single_seed(config: BenchConfig, seed: int, dataset: Dataset | None
     if agent == "online_q":
         policy = agents.train_online_q(sim, cfg, seed).policy
     elif agent == "offline_bcq":
-        policy = agents.train_offline_bcq(dataset, cfg, seed).policy
+        policy = agents.train_offline_bcq(dataset, cfg, seed)
     elif agent == "mopo_lite":
         policy = agents.train_mopo_lite(dataset, cfg, seed).policy
     else:  # hymopo

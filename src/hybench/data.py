@@ -22,6 +22,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import agents
 from .envs import Environment
 from .records import check_fields, check_keys, key_errors, read_record, read_value, write_record
 from .seeding import COLLECT_ENV, COLLECT_POLICY, DATA_NOISE, derived_rng, derived_seed
@@ -323,14 +324,6 @@ def corrupt_hide_dims(dataset: Dataset, indices) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TierPolicy:
-    tier: str
-    policy: object
-    train_result: object | None = None
-    checkpoint_index: int | None = None
-
-
 _TRAIN_CACHE: dict = {}
 
 
@@ -341,64 +334,55 @@ def online_training_run(env: Environment, budget: int, seed: int, config=None):
     checkpoint search, so each (env, budget, seed) trains at most once per
     process.
     """
-    from . import agents
-
     cfg = config if config is not None else agents.default_agent_config(env)
     key = (env_signature(env), budget, seed, cfg)
     if key not in _TRAIN_CACHE:
-        _TRAIN_CACHE[key] = agents.train_online_q(
-            clone_env(env), cfg, seed, budget=budget
-        )
+        _TRAIN_CACHE[key] = agents.train_online_q(clone_env(env), cfg, seed, budget=budget)
     return _TRAIN_CACHE[key]
 
 
 MEDIUM_NORMALIZED_TARGET = 40.0
 
 
-def train_tier_policy(
-    env: Environment,
-    tier: str,
-    budget: int | None = None,
-    seed: int = 0,
-    config=None,
-    refs=None,
-) -> TierPolicy:
-    """Produce the behavior policy for a dataset tier.
+def _medium_checkpoint(env: Environment, budget: int, seed: int) -> tuple:
+    """The online training run on ``env`` and the index of its earliest
+    checkpoint whose score, normalized against the environment's cached
+    reference pair, reaches the medium target."""
+    from . import bench  # bench imports this module
 
-    ``random`` is the uniform policy; ``expert`` is the final policy of an
-    online training run; ``medium`` is the earliest training checkpoint whose
-    score, normalized against the environment's reference pair (``refs``,
-    computed when None), crosses the medium target.
-    """
-    from . import agents, bench
-
-    if tier not in ("random", "medium", "expert"):
-        raise ValueError(f"tier policies exist for random/medium/expert, not {tier!r}")
-    if budget is None:
-        budget = DEFAULT_TIER_BUDGET.get(env.name, 20_000)
-    cfg = config if config is not None else agents.default_agent_config(env)
-    if tier == "random":
-        return TierPolicy(tier, agents.UniformPolicy(agents.resolve_action_grid(env, cfg),
-                                                     seed=seed))
-
-    result = online_training_run(env, budget, seed, cfg)
-    if tier == "expert":
-        return TierPolicy(tier, result.policy, train_result=result,
-                          checkpoint_index=result.best_index)
-
-    if refs is None:
-        refs = bench.compute_reference_pair(env, seed=seed, budget=budget, config=cfg)
+    run = online_training_run(env, budget, seed)
+    refs = bench.compute_reference_pair(env, seed=seed, budget=budget)
     best = -np.inf
-    for i, (steps, raw) in enumerate(result.curve):
+    for i, (_, raw) in enumerate(run.curve):
         score = bench.normalize_score(raw, refs.random_ref, refs.expert_ref)
         best = max(best, score)
         if score >= MEDIUM_NORMALIZED_TARGET:
-            return TierPolicy("medium", result.checkpoint_policy(i), train_result=result,
-                              checkpoint_index=i)
+            return run, i
     raise TierError(
         f"medium tier unreachable within budget {budget}: best normalized score "
         f"achieved was {best:.1f} (target {MEDIUM_NORMALIZED_TARGET})"
     )
+
+
+def train_tier_policy(env: Environment, tier: str, budget: int | None = None,
+                      seed: int = 0) -> agents.Policy:
+    """The behavior policy of a dataset tier.
+
+    ``random`` is the uniform policy; ``expert`` is the final policy of an
+    online training run; ``medium`` is that run's earliest checkpoint whose
+    normalized score crosses the medium target.
+    """
+    if tier not in ("random", "medium", "expert"):
+        raise ValueError(f"tier policies exist for random/medium/expert, not {tier!r}")
+    if budget is None:
+        budget = DEFAULT_TIER_BUDGET.get(env.name, 20_000)
+    if tier == "random":
+        grid = agents.resolve_action_grid(env, agents.default_agent_config(env))
+        return agents.UniformPolicy(grid, seed=seed)
+    if tier == "expert":
+        return online_training_run(env, budget, seed).policy
+    run, index = _medium_checkpoint(env, budget, seed)
+    return run.checkpoint_policy(index)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +462,8 @@ class DatasetRecipe:
     dimensions (partial observability without confounding).  ``corruption``
     entries are applied post hoc, after collection.  For ``medium_replay``
     the records are the training run's replay buffer up to the medium
-    checkpoint, so ``n_records`` only caps the size.
+    checkpoint, so ``n_records`` only caps the size, and neither a history
+    window nor privileged mode (whose replay holds full states) applies.
     """
 
     tier: Tier = "medium"
@@ -502,15 +487,15 @@ class DatasetRecipe:
             raise ValueError(f"collect_epsilon must be in [0, 1], got {self.collect_epsilon}")
         if self.tier == "medium_replay" and (self.history_k or 1) > 1:
             raise ValueError("history-aware collection is not defined for medium_replay")
+        if self.tier == "medium_replay" and self.behavior_mode == "privileged":
+            raise ValueError("privileged collection is not defined for medium_replay")
         object.__setattr__(
             self, "corruption", tuple(check_spec(c, "data") for c in self.corruption)
         )
 
 
-def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Dataset:
+def generate_dataset(env: Environment, recipe: DatasetRecipe) -> Dataset:
     """Materialize a dataset from a recipe on (a clone of) the given true env."""
-    from . import agents
-
     n_records = recipe.n_records or DEFAULT_DATASET_SIZE.get(env.name, 20_000)
     budget = recipe.train_budget or DEFAULT_TIER_BUDGET.get(env.name, 20_000)
 
@@ -528,12 +513,12 @@ def generate_dataset(env: Environment, recipe: DatasetRecipe, refs=None) -> Data
         policy_env = HistoryStack(policy_env, recipe.history_k)
 
     def tier_policy(tier: str):
-        policy = train_tier_policy(policy_env, tier, budget, recipe.seed, refs=refs).policy
+        policy = train_tier_policy(policy_env, tier, budget, recipe.seed)
         return agents.with_epsilon(policy, recipe.collect_epsilon)
 
     if recipe.tier == "medium_replay":
-        tp = train_tier_policy(policy_env, "medium", budget, recipe.seed, refs=refs)
-        replay = tp.train_result.replay_prefix(tp.checkpoint_index)
+        run, index = _medium_checkpoint(policy_env, budget, recipe.seed)
+        replay = run.replay_prefix(index)
         dataset = _env_dataset(env, [col[-n_records:] for col in replay], "medium_replay",
                                recipe.behavior_mode, recipe.seed)
     elif recipe.tier == "medium_expert":
@@ -561,24 +546,6 @@ def _collect(collect_env, policy, count, recipe: DatasetRecipe, tier: str) -> Da
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def read_versioned(cls, d, expected: str, what: str):
-    """The ``cls`` record of the JSON object ``d`` of format ``expected``."""
-    version = d.get("format_version") if isinstance(d, dict) else None
-    if version != expected:
-        raise ValueError(f"unsupported {what} format {version!r}; expected {expected!r}")
-    return read_record(cls, {k: v for k, v in d.items() if k != "format_version"}, what)
-
-
-def save_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # JSON numbers decode to exactly these types, and true/false to bool; the

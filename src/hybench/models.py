@@ -22,14 +22,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .data import Dataset, load_json, read_versioned, save_json
 from .envs import ContinuousActions, DiscreteActions
-from .records import check_fields, read_value, write_record
+from .records import check_fields, load_json, read_value, read_versioned, save_json, write_record
 from .seeding import derived_rng
+
+if TYPE_CHECKING:
+    from .data import Dataset
 
 
 class ModelFitError(RuntimeError):

@@ -18,12 +18,14 @@ built in Python is checked as one read from JSON; ``__post_init__`` then
 checks ranges.  The records holding arrays (``GaussianRegressor``,
 ``QFunction``, ``BehaviorModel``) do not: :func:`check_fields` cannot read
 an ndarray instance, so they are checked only when read from JSON.
-:func:`write_record` is the inverse of :func:`read_record`.
+:func:`write_record` is the inverse of :func:`read_record`; saved policies and
+ensembles are JSON files whose record :func:`read_versioned` reads.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import reprlib
 import types
@@ -101,6 +103,24 @@ def read_record(cls, obj, what: str, base=None, path: str = ""):
         return replace(base, **values) if base is not None else cls(**values)
     except ValueError as exc:  # a range check of a nested record: name where it sits
         raise ValueError(f"{what}: {exc}" if path else str(exc)) from None
+
+
+def read_versioned(cls, d, expected: str, what: str):
+    """The ``cls`` record of the JSON object ``d`` of format ``expected``."""
+    version = d.get("format_version") if isinstance(d, dict) else None
+    if version != expected:
+        raise ValueError(f"unsupported {what} format {version!r}; expected {expected!r}")
+    return read_record(cls, {k: v for k, v in d.items() if k != "format_version"}, what)
+
+
+def save_json(payload: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def check_fields(record) -> None:

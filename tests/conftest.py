@@ -26,11 +26,11 @@ def pendulum_refs():
 
 
 @pytest.fixture(scope="session")
-def pendulum_medium(pendulum_refs):
+def pendulum_medium(pendulum_refs):  # fills the reference cache the medium search reads
     env = hb.make_env("pendulum")
     return _timed(
         "pendulum_medium",
-        lambda: data.train_tier_policy(env, "medium", seed=0, refs=pendulum_refs),
+        lambda: data.train_tier_policy(env, "medium", seed=0),
     )
 
 
@@ -38,7 +38,7 @@ def pendulum_medium(pendulum_refs):
 def pendulum_medium_dataset(pendulum_medium):
     def build():
         env = hb.make_env("pendulum")
-        policy = agents.with_epsilon(pendulum_medium.policy, 0.05)
+        policy = agents.with_epsilon(pendulum_medium, 0.05)
         return data.collect_dataset(env, policy, 20_000, "observed", seed=0,
                                     tier="medium")
 

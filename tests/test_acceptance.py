@@ -193,7 +193,7 @@ def test_criterion_4_confounded_vs_unconfounded_offline():
             for label, ds in (("conf", ds_conf), ("blind", ds_blind)):
                 res = agents.train_offline_bcq(ds, cfg, seed=seed)
                 table = oracle.policy_table_from_agent(
-                    mdp, res.policy,
+                    mdp, res,
                     obs_transform=lambda o: np.array([o[0], o[1], 0.0]),
                 )
                 V = oracle.exact_policy_eval(mdp, table, params.discount, 1e-12)
@@ -293,9 +293,9 @@ def test_criterion_6_normalization_and_tiers(pendulum_refs, pendulum_medium,
         refs = pendulum_refs
         scores = {}
         for tier, policy in (
-            ("random", data.train_tier_policy(env, "random", seed=0, refs=refs).policy),
-            ("medium", pendulum_medium.policy),
-            ("expert", data.train_tier_policy(env, "expert", seed=0, refs=refs).policy),
+            ("random", data.train_tier_policy(env, "random", seed=0)),
+            ("medium", pendulum_medium),
+            ("expert", data.train_tier_policy(env, "expert", seed=0)),
         ):
             raw, _ = agents.evaluate_policy(hb.make_env("pendulum"), policy, 100,
                                             seed=1000)
@@ -308,8 +308,8 @@ def test_criterion_6_normalization_and_tiers(pendulum_refs, pendulum_medium,
         grefs = windygrid_refs
         gscores = {}
         for tier in ("random", "medium", "expert"):
-            tp = data.train_tier_policy(genv, tier, seed=0, refs=grefs)
-            raw, _ = agents.evaluate_policy(hb.make_env("windygrid"), tp.policy, 200,
+            tp = data.train_tier_policy(genv, tier, seed=0)
+            raw, _ = agents.evaluate_policy(hb.make_env("windygrid"), tp, 200,
                                             seed=2000)
             gscores[tier] = bench.normalize_score(raw, grefs.random_ref,
                                                   grefs.expert_ref)

@@ -125,7 +125,7 @@ def pendulum_bcq_policy():
     # a behavior policy that pushes with the swing: most actions are rare
     behavior = FunctionPolicy(lambda o: 8 if o[2] > 0 else 0, grid, epsilon=0.3)
     dataset = data.collect_dataset(env, behavior, 3000, "observed", seed=0)
-    return train_offline_bcq(dataset, cfg, seed=0).policy
+    return train_offline_bcq(dataset, cfg, seed=0)
 
 
 def forbid_lockstep(monkeypatch):
@@ -209,10 +209,10 @@ class TestOnlineQ:
     def test_curve_and_checkpoints_align(self, grid_env):
         cfg = dataclasses.replace(default_agent_config(grid_env), sweeps=5)
         res = train_online_q(hb.make_env("windygrid"), cfg, seed=1, budget=3_000)
-        assert len(res.curve) == len(res.checkpoints) == 5
-        assert res.checkpoints[-1]["steps"] == len(res.replay[2])
+        assert len(res.curve) == len(res.weights) == 5
+        assert res.curve[-1][0] == len(res.replay[2])
         first = res.replay_prefix(0)
-        assert len(first[0]) == res.checkpoints[0]["steps"]
+        assert len(first[0]) == res.curve[0][0]
         assert all(np.array_equal(p, r[:len(p)]) for p, r in zip(first, res.replay))
 
     def test_myopic_gamma_zero_fits_immediate_reward(self, grid_env):
@@ -221,7 +221,7 @@ class TestOnlineQ:
         res = train_online_q(hb.make_env("windygrid"), cfg, seed=0, budget=10_000)
         O, A, R, _, _ = res.replay
         q = res.policy.q
-        preds = q.values(O)[np.arange(len(A)), actions_to_indices(A, res.action_grid)]
+        preds = q.values(O)[np.arange(len(A)), actions_to_indices(A, res.policy.action_grid)]
         assert np.sqrt(np.mean((preds - R) ** 2)) <= 0.1
 
     def test_deterministic_bit_exact(self, grid_env):
@@ -249,7 +249,7 @@ class TestOfflineBCQ:
         res = train_offline_bcq(ds, cfg, seed=0)
         seen = {tuple(obs) for obs in ds.O}
         match = [
-            res.policy.action_index(np.array(obs)) == fn(np.array(obs))
+            res.action_index(np.array(obs)) == fn(np.array(obs))
             for obs in seen
         ]
         assert np.mean(match) >= 0.99
@@ -268,7 +268,7 @@ class TestOfflineBCQ:
         )
         hidden = data.corrupt_hide_dims(ds, [2])
         res = train_offline_bcq(hidden, default_agent_config(grid_env), seed=0)
-        assert res.policy.action_index(np.array([0.0, 4.0, 0.0])) in range(4)
+        assert res.action_index(np.array([0.0, 4.0, 0.0])) in range(4)
 
     def test_empty_dataset_rejected(self, grid_env):
         with pytest.raises(ValueError):
@@ -288,7 +288,7 @@ class TestModelBased:
         off = train_offline_bcq(grid_medium_dataset, cfg_off, seed=0)
         cfg_h0 = dataclasses.replace(base, rollout_horizon=0)
         mopo = train_mopo_lite(grid_medium_dataset, cfg_h0, seed=0)
-        assert np.array_equal(mopo.q.weights, off.q.weights)
+        assert np.array_equal(mopo.policy.q.weights, off.q.weights)
         assert len(mopo.trace) == 0
 
     def test_hymopo_degenerate_equals_offline(self, grid_medium_dataset, grid_env):
@@ -302,7 +302,7 @@ class TestModelBased:
             model=dataclasses.replace(base.model, n_members=1),
         )
         hy = train_hymopo(grid_medium_dataset, hb.make_env("windygrid"), cfg_deg, seed=0)
-        assert np.array_equal(hy.q.weights, off.q.weights)
+        assert np.array_equal(hy.policy.q.weights, off.q.weights)
 
     def test_zero_rollouts_fit_no_model(self, grid_medium_dataset, grid_env, monkeypatch):
         # no rollout samples the model, so neither the simulator pass nor the
@@ -325,7 +325,7 @@ class TestModelBased:
                           dataclasses.replace(base, rollout_batch=0), seed=0)
         for res in (mopo, hy):
             assert res.ensemble is None
-            assert np.array_equal(res.q.weights, off.q.weights)
+            assert np.array_equal(res.policy.q.weights, off.q.weights)
 
     def test_paper_default_hyperparameters(self):
         cfg = AgentConfig()
@@ -354,7 +354,7 @@ class TestModelBased:
             base, bc_threshold=0.0, offline_iterations=base.epochs * base.q_iterations
         )
         off = train_offline_bcq(grid_medium_dataset, cfg_off, seed=0)
-        v_off = exact_value(grid_mdp, off.policy, grid_env.params.discount)
+        v_off = exact_value(grid_mdp, off, grid_env.params.discount)
         cfg = dataclasses.replace(base, lam=1e6)
         res = train_mopo_lite(grid_medium_dataset, cfg, seed=0)
         v_mopo = exact_value(grid_mdp, res.policy, grid_env.params.discount)
@@ -416,20 +416,20 @@ class TestModelBased:
             base.model, n_members=2, feature_count=64))
         res = train_mopo_lite(grid_medium_dataset, cfg, seed=0)
         tr = res.trace
-        basis = res.q.basis
+        basis = res.policy.q.basis
         O, idx, R, O2, D = agents._dataset_fit_arrays(
             grid_medium_dataset, res.policy.action_grid, cfg, 0)
-        real = agents._Block(res.q.features, basis, O, idx, R, O2, D)
+        real = agents._Block(res.policy.q.features, basis, O, idx, R, O2, D)
         W = None
         for epoch in range(cfg.epochs):
             rows = tr.epoch <= epoch
-            syn = agents._Block(res.q.features, basis, tr.obs[rows], tr.action_index[rows],
+            syn = agents._Block(res.policy.q.features, basis, tr.obs[rows], tr.action_index[rows],
                                 tr.penalized_reward[rows], tr.next_obs[rows],
                                 np.zeros(rows.sum(), dtype=bool))
             W = agents._bellman_iterate(
                 [real, syn], [cfg.mix_real / real.n, (1.0 - cfg.mix_real) / syn.n],
                 basis, cfg.gamma, cfg.q_ridge, cfg.q_iterations, W)
-        assert np.array_equal(W, res.q.weights)
+        assert np.array_equal(W, res.policy.q.weights)
 
     def test_perfect_sim_hybrid_at_least_mopo(self):
         # three-seed mean comparison on the pendulum with an exact simulator
@@ -518,11 +518,11 @@ class TestPolicySerialization:
     def test_q_policy_round_trip(self, grid_medium_dataset, grid_env):
         res = train_offline_bcq(grid_medium_dataset,
                                 default_agent_config(grid_env), seed=0)
-        back = policy_from_dict(policy_to_dict(res.policy))
+        back = policy_from_dict(policy_to_dict(res))
         probe = np.array([2.0, 3.0, 1.0])
-        assert back.action_index(probe) == res.policy.action_index(probe)
-        assert np.array_equal(back.q.weights, res.policy.q.weights)
-        assert back.bc_threshold == res.policy.bc_threshold
+        assert back.action_index(probe) == res.action_index(probe)
+        assert np.array_equal(back.q.weights, res.q.weights)
+        assert back.bc_threshold == res.bc_threshold
 
     def test_uniform_round_trip(self):
         pol = UniformPolicy((0, 1, 2), seed=3)
@@ -534,9 +534,9 @@ class TestPolicySerialization:
         res = train_offline_bcq(grid_medium_dataset,
                                 default_agent_config(grid_env), seed=0)
         path = tmp_path / "policy.json"
-        agents.save_policy(res.policy, path)
+        agents.save_policy(res, path)
         back = agents.load_policy(path)
-        assert np.array_equal(back.q.weights, res.policy.q.weights)
+        assert np.array_equal(back.q.weights, res.q.weights)
 
 
     def test_json_round_trip_is_bit_exact(self, pendulum_bcq_policy):
@@ -589,7 +589,7 @@ class TestActionMemo:
     def test_memo_agrees_with_direct_argmax(self, grid_medium_dataset, grid_env,
                                             grid_mdp, bc_threshold):
         cfg = dataclasses.replace(default_agent_config(grid_env), bc_threshold=bc_threshold)
-        policy = train_offline_bcq(grid_medium_dataset, cfg, seed=0).policy
+        policy = train_offline_bcq(grid_medium_dataset, cfg, seed=0)
         observations = np.unique(grid_mdp.observations, axis=0)
         expected = [direct_action_index(policy, obs) for obs in observations]
         for _ in range(2):
@@ -634,7 +634,7 @@ class TestActionMemo:
     def test_cached_bytes_in_the_wrong_shape_still_raise(self, grid_medium_dataset,
                                                          grid_env):
         policy = train_offline_bcq(grid_medium_dataset, default_agent_config(grid_env),
-                                   seed=0).policy
+                                   seed=0)
         obs = np.array([2.0, 3.0, 1.0])
         policy.action_index(obs)
         with pytest.raises(ValueError, match="input dim"):

@@ -291,9 +291,11 @@ class TestConfigParsing:
         return d
 
     def test_medium_replay_with_history_rejected_at_load(self):
-        bad = dict(self.BASE, dataset={"tier": "medium_replay", "history_k": 3})
-        with pytest.raises(ValueError, match="medium_replay"):
-            load(bad)
+        # a privileged replay would record the full states its policy trained on
+        for dataset in ({"tier": "medium_replay", "history_k": 3},
+                        {"tier": "medium_replay", "behavior_mode": "privileged"}):
+            with pytest.raises(ValueError, match="medium_replay"):
+                load(dict(self.BASE, dataset=dataset))
 
     def test_corruption_keys_accepted(self):
         tags = [{"kind": "obs_noise", "sigma": 0.1}, {"kind": "obs_noise", "sigma": 0.1, "seed": 3},

@@ -397,12 +397,17 @@ def counting(calls, key, fn):
 class TestTierPolicies:
     # the random and expert tiers used to compute the reference pair, and the
     # random tier to evaluate the uniform policy, for scores that nothing read
-    @pytest.mark.parametrize("tier,expected", [
-        ("random", {"refs": 0, "training": 0, "evaluations": 0}),
-        ("expert", {"refs": 0, "training": 1}),
-        ("medium", {"refs": 1, "training": 1}),
-    ], ids=["random", "expert", "medium"])
-    def test_only_the_medium_tier_asks_for_references(self, monkeypatch, tier, expected):
+    # medium_replay and medium_expert read one reference pair too; a replay
+    # ends at the medium checkpoint, so it may hold fewer records than asked
+    @pytest.mark.parametrize("tier,expected,length", [
+        ("random", {"refs": 0, "training": 0, "evaluations": 0}, 300),
+        ("expert", {"refs": 0, "training": 1}, 300),
+        ("medium", {"refs": 1, "training": 1}, 300),
+        ("medium_replay", {"refs": 1, "training": 1}, 220),
+        ("medium_expert", {"refs": 1, "training": 2}, 300),
+    ], ids=["random", "expert", "medium", "medium_replay", "medium_expert"])
+    def test_only_the_medium_tier_asks_for_references(self, monkeypatch, tier, expected,
+                                                      length):
         calls = dict.fromkeys(("refs", "training", "evaluations"), 0)
         for module, name, key in ((bench, "compute_reference_pair", "refs"),
                                   (data, "online_training_run", "training"),
@@ -410,7 +415,7 @@ class TestTierPolicies:
             monkeypatch.setattr(module, name, counting(calls, key, getattr(module, name)))
         recipe = data.DatasetRecipe(tier=tier, n_records=300, seed=3)
         dataset = data.generate_dataset(hb.make_env("windygrid"), recipe)
-        assert len(dataset) == 300 and dataset.meta.tier == tier
+        assert len(dataset) == length and dataset.meta.tier == tier
         assert {key: calls[key] for key in expected} == expected
 
 
