@@ -24,7 +24,7 @@ Cholesky factors can change bits between 1 and 2 OpenBLAS threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Annotated, Literal
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .models import (
     disagreement,
     fit_ensemble,
 )
+from .records import Count, NonNegative, Positive, Probability, Range
 from .records import check_fields, load_json, read_value, read_versioned, save_json, write_record
 from .seeding import (
     EVAL_ENV,
@@ -67,57 +68,43 @@ class AgentConfig:
     :func:`default_agent_config`."""
 
     action_grid: tuple[float, ...] | None = None
-    gamma: float = 0.99
+    gamma: Annotated[float, Range(0, 1, hi_open=True)] = 0.99
     # Q-function features
     q_feature_kind: FeatureKind = "random_fourier"
-    q_feature_count: int = 256
-    q_bandwidth: float = 1.0
+    q_feature_count: Count = 256
+    q_bandwidth: Positive = 1.0
     q_poly_degree: int = 9
     q_poly_dim_degrees: tuple[int, ...] | None = None
     q_input_shift: tuple[float, ...] | None = None
     q_input_scale: tuple[float, ...] | None = None
-    q_ridge: float = 1e-6
+    q_ridge: Positive = 1e-6
     q_action_design: Literal["onehot", "quadratic"] = "onehot"
     # online training
-    sweeps: int = 40
-    episodes_per_sweep: int = 5
-    q_iterations: int = 10
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    explore_hold: int = 1
+    sweeps: Count = 40
+    episodes_per_sweep: Count = 5
+    q_iterations: Count = 10
+    epsilon_start: Probability = 1.0
+    epsilon_end: Probability = 0.05
+    explore_hold: Count = 1
     mc_lower_bound: bool = False
-    n_step: int = 1
+    n_step: Count = 1
     greedy_demo_episodes: int = 0
-    eval_episodes: int = 20
-    fit_cap: int = 50_000
+    eval_episodes: Count = 20
+    fit_cap: Count = 50_000
     # offline training
-    bc_threshold: float = 0.1
-    offline_iterations: int = 120
+    bc_threshold: Probability = 0.1
+    offline_iterations: Count = 120
     # model-based training
-    lam: float = 0.0
+    lam: NonNegative = 0.0  # the uncertainty penalty's weight: negative would reward it
     rollout_horizon: int = 5
     rollout_batch: int = 64
-    epochs: int = 30
-    rollout_epsilon: float = 0.3
-    mix_real: float = 0.5
+    epochs: Count = 30
+    rollout_epsilon: Probability = 0.3
+    mix_real: Probability = 0.5
     model: ModelConfig = ModelConfig()
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("sweeps", "episodes_per_sweep", "q_iterations", "explore_hold",
-                     "n_step", "offline_iterations", "epochs", "eval_episodes",
-                     "q_feature_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.gamma < 1:
-            raise ValueError("gamma must be in [0, 1)")
-        for name in ("mix_real", "bc_threshold", "epsilon_start", "epsilon_end",
-                     "rollout_epsilon"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        for name in ("q_ridge", "q_bandwidth"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.action_grid is not None and not self.action_grid:
             raise ValueError("action_grid must hold at least one action, or be null")
 
@@ -266,10 +253,8 @@ class Policy:
     """Base policy over a fixed action grid with owned exploration RNG."""
 
     def __init__(self, action_grid, epsilon: float = 0.0, seed: int = 0):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
         self.action_grid = tuple(action_grid)
-        self.epsilon = float(epsilon)
+        self.epsilon = float(read_value(Probability, epsilon, "epsilon"))
         self._rng = derived_rng(int(seed), POLICY)
 
     def reseed(self, seed: int) -> None:
@@ -551,9 +536,7 @@ def evaluate_policy(
     one batch of greedy actions per time step
     (``PendulumEnv.lockstep_returns``); every other case runs them one by one.
     """
-    episodes = read_value(int, episodes, "episodes")
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    episodes = read_value(Count, episodes, "episodes")
     policy.reseed(derived_seed(seed, EVAL_POLICY))
     if type(env) is PendulumEnv and not isinstance(policy, UniformPolicy):
         torques = np.array([np.asarray(a, dtype=float).reshape(-1)[0]

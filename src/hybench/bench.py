@@ -37,7 +37,7 @@ from .data import (
     read_dataset,
 )
 from .envs import Environment, make_env
-from .records import check_fields, field_types, read_record, write_record
+from .records import Count, check_fields, field_types, read_record, write_record
 from .seeding import REFS, derived_seed
 from .wrappers import clone_env, env_signature
 
@@ -145,7 +145,7 @@ class BenchConfig:
     sim2real: tuple[dict, ...] = ()
     dataset: DatasetFile | DatasetRecipe | None = None
     seeds: tuple[int, ...] = (0, 1, 2)
-    eval_episodes: int = 20
+    eval_episodes: Count = 20
     out: str | None = None
 
     def __post_init__(self):
@@ -159,8 +159,6 @@ class BenchConfig:
             raise ValueError(f"agent {agent!r} does not use a simulator; remove sim2real")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
         # bad env params, agent overrides, feature settings and sim2real specs
         # fail here, not in every seed
         env = make_env(self.env.name, self.env.params)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import agents
 from .envs import Environment
+from .records import Count, NonNegative, Probability
 from .records import check_fields, check_keys, key_errors, read_record, read_value, write_record
 from .seeding import COLLECT_ENV, COLLECT_POLICY, DATA_NOISE, derived_rng, derived_seed
 from .wrappers import (
@@ -87,7 +88,7 @@ class DatasetMeta:
     behavior_mode: BehaviorMode = "observed"
     seed: int = 0
     format_version: str = FORMAT_VERSION
-    record_count: int = 0
+    record_count: Count = 1  # a dataset holds at least one record
 
     def __post_init__(self):
         check_fields(self)
@@ -207,8 +208,7 @@ def collect_dataset(
     Episodes reset on done.
     """
     read_value(BehaviorMode, behavior_mode, "behavior_mode")
-    if n_records < 1:
-        raise ValueError("n_records must be >= 1")
+    read_value(Count, n_records, "n_records")
     policy.reseed(derived_seed(seed, COLLECT_POLICY))
     obs = env.reset(seed=derived_seed(seed, COLLECT_ENV) % 2**31)
     rows = []
@@ -287,8 +287,7 @@ def corrupt_obs_noise(dataset: Dataset, sigma: float, seed: int | None = None) -
     corruption is a pure function of (seed, record index, dimension); the
     seed defaults to the dataset's own.
     """
-    if sigma < 0:
-        raise ValueError(f"observation noise sigma must be >= 0, got {sigma}")
+    read_value(NonNegative, sigma, "sigma")
     if seed is None:
         seed = dataset.meta.seed
     tag = {"kind": "obs_noise", "sigma": float(sigma), "seed": int(seed)}
@@ -394,14 +393,14 @@ def train_tier_policy(env: Environment, tier: str, budget: int | None = None,
 # perturbs a training simulator (``sim2real``), stage "data" corrupts a
 # generated dataset (``corruption``).  The operator runs as op(target, **fields);
 # each field maps to its annotation, which ``records.read_value`` reads it as,
-# so every integer is >= 0.  A ``sigma`` is also >= 0, and is stored as a float.
+# so every integer is >= 0.  A ``sigma`` is >= 0, and is stored as a float.
 SPEC_KINDS = {
     "transition_param_override": {"env": (with_transition_error, {"overrides": dict}, {})},
-    "obs_noise": {"env": (with_obs_noise, {"sigma": float}, {}),
-                  "data": (corrupt_obs_noise, {"sigma": float}, {"seed": int})},
+    "obs_noise": {"env": (with_obs_noise, {"sigma": NonNegative}, {}),
+                  "data": (corrupt_obs_noise, {"sigma": NonNegative}, {"seed": int})},
     "hidden_dims": {"env": (with_hidden_dims, {"indices": tuple[int, ...]}, {}),
                     "data": (corrupt_hide_dims, {"indices": tuple[int, ...]}, {})},
-    "action_noise": {"env": (with_action_noise, {"sigma": float}, {})},
+    "action_noise": {"env": (with_action_noise, {"sigma": NonNegative}, {})},
     "action_delay": {"env": (with_action_delay, {"delay": int}, {})},
 }
 _STAGE_NOUNS = {"env": "sim2real", "data": "corruption"}
@@ -430,9 +429,7 @@ def check_spec(spec, stage: str) -> dict:
         if name in spec:
             where = f"{noun} kind {kind!r}: {name!r}"
             out[name] = write_record(read_value(tp, spec[name], where))
-            if name == "sigma":  # a standard deviation; 1 and 1.0 hash alike
-                if out[name] < 0:
-                    raise ValueError(f"{where} must be >= 0, got {out[name]!r}")
+            if tp is NonNegative:  # a standard deviation; 1 and 1.0 hash alike
                 out[name] = float(out[name])
     return out
 
@@ -463,32 +460,31 @@ class DatasetRecipe:
     entries are applied post hoc, after collection.  For ``medium_replay``
     the records are the training run's replay buffer up to the medium
     checkpoint, so ``n_records`` only caps the size, and neither a history
-    window nor privileged mode (whose replay holds full states) applies.
+    window nor privileged mode (whose replay holds full states) applies.  A
+    privileged policy acts on the full state, so it takes no history window
+    either.  A null ``n_records``, ``history_k`` or ``train_budget`` means
+    the environment's default.
     """
 
     tier: Tier = "medium"
-    n_records: int | None = None
+    n_records: Count | None = None
     behavior_mode: BehaviorMode = "observed"
     hidden_during_collection: tuple[int, ...] = ()
     corruption: tuple[dict, ...] = ()
-    history_k: int | None = None
+    history_k: Count | None = None
     seed: int = 0
-    collect_epsilon: float = 0.05
-    train_budget: int | None = None
+    collect_epsilon: Probability = 0.05
+    train_budget: Count | None = None
 
     def __post_init__(self):
         check_fields(self)
-        # None alone means "the environment's default"
-        for name in ("n_records", "history_k", "train_budget"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 or null, got {value}")
-        if not 0.0 <= self.collect_epsilon <= 1.0:
-            raise ValueError(f"collect_epsilon must be in [0, 1], got {self.collect_epsilon}")
-        if self.tier == "medium_replay" and (self.history_k or 1) > 1:
+        history = (self.history_k or 1) > 1
+        if self.tier == "medium_replay" and history:
             raise ValueError("history-aware collection is not defined for medium_replay")
         if self.tier == "medium_replay" and self.behavior_mode == "privileged":
             raise ValueError("privileged collection is not defined for medium_replay")
+        if self.behavior_mode == "privileged" and history:
+            raise ValueError("privileged collection is not defined with history_k > 1")
         object.__setattr__(
             self, "corruption", tuple(check_spec(c, "data") for c in self.corruption)
         )

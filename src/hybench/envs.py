@@ -22,9 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Annotated
 
 import numpy as np
 
+from .records import Count, NonNegative, Positive, Probability, Range
 from .records import check_fields, read_record, read_value
 from .seeding import DYNAMICS, derived_rng
 
@@ -161,23 +163,16 @@ class PendulumParams:
     (unstable) target and theta = pi hangs straight down.
     """
 
-    gravity: float = 9.81
-    friction: float = 0.05
-    mass: float = 1.0
-    length: float = 1.0
-    torque_limit: float = 2.0
-    dt: float = 0.05
-    horizon: int = 200
+    gravity: Positive = 9.81
+    friction: NonNegative = 0.05
+    mass: Positive = 1.0
+    length: Positive = 1.0
+    torque_limit: Positive = 2.0
+    dt: Positive = 0.05
+    horizon: Count = 200
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("gravity", "mass", "length", "torque_limit", "dt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"pendulum parameter {name} must be > 0")
-        if self.friction < 0:
-            raise ValueError("pendulum friction must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("pendulum horizon must be >= 1")
 
 
 def pendulum_step(state, torque, params: PendulumParams):
@@ -332,32 +327,24 @@ class WindyGridParams:
     is what makes the wind a usable latent confounder.
     """
 
-    width: int = 5
-    height: int = 5
-    wind_prob: float = 0.4
+    width: Count = 5
+    height: Count = 5
+    wind_prob: Probability = 0.4
     goal: tuple[int, int] = (4, 1)
     start: tuple[int, int] = (0, 4)
     step_penalty: float = -1.0
     goal_reward: float = 10.0
-    horizon: int = 50
-    discount: float = 0.95
+    horizon: Count = 50
+    discount: Annotated[float, Range(0, 1, lo_open=True, hi_open=True)] = 0.95
 
     def __post_init__(self):
         check_fields(self)
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be >= 1")
-        if not 0.0 <= self.wind_prob <= 1.0:
-            raise ValueError("wind_prob must be in [0, 1]")
         for label, cell in (("goal", self.goal), ("start", self.start)):
             x, y = cell
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ValueError(f"{label} cell {cell} out of bounds")
         if self.start == self.goal:
             raise ValueError("start and goal must differ")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must be in (0, 1)")
 
 
 def windygrid_step(
@@ -461,11 +448,6 @@ def _next_cells(params: WindyGridParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_prob(value, label: str) -> None:
-    if not 0 <= value <= 1:
-        raise ValueError(f"{label} must be a probability in [0, 1], got {value!r}")
-
-
 @dataclass(frozen=True)
 class BanditSpec:
     """Two-action bandit with a latent binary context z.
@@ -477,18 +459,14 @@ class BanditSpec:
     logged data.
     """
 
-    p_z0: float = Fraction(1, 3)  # any finite real, exact Fractions included
-    reward_table: tuple[tuple[float, float], tuple[float, float]] = (
+    p_z0: Probability = Fraction(1, 3)  # exact Fractions included
+    reward_table: tuple[tuple[Probability, Probability], tuple[Probability, Probability]] = (
         (Fraction(1, 6), Fraction(1, 4)),  # z = 0: (a0, a1)
         (Fraction(1, 3), Fraction(1, 2)),  # z = 1: (a0, a1)
     )
 
     def __post_init__(self):
         check_fields(self)
-        _check_prob(self.p_z0, "p_z0")
-        for z, row in enumerate(self.reward_table):
-            for a, p in enumerate(row):
-                _check_prob(p, f"reward_table[z={z}][a={a}]")
 
     @property
     def p_z1(self):

@@ -22,11 +22,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Annotated, Literal
 
 import numpy as np
 
 from .envs import ContinuousActions, DiscreteActions
+from .records import Count, Positive, Range
 from .records import check_fields, load_json, read_value, read_versioned, save_json, write_record
 from .seeding import derived_rng
 
@@ -64,8 +65,8 @@ class FeatureMap:
     shift: tuple[float, ...] | None = None
     scale: tuple[float, ...] | None = None
     degree: int | None = None
-    count: int | None = None
-    bandwidth: float | None = None
+    count: Count | None = None
+    bandwidth: Positive | None = None
     seed: int | None = None
     dim_degrees: tuple[int, ...] | None = None
 
@@ -106,9 +107,6 @@ class FeatureMap:
             for name, tp in (("count", int), ("bandwidth", float), ("seed", int)):
                 read_value(tp, getattr(self, name), name)  # not null
             put("bandwidth", float(self.bandwidth))
-            for name in ("count", "bandwidth"):
-                if not getattr(self, name) > 0:
-                    raise ValueError(f"feature {name} must be > 0, got {getattr(self, name)}")
             rng = derived_rng(self.seed)
             put("_freqs", rng.standard_normal((self.count, n)) / self.bandwidth)
             put("_phases", rng.uniform(0.0, 2.0 * math.pi, size=self.count))
@@ -296,8 +294,7 @@ def fit_gaussian_regressor(
     val_X: np.ndarray,
     val_Y: np.ndarray,
 ) -> GaussianRegressor:
-    if ridge <= 0:
-        raise ValueError("ridge must be > 0")
+    read_value(Positive, ridge, "ridge")
     Phi = features.transform_distinct(X)
     W = _solve_ridge(Phi, Y, ridge)
     resid = val_Y - features.transform_distinct(val_X) @ W
@@ -309,13 +306,13 @@ def fit_gaussian_regressor(
 class ModelConfig:
     """Configuration shared by direct and correction ensembles."""
 
-    n_members: int = 5
-    ridge: float = 1e-3
-    holdout_fraction: float = 0.1
+    n_members: Count = 5
+    ridge: Positive = 1e-3  # the fit's condition bound divides by the ridge
+    holdout_fraction: Annotated[float, Range(0, 1, hi_open=True)] = 0.1
     seed: int = 0
     feature_kind: FeatureKind = "random_fourier"
-    feature_count: int = 256
-    bandwidth: float = 1.0
+    feature_count: Count = 256
+    bandwidth: Positive = 1.0
     poly_degree: int = 3
     poly_dim_degrees: tuple[int, ...] | None = None
     input_shift: tuple[float, ...] | None = None
@@ -323,15 +320,6 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("ridge", "bandwidth"):  # the fit's condition bound divides by the ridge
-            if not getattr(self, name) > 0:
-                raise ValueError(f"model {name} must be > 0, got {getattr(self, name)}")
-        for name in ("n_members", "feature_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"model {name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.holdout_fraction < 1:
-            raise ValueError("model holdout_fraction must be in [0, 1), "
-                             f"got {self.holdout_fraction}")
 
     def feature_map(self, input_dim: int, member_seed: int) -> FeatureMap:
         if self.feature_kind == "polynomial":

@@ -1,5 +1,5 @@
 """The one mapping of JSON records to and from dataclasses, and the one
-check of their field types.
+check of their field types and ranges.
 
 A benchmark config's sections, dataset recipes, agent and model settings,
 environment parameters, dataset metadata, saved policies and saved
@@ -10,12 +10,15 @@ and true; ``float`` takes a finite real, ``Literal[...]`` one of its
 strings, ``X | None`` also null; a ``tuple`` field takes a list and checks
 its elements, an ``np.ndarray`` field takes a nested list of finite
 numbers, and a dataclass takes an object, in a union read as the arm whose
-keys it has, or an instance of itself, accepted as it is); and an accepted
-real keeps its type (an integer is stored as a Python int), so a config
-hashes as it always did.  Config, environment-parameter and action-space
-records call :func:`check_fields` first in ``__post_init__``, so a record
-built in Python is checked as one read from JSON; ``__post_init__`` then
-checks ranges.  The records holding arrays (``GaussianRegressor``,
+keys it has, or an instance of itself, accepted as it is); ``Annotated[T,
+Range(...)]`` and its aliases (``Count``, ``Positive``, ``NonNegative``,
+``Probability``) read ``T``, then check the range; and an accepted real
+keeps its type (an integer is stored as a Python int), so a config hashes
+as it always did.  Config, environment-parameter and action-space records
+call :func:`check_fields` first in ``__post_init__``, so a record built in
+Python is checked as one read from JSON, and function arguments are checked
+by :func:`read_value`; ``__post_init__`` then checks only rules that tie
+fields together.  The records holding arrays (``GaussianRegressor``,
 ``QFunction``, ``BehaviorModel``) do not: :func:`check_fields` cannot read
 an ndarray instance, so they are checked only when read from JSON.
 :func:`write_record` is the inverse of :func:`read_record`; saved policies and
@@ -31,13 +34,41 @@ import reprlib
 import types
 import typing
 from collections.abc import Mapping
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from numbers import Integral, Real
 
 import numpy as np
 
 _MISMATCH = object()
+_UNIONS = (types.UnionType, typing.Union)  # ``X | None`` of an Annotated X is a typing.Union
+
+
+@dataclass(frozen=True)
+class Range:
+    """The interval a field's value must lie in, declared in its annotation
+    as ``Annotated[T, Range(...)]``; each end is closed unless marked open."""
+
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        return ((value > self.lo if self.lo_open else value >= self.lo)
+                and (value < self.hi if self.hi_open else value <= self.hi))
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            return f"{'>' if self.lo_open else '>='} {self.lo}"
+        return (f"in {'(' if self.lo_open else '['}{self.lo}, "
+                f"{self.hi}{')' if self.hi_open else ']'}")
+
+
+Count = typing.Annotated[int, Range(1)]
+Positive = typing.Annotated[float, Range(0, lo_open=True)]
+NonNegative = typing.Annotated[float, Range(0)]
+Probability = typing.Annotated[float, Range(0, 1)]
 
 
 def _is_int(value) -> bool:
@@ -101,7 +132,7 @@ def read_record(cls, obj, what: str, base=None, path: str = ""):
             values[name] = read_value(tp, value, where)
     try:
         return replace(base, **values) if base is not None else cls(**values)
-    except ValueError as exc:  # a range check of a nested record: name where it sits
+    except ValueError as exc:  # a cross-field rule of a nested record: name where it sits
         raise ValueError(f"{what}: {exc}" if path else str(exc)) from None
 
 
@@ -164,7 +195,7 @@ def write_record(value):
 def field_types(cls) -> tuple[dict, tuple]:
     """The resolved annotation of each field of ``cls`` and the names of the
     fields without a default; fails on an annotation the reader cannot read."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     annotations = {f.name: hints[f.name] for f in fields(cls)}
     for name, tp in annotations.items():
         try:
@@ -189,17 +220,24 @@ def _is_number_list(value) -> bool:
 def _convert(tp, value, name: str):
     """``value`` read as ``tp``, or ``_MISMATCH``; a nested record that does
     not read, or an object that fits no record arm of a union, raises, naming
-    its path from ``name``.  A parametrized tuple has one element type:
+    its path from ``name``, and so does a value of the right type outside
+    its field's ``Range``.  A parametrized tuple has one element type:
     ``tuple[X, ...]``, or ``tuple[X, X]`` of fixed length."""
-    args = typing.get_args(tp)
+    args, origin = typing.get_args(tp), typing.get_origin(tp)
+    if origin is typing.Annotated:
+        inner, bound = args
+        out = _convert(inner, value, name)
+        if out is not _MISMATCH and out not in bound:
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
+        return out
     if is_dataclass(tp):
         if isinstance(value, tp):
             return value
         return (read_record(tp, value, name, path=name + ".")
                 if isinstance(value, dict) else _MISMATCH)
-    if typing.get_origin(tp) is typing.Literal:
+    if origin is typing.Literal:
         return value if isinstance(value, str) and value in args else _MISMATCH
-    if typing.get_origin(tp) is types.UnionType:
+    if origin in _UNIONS:
         records = [arm for arm in args if is_dataclass(arm)]
         if records and isinstance(value, dict):
             # the arm whose keys the object has; a lone record arm reports its own
@@ -232,9 +270,14 @@ def _convert(tp, value, name: str):
 
 
 def _describe(tp, plural: bool = False) -> str:
-    """What ``tp`` takes, in words; a KeyError for an unsupported type."""
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is types.UnionType:
+    """What ``tp`` takes, in words, leaving out its range; a KeyError for an
+    unsupported type."""
+    args, origin = typing.get_args(tp), typing.get_origin(tp)
+    if origin is typing.Annotated:
+        if len(args) != 2 or not isinstance(args[1], Range):
+            raise KeyError(tp)
+        return _describe(args[0], plural)
+    if origin in _UNIONS:
         return " or ".join(_describe(arm, plural) for arm in args)
     if _is_tuple(tp):
         text = "lists" if plural else "a list"
@@ -246,7 +289,7 @@ def _describe(tp, plural: bool = False) -> str:
         return "nested lists of finite numbers" if plural else "a nested list of finite numbers"
     if is_dataclass(tp):
         return f"{tp.__name__} objects" if plural else f"a {tp.__name__} object"
-    if typing.get_origin(tp) is typing.Literal:
+    if origin is typing.Literal:
         if not all(isinstance(arg, str) for arg in args):
             raise KeyError(tp)
         return f"{'values' if plural else 'one'} of {', '.join(map(repr, args))}"

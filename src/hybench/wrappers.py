@@ -37,6 +37,7 @@ from collections import deque
 import numpy as np
 
 from .envs import ContinuousActions, EnvError, Environment, StepResult
+from .records import Count, NonNegative, read_value
 from .seeding import ACTION_NOISE, OBS_NOISE, derived_rng
 
 
@@ -136,10 +137,8 @@ class ObsNoiseWrapper(EnvWrapper):
     _args = ("sigma",)
 
     def __init__(self, env: Environment, sigma: float):
-        if sigma < 0:
-            raise ValueError(f"observation noise sigma must be >= 0, got {sigma}")
         super().__init__(env)
-        self.sigma = float(sigma)
+        self.sigma = float(read_value(NonNegative, sigma, "sigma"))
         self._noise_rng = None
 
     def _start(self, seed: int | None) -> None:
@@ -204,12 +203,10 @@ class ActionNoiseWrapper(EnvWrapper):
     _args = ("sigma",)
 
     def __init__(self, env: Environment, sigma: float):
-        if sigma < 0:
-            raise ValueError(f"action noise sigma must be >= 0, got {sigma}")
         if not isinstance(env.action_space, ContinuousActions):
             raise ValueError("action noise requires a continuous action space")
         super().__init__(env)
-        self.sigma = float(sigma)
+        self.sigma = float(read_value(NonNegative, sigma, "sigma"))
         self._noise_rng = None
         self.last_executed_action: np.ndarray | None = None
 
@@ -241,10 +238,8 @@ class ActionDelayWrapper(EnvWrapper):
     _args = ("delay",)
 
     def __init__(self, env: Environment, delay: int):
-        if delay < 0:
-            raise ValueError(f"action delay must be >= 0, got {delay}")
         super().__init__(env)
-        self.delay = int(delay)
+        self.delay = read_value(int, delay, "delay")
         self._queue: deque = deque()
 
     def _zero_action(self):
@@ -275,10 +270,8 @@ class HistoryStack(EnvWrapper):
     _args = ("k",)
 
     def __init__(self, env: Environment, k: int):
-        if k < 1:
-            raise ValueError("history length k must be >= 1")
         super().__init__(env)
-        self.k = int(k)
+        self.k = read_value(Count, k, "k")
         self._window = np.zeros((self.k, env.obs_dim))
 
     @property

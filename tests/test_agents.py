@@ -492,6 +492,8 @@ class TestConfigValidation:
         ("epsilon_start", 1.5),
         ("epsilon_end", -0.1),
         ("rollout_epsilon", 2.0),
+        ("fit_cap", 0),  # used to fail in every seed, with a ZeroDivisionError in BCQ
+        ("lam", -1.0),  # used to turn the uncertainty penalty into a bonus
     ])
     def test_out_of_range_value_rejected_when_config_loads(self, field, value):
         *model, name = field.split(".")

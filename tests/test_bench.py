@@ -290,12 +290,17 @@ class TestConfigParsing:
             del d["sim2real"]
         return d
 
-    def test_medium_replay_with_history_rejected_at_load(self):
+    @pytest.mark.parametrize("dataset,message", [
+        ({"tier": "medium_replay", "history_k": 3}, "medium_replay"),
         # a privileged replay would record the full states its policy trained on
-        for dataset in ({"tier": "medium_replay", "history_k": 3},
-                        {"tier": "medium_replay", "behavior_mode": "privileged"}):
-            with pytest.raises(ValueError, match="medium_replay"):
-                load(dict(self.BASE, dataset=dataset))
+        ({"tier": "medium_replay", "behavior_mode": "privileged"}, "medium_replay"),
+        # used to fail after training on the pendulum, and on windygrid to
+        # collect with a policy fed stacked observations, not the full state
+        ({"tier": "expert", "behavior_mode": "privileged", "history_k": 2}, "history_k > 1"),
+    ], ids=["history", "privileged", "privileged_history"])
+    def test_medium_replay_with_history_rejected_at_load(self, dataset, message):
+        with pytest.raises(ValueError, match=message):
+            load(dict(self.BASE, dataset=dataset))
 
     def test_corruption_keys_accepted(self):
         tags = [{"kind": "obs_noise", "sigma": 0.1}, {"kind": "obs_noise", "sigma": 0.1, "seed": 3},

@@ -291,6 +291,17 @@ class TestSerialization:
             data.read_dataset(tmp_path / "cut.ds")
         assert err.value.line == 101
 
+    def test_zero_record_count_names_the_header(self, tmp_path):
+        # used to fail with a bare ValueError from stacking no rows
+        meta = {"format_version": "b4mrl-ds/1", "env_name": "windygrid", "env_params": {},
+                "tier": "random", "corruption": [], "behavior_mode": "observed", "seed": 0,
+                "record_count": 0}
+        path = tmp_path / "empty.ds"
+        path.write_text(json.dumps(meta) + "\n")
+        with pytest.raises(DatasetParseError, match="record_count must be >= 1, got 0") as err:
+            data.read_dataset(path)
+        assert err.value.line == 1
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.ds"
         path.write_text('{"format_version": "b4mrl-ds/2"}\n')

@@ -1,12 +1,18 @@
 import dataclasses
+import math
+import typing
 from fractions import Fraction
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 import pytest
 
 from hybench import agents, bench, data, envs, models
 from hybench.records import (
+    Count,
+    Positive,
+    Probability,
+    Range,
     check_fields,
     check_keys,
     field_types,
@@ -90,6 +96,14 @@ def test_nested_record_read_over_its_base():
     (tuple[tuple[float, float], tuple[float, float]], [[1, 2], [3]],
      "x must be a list of 2 lists of 2 finite numbers, got [[1, 2], [3]]"),
     (int, -1, "x must be an integer >= 0, got -1"),
+    # a value of the right type outside its range names the range
+    (Count | None, 0, "x must be >= 1, got 0"),
+    (Count | None, 1.5, "x must be an integer >= 0 or null, got 1.5"),
+    (Probability, Fraction(3, 2), "x must be in [0, 1], got Fraction(3, 2)"),
+    (Positive, 0.0, "x must be > 0, got 0.0"),
+    (Annotated[float, Range(0, 1, hi_open=True)], 1, "x must be in [0, 1), got 1"),
+    (envs.BanditSpec, {"reward_table": [[0, 1.5], [0, 0]]},
+     "x.reward_table[0][1] must be in [0, 1], got 1.5"),
 ])
 def test_value_mismatch_names_field_and_type(tp, value, message):
     with pytest.raises(ValueError) as err:
@@ -136,7 +150,7 @@ def test_union_of_records_reads_the_arm_whose_keys_it_has():
 
 def test_nested_range_check_names_its_path():
     fm = {"kind": "random_fourier", "input_dim": 1, "count": 0, "bandwidth": 1, "seed": 0}
-    with pytest.raises(ValueError, match=r"^s\[0\]: feature count must be > 0, got 0"):
+    with pytest.raises(ValueError, match=r"^s\[0\]\.count must be >= 1, got 0"):
         read_value(tuple[models.FeatureMap, ...], [fm], "s")
 
 
@@ -233,3 +247,38 @@ def _bench_config(**fields):
 def test_record_built_in_python_is_checked_naming_field(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# the record classes whose fields declare ranges; a closed end of a grid size
+# constructs only with goal and start cells inside the grid
+RANGED_CLASSES = [agents.AgentConfig, models.ModelConfig, envs.PendulumParams,
+                  envs.WindyGridParams, envs.BanditSpec, data.DatasetRecipe]
+CLOSED_END_CONTEXT = {(envs.WindyGridParams, "width"): {"goal": (0, 0), "start": (0, 1)},
+                      (envs.WindyGridParams, "height"): {"goal": (0, 0), "start": (1, 0)}}
+
+
+def declared_ranges(cls):
+    """(field, inner type, Range) of each field of ``cls`` whose
+    annotation, or a union arm of it, carries a Range."""
+    for name, tp in field_types(cls)[0].items():
+        for arm in typing.get_args(tp) if typing.get_origin(tp) is typing.Union else (tp,):
+            if typing.get_origin(arm) is Annotated:
+                yield name, *typing.get_args(arm)
+
+
+@pytest.mark.parametrize("cls", RANGED_CLASSES, ids=lambda c: c.__name__)
+def test_every_declared_range_is_enforced(cls):
+    found = list(declared_ranges(cls))
+    assert found
+    for name, tp, bound in found:
+        for end, is_open, outward in ((bound.lo, bound.lo_open, -1), (bound.hi, bound.hi_open, 1)):
+            if math.isinf(end):
+                continue
+            # the first value of the field's type past the end
+            outside = (end if is_open else end + outward if tp is int
+                       else math.nextafter(end, outward * math.inf))
+            with pytest.raises(ValueError) as err:
+                cls(**{name: outside})
+            assert str(err.value).startswith(f"{name} must be "), (name, outside)
+            if not is_open:
+                cls(**{name: end}, **CLOSED_END_CONTEXT.get((cls, name), {}))
