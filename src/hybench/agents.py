@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Annotated, Literal
 
 import numpy as np
 
-from .envs import ContinuousActions, DiscreteActions, Environment, PendulumEnv
+from .envs import ContinuousActions, DiscreteActions, EnvError, Environment, PendulumEnv
 from .models import (
     CorrectionEnsemble,
     FeatureKind,
@@ -428,13 +428,12 @@ class _Block:
     when the dynamics are deterministic.
     """
 
-    def __init__(self, fm: FeatureMap, basis: np.ndarray, O, A, R, O2, D,
+    def __init__(self, basis: np.ndarray, Phi, A, R, Phi2, D,
                  mask2=None, mc_returns=None, boot_gamma=None):
         self.A = np.asarray(A, dtype=int)
         self.R = np.asarray(R, dtype=float)
         self.D = np.asarray(D, dtype=bool)
-        self.Phi = fm.transform_distinct(O)
-        self.Phi2 = fm.transform_distinct(O2)
+        self.Phi, self.Phi2 = Phi, Phi2  # feature rows of the observations and next ones
         self.n = len(self.A)
         self.boot_gamma = boot_gamma  # bootstrap discount (gamma^n for n-step rows)
         F = self.Phi.shape[1]
@@ -534,7 +533,8 @@ def evaluate_policy(
     convention.  On an unwrapped pendulum, a policy whose greedy act draws
     nothing (any but ``UniformPolicy``) runs all episodes in lockstep, with
     one batch of greedy actions per time step
-    (``PendulumEnv.lockstep_returns``); every other case runs them one by one.
+    (``PendulumEnv.lockstep_returns``); every other case runs them one by one
+    (``Environment.run_episode``).
     """
     episodes = read_value(Count, episodes, "episodes")
     policy.reseed(derived_seed(seed, EVAL_POLICY))
@@ -546,14 +546,11 @@ def evaluate_policy(
     else:
         returns = np.empty(episodes)
         for ep in range(episodes):
-            obs = env.reset(seed=derived_seed(seed, EVAL_ENV) if ep == 0 else None)
-            total = 0.0
-            while True:
-                res = env.step(policy.act(obs, greedy=True))
-                total += res.reward
-                if res.done:
-                    break
-                obs = res.obs
+            _, _, rewards = env.run_episode(lambda obs: policy.act(obs, greedy=True),
+                                            derived_seed(seed, EVAL_ENV) if ep == 0 else None)
+            total = 0.0  # in step order; sum() compensates from Python 3.12 on
+            for r in rewards:
+                total += r
             returns[ep] = total
     std = float(np.std(returns, ddof=1)) if episodes > 1 else 0.0
     return float(returns.mean()), std
@@ -603,60 +600,57 @@ def train_online_q(
     eval_env = clone_env(env)
 
     sweeps = config.sweeps
+    horizon = getattr(env.params, "horizon", 1)
     if budget is not None:
-        horizon = getattr(env.params, "horizon", 1)
         per_sweep = max(config.episodes_per_sweep * horizon, 1)
         sweeps = max(1, min(sweeps, int(np.ceil(budget / per_sweep))))
 
     policy = None  # greedy policy of the latest fit
     grid_arr = np.asarray(grid)
+    # per env step, written once: the features of its observation and of
+    # the one n steps ahead; each sweep fits the filled prefix
+    Phi, Phi2 = (np.empty((sweeps * config.episodes_per_sweep * horizon, fm.output_dim))
+                 for _ in range(2))
     replay: list[tuple] = []  # per episode: (O, A, R, O2, D) columns
-    fit_rows: list[tuple] = []  # per episode: n-step (O, A index, R, O2, D, G)
+    fit_rows: list[tuple] = []  # per episode: n-step (A index, R, D, G)
     curve: list[tuple[int, float]] = []
     weights: list[np.ndarray] = []
     steps = 0
-    seeded = False
 
     n_step = int(config.n_step)
     gtail = config.gamma ** np.arange(n_step)
 
     for sweep in range(sweeps):
         frac = sweep / max(sweeps - 1, 1)
-        sweep_eps = config.epsilon_start + frac * (
-            config.epsilon_end - config.epsilon_start
-        )
+        sweep_eps = config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
         for episode in range(config.episodes_per_sweep):
             # optional near-greedy episodes per sweep: uninterrupted
             # demonstrations of the current policy feed the reward-to-go
             # lower bound
             demo = episode < config.greedy_demo_episodes and policy is not None
             eps = config.epsilon_end if demo else sweep_eps
-            obs = env.reset(seed=derived_seed(seed, TRAIN_ENV) if not seeded else None)
-            seeded = True
-            done = False
-            ep_obs: list[np.ndarray] = [obs]
             ep_a: list[int] = []
-            ep_r: list[float] = []
             hold = 0
-            a_idx = 0
-            while not done:
+
+            def explore_or_act(obs):
+                nonlocal hold
                 if hold > 0:
                     hold -= 1  # keep the previous exploratory action
+                    a_idx = ep_a[-1]
                 elif explore.random() < eps or policy is None:
                     a_idx = int(explore.integers(K))
                     hold = int(explore.integers(config.explore_hold))
                 else:
                     a_idx = policy.action_index(obs)
-                res = env.step(grid[a_idx])
                 ep_a.append(a_idx)
-                ep_r.append(res.reward)
-                ep_obs.append(res.obs)
-                obs = res.obs
-                done = res.done
-                steps += 1
+                return grid[a_idx]
+
+            ep_O, _, ep_r = env.run_episode(
+                explore_or_act, seed=derived_seed(seed, TRAIN_ENV) if steps == 0 else None)
             T = len(ep_a)
+            if T > horizon:  # it would not fit the tables
+                raise EnvError(f"{env.name}: an episode of {T} steps exceeds horizon {horizon}")
             rew = np.asarray(ep_r)
-            ep_O = np.stack(ep_obs)
             t = np.arange(T)
             replay.append((ep_O[:-1], grid_arr[ep_a], rew, ep_O[1:], t == T - 1))
             # n-step rows: discounted reward window plus bootstrap n steps
@@ -669,18 +663,20 @@ def train_online_q(
             for r in reversed(ep_r):
                 g = r + config.gamma * g
                 tail.append(g)
-            fit_rows.append((ep_O[:-1], np.asarray(ep_a), rew_n, ep_O[ahead], ahead == T,
-                             np.asarray(tail[::-1])))
-        O, A, R, O2, D, G = (np.concatenate(col) for col in zip(*fit_rows))
-        block = _Block(fm, basis, O, A, R, O2, D,
+            ep_Phi = fm.transform(ep_O)  # T + 1 >= 2 rows: the bits of any batch
+            Phi[steps:steps + T] = ep_Phi[:-1]
+            Phi2[steps:steps + T] = ep_Phi[ahead]
+            fit_rows.append((np.asarray(ep_a), rew_n, ahead == T, np.asarray(tail[::-1])))
+            steps += T
+        A, R, D, G = (np.concatenate(col) for col in zip(*fit_rows))
+        block = None  # free the previous sweep's block before this one is built
+        block = _Block(basis, Phi[:steps], A, R, Phi2[:steps], D,
                        mc_returns=G if config.mc_lower_bound else None,
                        boot_gamma=config.gamma ** n_step)
         W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
                              config.q_ridge, config.q_iterations,
                              None if policy is None else policy.q.weights)
-        policy = QPolicy(
-            QFunction(fm, W, basis), grid
-        )
+        policy = QPolicy(QFunction(fm, W, basis), grid)
         score, _ = evaluate_policy(eval_env, policy, config.eval_episodes,
                                    derived_seed(seed, EVAL_ENV, sweep))
         curve.append((steps, score))
@@ -741,7 +737,8 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0) -> Q
     mask2 = None
     if config.bc_threshold > 0.0:
         mask2 = behavior.probs_batch(O2) >= config.bc_threshold
-    block = _Block(fm, basis, O, idx, R, O2, D, mask2=mask2)
+    block = _Block(basis, fm.transform_distinct(O), idx, R, fm.transform_distinct(O2), D,
+                   mask2=mask2)
     W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
                          config.q_ridge, config.offline_iterations, None)
     return QPolicy(QFunction(fm, W, basis), grid, behavior=behavior,
@@ -768,12 +765,10 @@ class RolloutTrace:
     generation order.  The columns keep every quantity entering the update
     algebra, so conformance can be replayed exactly."""
 
-    epoch: np.ndarray  # (n,) int, like rollout, step, start_index, action_index, member
-    rollout: np.ndarray
+    epoch: np.ndarray  # (n,) int, like step, start_index and action_index
     step: np.ndarray
     start_index: np.ndarray
     action_index: np.ndarray
-    member: np.ndarray
     obs: np.ndarray  # (n, obs_dim)
     next_obs: np.ndarray  # (n, obs_dim)
     sim_next_obs: np.ndarray | None  # (n, obs_dim); None without a simulator
@@ -786,14 +781,14 @@ class RolloutTrace:
         return len(self.epoch)
 
     @classmethod
-    def concat(cls, parts: list, obs_dim: int, with_sim: bool) -> "RolloutTrace":
-        """Stack per-step parts in order; no parts give zero-row columns."""
-        if not parts:
-            i, x, f = np.zeros(0, dtype=int), np.zeros((0, obs_dim)), np.zeros(0)
-            parts = [cls(i, i, i, i, i, i, x, x, x if with_sim else None,
-                         np.zeros((0, obs_dim + 1)), f, f, f)]
-        cols = zip(*([getattr(p, fld.name) for fld in fields(cls)] for p in parts))
-        return cls(*(None if c[0] is None else np.concatenate(c) for c in cols))
+    def empty(cls, n: int, obs_dim: int, with_sim: bool) -> "RolloutTrace":
+        """A trace of n rows, to be written in place."""
+        def col(*width, dtype=float):
+            return np.empty((n, *width), dtype=dtype)
+
+        return cls(col(dtype=int), col(dtype=int), col(dtype=int), col(dtype=int),
+                   col(obs_dim), col(obs_dim), col(obs_dim) if with_sim else None,
+                   col(obs_dim + 1), col(), col(), col())
 
 
 @dataclass
@@ -849,12 +844,14 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
         noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
 
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
-    real = _Block(fm, basis, O, idx, R, O2, D)
+    real = _Block(basis, fm.transform_distinct(O), idx, R, fm.transform_distinct(O2), D)
     n_real = real.n
 
     rollout_rng = derived_rng(seed, ROLLOUT)
     q = None
-    parts: list[RolloutTrace] = []  # one per rollout step; every array is new
+    trace = RolloutTrace.empty(config.epochs * config.rollout_horizon * b, obs_dim,
+                               simulator is not None)
+    filled = 0  # trace rows written so far
     grid_arr = np.asarray(grid)
     discrete = isinstance(space, DiscreteActions)
 
@@ -890,25 +887,25 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                 pen = disagreement(mus)  # the same means the draw used
                 r_tilde = r_sample - config.lam * pen
 
-                parts.append(RolloutTrace(
-                    np.full(b, epoch), np.arange(b), np.full(b, j), starts, a_idx,
-                    members, cur, next_obs, sim_next, draw, r_sample, pen, r_tilde))
+                row = (epoch, j, starts, a_idx, cur, next_obs, sim_next, draw, r_sample,
+                       pen, r_tilde)
+                for field, value in zip(fields(RolloutTrace), row):
+                    if value is not None:  # sim_next without a simulator
+                        getattr(trace, field.name)[filled:filled + b] = value
+                filled += b
                 cur = next_obs
 
-        blocks = [real]
-        weights = [1.0 / n_real]
-        if parts:
-            SO, SA, SR, SO2 = (np.concatenate([getattr(p, name) for p in parts]) for name
-                               in ("obs", "action_index", "penalized_reward", "next_obs"))
-            syn_block = _Block(fm, basis, SO, SA, SR, SO2,
-                               np.zeros(len(SO), dtype=bool))
-            blocks = [real, syn_block]
-            weights = [config.mix_real / n_real, (1.0 - config.mix_real) / len(SO)]
+        blocks, weights = [real], [1.0 / n_real]
+        if filled:
+            blocks.append(_Block(basis, fm.transform_distinct(trace.obs[:filled]),
+                                 trace.action_index[:filled], trace.penalized_reward[:filled],
+                                 fm.transform_distinct(trace.next_obs[:filled]),
+                                 np.zeros(filled, dtype=bool)))
+            weights = [config.mix_real / n_real, (1.0 - config.mix_real) / filled]
         W = _bellman_iterate(blocks, weights, basis, config.gamma, config.q_ridge,
                              config.q_iterations, None if q is None else q.weights)
         q = QFunction(fm, W, basis)
 
-    trace = RolloutTrace.concat(parts, obs_dim, simulator is not None)
     return ModelBasedTrainResult(QPolicy(q, grid), ens, trace)
 
 

@@ -39,7 +39,7 @@ from .data import (
 from .envs import Environment, make_env
 from .records import Count, check_fields, field_types, read_record, write_record
 from .seeding import REFS, derived_seed
-from .wrappers import clone_env, env_signature
+from .wrappers import clone_env, env_signature, hidden_indices
 
 
 def normalize_score(raw: float, random_ref: float, expert_ref: float) -> float:
@@ -165,6 +165,11 @@ class BenchConfig:
         agents.check_feature_maps(env, _agent_config(env, self.agent.config),
                                   agent in ("mopo_lite", "hymopo"))
         apply_specs(env, self.sim2real, "env")
+        recipe = self.dataset
+        if isinstance(recipe, DatasetRecipe):  # hidden indices name env dimensions
+            hidden = [c["indices"] for c in recipe.corruption if c["kind"] == "hidden_dims"]
+            for indices in (recipe.hidden_during_collection, *hidden):
+                hidden_indices(indices, env.obs_dim)
         object.__setattr__(
             self, "sim2real", tuple(check_spec(s, "env") for s in self.sim2real)
         )

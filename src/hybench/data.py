@@ -155,15 +155,8 @@ def _stack_rows(rows) -> tuple:
 
 def _env_dataset(env: Environment, columns, tier: str, behavior_mode: str, seed: int,
                  corruption: tuple = ()) -> Dataset:
-    meta = DatasetMeta(
-        env_name=env.name,
-        env_params=write_record(env.params),
-        tier=tier,
-        corruption=corruption,
-        behavior_mode=behavior_mode,
-        seed=seed,
-        record_count=len(columns[2]),
-    )
+    meta = DatasetMeta(env.name, write_record(env.params), tier, corruption, behavior_mode,
+                       seed, record_count=len(columns[2]))
     return Dataset(meta, *columns)
 
 
@@ -171,19 +164,10 @@ def concat_datasets(parts: list[Dataset], tier: str, seed: int) -> Dataset:
     """Concatenate record streams; behavior mode is privileged if any part is."""
     columns = [np.concatenate(cols) for cols in zip(*(p.arrays() for p in parts))]
     corruption = tuple(c for part in parts for c in part.meta.corruption)
-    mode = (
-        "privileged"
-        if any(p.meta.behavior_mode == "privileged" for p in parts)
-        else "observed"
-    )
-    meta = replace(
-        parts[0].meta,
-        tier=tier,
-        seed=seed,
-        corruption=corruption,
-        behavior_mode=mode,
-        record_count=len(columns[2]),
-    )
+    privileged = any(p.meta.behavior_mode == "privileged" for p in parts)
+    meta = replace(parts[0].meta, tier=tier, seed=seed, corruption=corruption,
+                   behavior_mode="privileged" if privileged else "observed",
+                   record_count=len(columns[2]))
     return Dataset(meta, *columns)
 
 
@@ -205,30 +189,23 @@ def collect_dataset(
     In ``observed`` mode the policy consumes the (possibly wrapped)
     observation that is also recorded; in ``privileged`` mode it consumes
     ``full_state()`` while the records keep only the emitted observations.
-    Episodes reset on done.
+    Episodes run one after another, through ``Environment.run_episode``.
     """
     read_value(BehaviorMode, behavior_mode, "behavior_mode")
     read_value(Count, n_records, "n_records")
     policy.reseed(derived_seed(seed, COLLECT_POLICY))
-    obs = env.reset(seed=derived_seed(seed, COLLECT_ENV) % 2**31)
-    rows = []
-    while len(rows) < n_records:
-        decision_input = env.full_state() if behavior_mode == "privileged" else obs
-        action = policy.act(decision_input)
-        res = env.step(action)
-        rows.append((obs, _plain_action(action), res.reward, res.obs, res.done))
-        obs = env.reset() if res.done else res.obs
-    return _env_dataset(env, _stack_rows(rows), tier, behavior_mode, seed)
 
-
-def _plain_action(action):
-    if isinstance(action, np.ndarray):
-        return float(action.reshape(-1)[0]) if action.size == 1 else action.copy()
-    if isinstance(action, (np.integer,)):
-        return int(action)
-    if isinstance(action, (np.floating,)):
-        return float(action)
-    return action
+    episodes, count = [], 0  # per episode: (O, A, R, O2, D) columns; rows so far
+    while count < n_records:  # the last episode runs to its end; its tail is dropped
+        O, A, R = env.run_episode(
+            lambda obs: policy.act(env.full_state() if behavior_mode == "privileged" else obs),
+            None if episodes else derived_seed(seed, COLLECT_ENV) % 2**31)
+        T = len(R)
+        episodes.append((O[:-1], np.asarray(A), np.asarray(R, dtype=float), O[1:],
+                         np.arange(T) == T - 1))
+        count += T
+    columns = [np.concatenate(col)[:n_records] for col in zip(*episodes)]
+    return _env_dataset(env, columns, tier, behavior_mode, seed)
 
 
 def collect_history_confounded(
@@ -261,20 +238,11 @@ def collect_history_confounded(
 # ---------------------------------------------------------------------------
 
 
-def _corrupted_mode(dataset: Dataset, changed: bool) -> str:
+def _with_observations(dataset: Dataset, O, O2, tag: dict, changed: bool) -> Dataset:
     # Once stored observations diverge from what the behavior policy saw, the
     # dataset is effectively privileged: actions depend on hidden information.
-    if dataset.meta.behavior_mode == "privileged" or changed:
-        return "privileged"
-    return "observed"
-
-
-def _with_observations(dataset: Dataset, O, O2, tag: dict, changed: bool) -> Dataset:
-    meta = replace(
-        dataset.meta,
-        corruption=dataset.meta.corruption + (tag,),
-        behavior_mode=_corrupted_mode(dataset, changed),
-    )
+    mode = "privileged" if changed else dataset.meta.behavior_mode
+    meta = replace(dataset.meta, corruption=dataset.meta.corruption + (tag,), behavior_mode=mode)
     return Dataset(meta, O, dataset.A, dataset.R, O2, dataset.D)
 
 
@@ -502,7 +470,10 @@ def generate_dataset(env: Environment, recipe: DatasetRecipe) -> Dataset:
     # The behavior policy trains on whatever it will consume at collection
     # time: wrapped observations in observed mode, full state in privileged.
     if recipe.behavior_mode == "privileged":
-        policy_env = FullStateObservation(clone_env(env))
+        # an env that observes its full state trains the same policy (and
+        # shares its cache entries) without the wrapper
+        policy_env = (clone_env(env) if env.observes_full_state
+                      else FullStateObservation(clone_env(env)))
     else:
         policy_env = clone_env(collect_env)
     if recipe.history_k is not None and recipe.history_k > 1:

@@ -80,6 +80,7 @@ class Environment:
     name: str = "env"
     obs_dim: int = 0
     action_space: DiscreteActions | ContinuousActions = DiscreteActions(1)
+    observes_full_state: bool = False  # True when each observation is full_state()
 
     def __init__(self):
         self._rng: np.random.Generator | None = None  # None until the first reset
@@ -115,6 +116,20 @@ class Environment:
     def _start(self) -> np.ndarray:
         """Draw the first state from ``_rng`` and return its observation."""
         raise NotImplementedError
+
+    def run_episode(self, choose, seed: int | None = None) -> tuple[np.ndarray, list, list]:
+        """One episode: ``reset(seed)``, then ``step(choose(obs))`` until done.
+        Returns the T + 1 observations stacked, and the T actions and the T
+        rewards as lists."""
+        observations, actions, rewards = [self.reset(seed)], [], []
+        done = False
+        while not done:
+            actions.append(choose(observations[-1]))
+            res = self.step(actions[-1])
+            observations.append(res.obs)
+            rewards.append(res.reward)
+            done = res.done
+        return np.stack(observations), actions, rewards
 
     def step(self, action) -> StepResult:
         raise NotImplementedError
@@ -380,6 +395,7 @@ class WindyGridEnv(Environment):
     reveals everything, so hiding the wind is an explicit wrapper choice."""
 
     name = "windygrid"
+    observes_full_state = True
 
     def __init__(self, params: WindyGridParams | None = None):
         super().__init__()

@@ -158,7 +158,9 @@ class FeatureMap:
         distinct (a one-row random-Fourier product goes through a different
         BLAS kernel than the same row inside a batch, and its bits differ)
         or when more than half are (continuous inputs; it also keeps the
-        peak memory at the plain transform's)."""
+        peak memory at the plain transform's).  A gathered result is C-ordered
+        and the plain polynomial transform Fortran-ordered: equal values, whose
+        products can differ in the last bits."""
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or not X.size:
             return self.transform(X)

@@ -231,6 +231,81 @@ class TestOnlineQ:
         assert np.array_equal(a.policy.q.weights, b.policy.q.weights)
         assert a.curve == b.curve
 
+    @pytest.mark.parametrize("name,params,budget", [
+        ("pendulum", {"horizon": 30}, 600),  # random-Fourier, n-step, return bound
+        ("windygrid", {}, 2_000),  # polynomial over few distinct observations
+    ])
+    def test_last_fit_equals_a_block_rebuilt_from_the_replay(self, name, params, budget):
+        # the block as it was built before its feature rows were kept: every
+        # replay row transformed again, O and O2 through transform_distinct
+        env = hb.make_env(name, params)
+        cfg = dataclasses.replace(default_agent_config(env), eval_episodes=3,
+                                  q_feature_count=64)
+        res = train_online_q(env, cfg, seed=1, budget=budget)
+        O, A, R, O2, D = res.replay
+        grid = res.policy.action_grid
+        gtail = cfg.gamma ** np.arange(cfg.n_step)
+        rows = []
+        for ep in np.split(np.arange(len(R)), np.flatnonzero(D)[:-1] + 1):
+            T, rew = len(ep), R[ep]
+            ep_O = np.concatenate([O[ep], O2[ep[-1:]]])
+            t = np.arange(T)
+            ahead = np.minimum(t + cfg.n_step, T)
+            rew_n = np.array([gtail[:k - i] @ rew[i:k] for i, k in zip(t, ahead)])
+            g, tail = 0.0, []
+            for r in reversed(rew.tolist()):
+                g = r + cfg.gamma * g
+                tail.append(g)
+            rows.append((ep_O[:-1], actions_to_indices(A[ep], grid), rew_n, ep_O[ahead],
+                         ahead == T, np.asarray(tail[::-1])))
+        BO, BA, BR, BO2, BD, BG = (np.concatenate(col) for col in zip(*rows))
+        fm, basis = res.policy.q.features, res.policy.q.basis
+        block = agents._Block(basis, fm.transform_distinct(BO), BA, BR,
+                              fm.transform_distinct(BO2), BD,
+                              mc_returns=BG if cfg.mc_lower_bound else None,
+                              boot_gamma=cfg.gamma ** cfg.n_step)
+        W = agents._bellman_iterate([block], [1.0 / block.n], basis, cfg.gamma, cfg.q_ridge,
+                                    cfg.q_iterations, res.weights[-2])
+        assert bits(W) == bits(res.weights[-1])
+
+    def test_each_observation_is_featurized_once(self, monkeypatch):
+        # fitting transforms each episode's T + 1 observations once; greedy
+        # actions and lockstep evaluation transform at most eval_episodes rows
+        env = hb.make_env("pendulum", {"horizon": 30})
+        cfg = dataclasses.replace(default_agent_config(env), eval_episodes=5,
+                                  q_feature_count=64)
+        fit_rows = []
+        transform = agents.FeatureMap.transform
+
+        def spy(fm, X):
+            out = transform(fm, X)
+            if len(out) > cfg.eval_episodes:
+                fit_rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(agents.FeatureMap, "transform", spy)
+        res = train_online_q(env, cfg, seed=0, budget=600)
+        steps = res.curve[-1][0]
+        episodes = len(res.curve) * cfg.episodes_per_sweep
+        assert len(res.curve) == 7 and steps == 630
+        assert sum(fit_rows) == steps + episodes
+
+    def test_episode_past_the_horizon_raises(self):
+        class Overrun(hb.WindyGridEnv):
+            # a goal-less corridor that ignores its horizon of 2
+            def __init__(self, params=None):
+                super().__init__(hb.WindyGridParams(horizon=2))
+
+            def step(self, action):
+                res = super().step(action)
+                self._done = self._t >= 3
+                return dataclasses.replace(res, done=self._done)
+
+        cfg = dataclasses.replace(default_agent_config(Overrun()), sweeps=1,
+                                  episodes_per_sweep=1)
+        with pytest.raises(hb.EnvError, match="episode of 3 steps exceeds horizon 2"):
+            train_online_q(Overrun(), cfg, seed=0)
+
 
 class TestOfflineBCQ:
     def test_expert_data_recovers_expert(self, grid_env, grid_mdp):
@@ -398,8 +473,7 @@ class TestModelBased:
         assert hy.trace.sim_next_obs.shape == (0, 3)
         for tr in (mopo.trace, hy.trace):
             assert len(tr) == 0
-            for name in ("epoch", "rollout", "step", "start_index", "action_index",
-                         "member"):
+            for name in ("epoch", "step", "start_index", "action_index"):
                 col = getattr(tr, name)
                 assert col.shape == (0,) and np.issubdtype(col.dtype, np.integer), name
             for name in ("reward", "penalty", "penalized_reward"):
@@ -419,12 +493,15 @@ class TestModelBased:
         basis = res.policy.q.basis
         O, idx, R, O2, D = agents._dataset_fit_arrays(
             grid_medium_dataset, res.policy.action_grid, cfg, 0)
-        real = agents._Block(res.policy.q.features, basis, O, idx, R, O2, D)
+        fm = res.policy.q.features
+        real = agents._Block(basis, fm.transform_distinct(O), idx, R,
+                             fm.transform_distinct(O2), D)
         W = None
         for epoch in range(cfg.epochs):
             rows = tr.epoch <= epoch
-            syn = agents._Block(res.policy.q.features, basis, tr.obs[rows], tr.action_index[rows],
-                                tr.penalized_reward[rows], tr.next_obs[rows],
+            syn = agents._Block(basis, fm.transform_distinct(tr.obs[rows]),
+                                tr.action_index[rows], tr.penalized_reward[rows],
+                                fm.transform_distinct(tr.next_obs[rows]),
                                 np.zeros(rows.sum(), dtype=bool))
             W = agents._bellman_iterate(
                 [real, syn], [cfg.mix_real / real.n, (1.0 - cfg.mix_real) / syn.n],
@@ -712,7 +789,8 @@ class TestBellmanKernel:
             if blocks:
                 mask2 = np.random.default_rng(seed).random((n, len(grid))) < 0.4
                 mask2[:5] = False  # empty masks fall back to every action
-            blocks.append(agents._Block(fm, basis, O, idx, R, O2, D, mask2=mask2))
+            blocks.append(agents._Block(basis, fm.transform_distinct(O), idx, R,
+                                        fm.transform_distinct(O2), D, mask2=mask2))
         weights = [1.0 / blocks[0].n] if not masked else [0.7 / blocks[0].n, 0.3 / blocks[1].n]
         return blocks, weights, grid, basis, config
 
@@ -735,13 +813,13 @@ class TestBellmanKernel:
 
     @pytest.mark.parametrize("kind", ["polynomial", "random_fourier"])
     def test_block_features_equal_the_plain_transform(self, grid_env, kind):
-        # the block transforms each distinct windygrid observation once
+        # offline and model-based blocks take transform_distinct rows, which
+        # transform each distinct windygrid observation once
         config = dataclasses.replace(default_agent_config(grid_env), q_feature_kind=kind)
         grid = agents.resolve_action_grid(grid_env, config)
         fm = agents._build_q_features(grid_env.obs_dim, config, seed=0)
         ds = data.collect_dataset(grid_env, UniformPolicy(grid, seed=1), 3000, "observed", 1)
-        O, A, R, O2, D = ds.arrays()
+        O, _, _, O2, _ = ds.arrays()
         assert 2 * len(np.unique(O, axis=0)) < len(O)
-        block = agents._Block(fm, agents._action_basis(grid, "onehot"), O, A, R, O2, D)
-        assert bits(block.Phi) == bits(fm.transform(O))
-        assert bits(block.Phi2) == bits(fm.transform(O2))
+        assert bits(fm.transform_distinct(O)) == bits(fm.transform(O))
+        assert bits(fm.transform_distinct(O2)) == bits(fm.transform(O2))

@@ -153,6 +153,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="corruption kind"):
             load(bad)
 
+    @pytest.mark.parametrize("recipe", [
+        {"hidden_during_collection": [7]},
+        {"corruption": [{"kind": "hidden_dims", "indices": [0, 7]}]},
+    ], ids=["hidden_during_collection", "hidden_dims"])
+    def test_hidden_index_out_of_range_rejected_at_load(self, recipe):
+        # both used to load, and then to fail in every seed
+        config = dict(self.BASE, agent={"name": "offline_bcq"}, sim2real=[],
+                      dataset=dict(self.BASE["dataset"], **recipe))
+        with pytest.raises(ValueError, match="hidden index 7 out of range for observation dim 3"):
+            load(config)
+
     @pytest.mark.parametrize("field,value", [
         ("n_records", 0), ("n_records", -5), ("history_k", 0), ("train_budget", 0),
         ("train_budget", -1), ("collect_epsilon", 2.0), ("collect_epsilon", -0.1),

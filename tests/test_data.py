@@ -11,6 +11,8 @@ from hybench.data import (
     DatasetParseError,
     DatasetVersionError,
 )
+from hybench.seeding import COLLECT_ENV, COLLECT_POLICY, derived_seed
+from hybench.wrappers import HistoryStack
 
 
 def random_policy(env, seed=0):
@@ -133,6 +135,70 @@ class TestCollection:
             _, p, _, _ = stats.chi2_contingency(table)
             detected += p < 0.001
         assert detected >= 1
+
+
+def plain_action(action):
+    if isinstance(action, np.ndarray):
+        return float(action.reshape(-1)[0]) if action.size == 1 else action.copy()
+    if isinstance(action, np.integer):
+        return int(action)
+    if isinstance(action, np.floating):
+        return float(action)
+    return action
+
+
+def reference_collect(env, policy, n_records, behavior_mode, seed):
+    """``collect_dataset``'s columns from a row-by-row loop: one ``env.step``
+    per record and a reset after each done."""
+    policy.reseed(derived_seed(seed, COLLECT_POLICY))
+    obs = env.reset(seed=derived_seed(seed, COLLECT_ENV) % 2**31)
+    rows = []
+    while len(rows) < n_records:
+        action = policy.act(env.full_state() if behavior_mode == "privileged" else obs)
+        res = env.step(action)
+        rows.append((obs, plain_action(action), res.reward, res.obs, res.done))
+        obs = env.reset() if res.done else res.obs
+    return data._stack_rows(rows)
+
+
+def assert_same_bits(columns, reference):
+    for got, want in zip(columns, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def wind_aware(state):
+    return 0 if state[2] > 0.5 else 3
+
+
+class TestCollectionMatchesTheRowLoop:
+    @pytest.mark.parametrize("make,policy,n,mode", [
+        # 1013 records: the last of 34 episodes is cut after 23 of its 30 steps
+        (lambda: hb.make_env("pendulum", {"horizon": 30}),
+         lambda: agents.UniformPolicy(tuple(np.linspace(-2, 2, 9)), seed=1), 1013, "observed"),
+        (lambda: hb.with_hidden_dims(hb.make_env("windygrid"), [2]),
+         lambda: agents.FunctionPolicy(wind_aware, (0, 1, 2, 3), epsilon=0.3), 777,
+         "privileged"),
+        (lambda: hb.make_env("bandit"), lambda: agents.UniformPolicy((0, 1), seed=2), 301,
+         "observed"),
+        (lambda: hb.with_action_delay(hb.with_action_noise(
+            hb.make_env("pendulum", {"horizon": 40}), 0.3), 2),
+         lambda: agents.UniformPolicy(tuple(np.linspace(-2, 2, 9)), seed=3), 555, "observed"),
+    ], ids=["pendulum", "privileged-hidden", "bandit", "noise-delay"])
+    def test_columns_equal_the_row_loop(self, make, policy, n, mode):
+        ds = data.collect_dataset(make(), policy(), n, mode, seed=7)
+        assert_same_bits(ds.arrays(), data.Dataset(ds.meta, *reference_collect(
+            make(), policy(), n, mode, seed=7)).arrays())
+
+    def test_history_confounded_columns_equal_the_row_loop(self):
+        env = hb.make_env("windygrid")
+        ds = data.collect_history_confounded(
+            env, 3, agents.UniformPolicy((0, 1, 2, 3), seed=0), 301, seed=4)
+        O, A, R, O2, D = reference_collect(
+            HistoryStack(hb.make_env("windygrid"), 3), agents.UniformPolicy((0, 1, 2, 3), seed=0),
+            301, "observed", seed=4)
+        assert_same_bits(ds.arrays(), data.Dataset(ds.meta, O[:, -3:], A, R, O2[:, -3:],
+                                                   D).arrays())
 
 
 class TestHistoryCollection:
@@ -428,6 +494,20 @@ class TestTierPolicies:
         dataset = data.generate_dataset(hb.make_env("windygrid"), recipe)
         assert len(dataset) == length and dataset.meta.tier == tier
         assert {key: calls[key] for key in expected} == expected
+
+
+    def test_privileged_windygrid_recipe_reuses_the_expert(self, monkeypatch):
+        # windygrid observes its full state, so a privileged policy trains on
+        # the plain env and shares its training run and reference pair; it
+        # used to train a second, identical expert behind FullStateObservation
+        monkeypatch.setattr(data, "_TRAIN_CACHE", {})
+        monkeypatch.setattr(bench, "_REF_CACHE", {})
+        bench.compute_reference_pair(hb.make_env("windygrid"))
+        recipe = data.DatasetRecipe(tier="medium", n_records=500, seed=0,
+                                    behavior_mode="privileged")
+        dataset = data.generate_dataset(hb.make_env("windygrid"), recipe)
+        assert (len(data._TRAIN_CACHE), len(bench._REF_CACHE)) == (1, 1)
+        assert bench.dataset_hash(dataset) == "dec8123cc5251040"
 
 
 class TestConcat:
