@@ -301,13 +301,12 @@ class FunctionPolicy(Policy):
 @dataclass
 class BehaviorModel:
     """Least-squares multi-class model of the behavior policy's action
-    probabilities, clipped to [0, 1] and renormalized."""
+    probabilities on rows of Q features, clipped to [0, 1] and renormalized."""
 
-    features: FeatureMap
     weights: np.ndarray  # (F, K)
 
-    def probs_batch(self, obs_batch: np.ndarray) -> np.ndarray:
-        raw = np.clip(self.features.transform(obs_batch) @ self.weights, 0.0, None)
+    def probs_batch(self, Phi: np.ndarray) -> np.ndarray:
+        raw = np.clip(Phi @ self.weights, 0.0, None)
         sums = raw.sum(axis=1, keepdims=True)
         uniform = np.full_like(raw, 1.0 / raw.shape[1])
         return np.where(sums > 1e-12, raw / np.where(sums > 0, sums, 1.0), uniform)
@@ -321,21 +320,21 @@ class QPolicy(Policy):
     actions whose behavior probability clears a threshold (falls back to the
     unrestricted argmax when no action qualifies).
 
-    ``action_indices`` scores a batch of observations with one Q
-    evaluation; ``action_index`` is its batch of one, and remembers the
-    greedy action of the first
-    ``ACTION_MEMO_CAP`` distinct observations it scores, keyed on the shape
-    and bytes of the validated row, so a finite observation space (windygrid
-    has 50) pays one feature transform per observation rather than one per
-    step.  Exploration draws stay in ``act``, so every action is the one the
-    uncached computation gives.  The memo holds because ``q``, ``behavior``
-    and ``bc_threshold`` are never written in place (nothing in hybench, its
-    tests or demos does); a policy with other values is a new ``QPolicy``
-    with an empty memo, and the memo is not serialized.  The cap exists
-    because continuous observations (pendulum) never repeat: there an
-    unbounded memo only grows the heap, and its tens of thousands of small
-    entries shift glibc's heap layout enough to raise peak RSS by far more
-    than their own few megabytes.
+    ``action_indices`` featurizes a batch of observations once, for the Q
+    scores and the behavior mask; ``action_index`` is its batch of one, and
+    remembers the greedy action of the first ``ACTION_MEMO_CAP`` distinct
+    observations it scores, keyed on the shape and bytes of the validated
+    row, so a finite observation space (windygrid has 50) pays one feature
+    transform per observation rather than one per step.  Exploration draws
+    stay in ``act``, so every action is the one the uncached computation
+    gives.  The memo holds because ``q``, ``behavior`` and ``bc_threshold``
+    are never written in place (nothing in hybench, its tests or demos
+    does); a policy with other values is a new ``QPolicy`` with an empty
+    memo, and the memo is not serialized.  The cap exists because
+    continuous observations (pendulum) never repeat: there an unbounded memo
+    only grows the heap, and its tens of thousands of small entries shift
+    glibc's heap layout enough to raise peak RSS by far more than their own
+    few megabytes.
     """
 
     def __init__(self, q: QFunction, action_grid, epsilon: float = 0.0, seed: int = 0,
@@ -347,10 +346,11 @@ class QPolicy(Policy):
         self._memo: dict[tuple, int] = {}
 
     def action_indices(self, obs_batch) -> np.ndarray:
-        scores = self.q.values(obs_batch)
+        Phi = self.q.features.transform(obs_batch)
+        scores = Phi @ self.q.weights @ self.q.basis
         if self.behavior is not None and self.bc_threshold > 0.0:
             # rows where no action clears the threshold keep every action
-            mask = self.behavior.probs_batch(obs_batch) >= self.bc_threshold
+            mask = self.behavior.probs_batch(Phi) >= self.bc_threshold
             scores = np.where(mask | ~mask.any(axis=1, keepdims=True), scores, -np.inf)
         return np.argmax(scores, axis=1)
 
@@ -530,19 +530,23 @@ def evaluate_policy(
     """Mean and sample std of undiscounted greedy-episode returns.
 
     Deterministic given the seed; a single episode reports std 0 by
-    convention.  On an unwrapped pendulum, a policy whose greedy act draws
-    nothing (any but ``UniformPolicy``) runs all episodes in lockstep, with
-    one batch of greedy actions per time step
-    (``PendulumEnv.lockstep_returns``); every other case runs them one by one
-    (``Environment.run_episode``).
+    convention.  On an unwrapped pendulum all episodes run in lockstep
+    (``PendulumEnv.lockstep_returns``), one batch of greedy actions per time
+    step, where a ``UniformPolicy`` first draws every episode's actions in
+    episode order; elsewhere they run one by one (``Environment.run_episode``).
     """
     episodes = read_value(Count, episodes, "episodes")
     policy.reseed(derived_seed(seed, EVAL_POLICY))
-    if type(env) is PendulumEnv and not isinstance(policy, UniformPolicy):
+    if type(env) is PendulumEnv:
         torques = np.array([np.asarray(a, dtype=float).reshape(-1)[0]
                             for a in policy.action_grid])
+        choose = policy.action_indices
+        if isinstance(policy, UniformPolicy):  # its draws do not depend on O
+            steps = iter(np.array([[policy.action_index(None) for _ in range(env.params.horizon)]
+                                   for _ in range(episodes)]).T)
+            choose = lambda O: next(steps)
         returns = env.lockstep_returns(episodes, derived_seed(seed, EVAL_ENV),
-                                       lambda O: torques[policy.action_indices(O)])
+                                       lambda O: torques[choose(O)])
     else:
         returns = np.empty(episodes)
         for ep in range(episodes):
@@ -728,17 +732,13 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0) -> Q
     fm = _build_q_features(dataset.O.shape[1], config, seed)
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
 
-    onehot = np.zeros((len(idx), K))
-    onehot[np.arange(len(idx)), idx] = 1.0
-    Phi = fm.transform(O)
+    onehot = np.eye(K)[idx]
+    Phi, Phi2 = fm.transform(O), fm.transform(O2)
     G = Phi.T @ Phi + config.q_ridge * np.eye(fm.output_dim)
-    behavior = BehaviorModel(fm, np.linalg.solve(G, Phi.T @ onehot))
+    behavior = BehaviorModel(np.linalg.solve(G, Phi.T @ onehot))
 
-    mask2 = None
-    if config.bc_threshold > 0.0:
-        mask2 = behavior.probs_batch(O2) >= config.bc_threshold
-    block = _Block(basis, fm.transform_distinct(O), idx, R, fm.transform_distinct(O2), D,
-                   mask2=mask2)
+    mask2 = behavior.probs_batch(Phi2) >= config.bc_threshold if config.bc_threshold else None
+    block = _Block(basis, Phi, idx, R, Phi2, D, mask2=mask2)
     W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
                          config.q_ridge, config.offline_iterations, None)
     return QPolicy(QFunction(fm, W, basis), grid, behavior=behavior,
@@ -844,13 +844,16 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
         noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
 
     O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
-    real = _Block(basis, fm.transform_distinct(O), idx, R, fm.transform_distinct(O2), D)
+    real = _Block(basis, fm.transform(O), idx, R, fm.transform(O2), D)
     n_real = real.n
 
     rollout_rng = derived_rng(seed, ROLLOUT)
-    q = None
-    trace = RolloutTrace.empty(config.epochs * config.rollout_horizon * b, obs_dim,
-                               simulator is not None)
+    W = None
+    rows = config.epochs * config.rollout_horizon * b
+    trace = RolloutTrace.empty(rows, obs_dim, simulator is not None)
+    # per trace row, written once: the features of its observation and of
+    # its next one; each epoch fits the filled prefix
+    Phi, Phi2 = (np.empty((rows, fm.output_dim)) for _ in range(2))
     filled = 0  # trace rows written so far
     grid_arr = np.asarray(grid)
     discrete = isinstance(space, DiscreteActions)
@@ -859,13 +862,14 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
         if rollouts:
             starts = rollout_rng.integers(0, n_real, size=b)
             cur = O[starts]
+            phi = fm.transform(cur)
             for j in range(config.rollout_horizon):
                 explore_mask = rollout_rng.random(b) < config.rollout_epsilon
                 randoms = rollout_rng.integers(K, size=b)
-                if q is None:  # before the first fit every action is random
+                if W is None:  # before the first fit every action is random
                     a_idx = randoms
                 else:
-                    a_idx = np.where(explore_mask, randoms, q.values(cur).argmax(axis=1))
+                    a_idx = np.where(explore_mask, randoms, (phi @ W @ basis).argmax(axis=1))
                 # the model consumes action values; on discrete grids value == index
                 a_model = a_idx if discrete else grid_arr[a_idx]
                 members = rollout_rng.integers(ens.n_members, size=b)
@@ -887,26 +891,26 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                 pen = disagreement(mus)  # the same means the draw used
                 r_tilde = r_sample - config.lam * pen
 
+                phi2 = fm.transform(next_obs)
                 row = (epoch, j, starts, a_idx, cur, next_obs, sim_next, draw, r_sample,
                        pen, r_tilde)
                 for field, value in zip(fields(RolloutTrace), row):
                     if value is not None:  # sim_next without a simulator
                         getattr(trace, field.name)[filled:filled + b] = value
+                Phi[filled:filled + b], Phi2[filled:filled + b] = phi, phi2
                 filled += b
-                cur = next_obs
+                cur, phi = next_obs, phi2
 
         blocks, weights = [real], [1.0 / n_real]
         if filled:
-            blocks.append(_Block(basis, fm.transform_distinct(trace.obs[:filled]),
-                                 trace.action_index[:filled], trace.penalized_reward[:filled],
-                                 fm.transform_distinct(trace.next_obs[:filled]),
+            blocks.append(_Block(basis, Phi[:filled], trace.action_index[:filled],
+                                 trace.penalized_reward[:filled], Phi2[:filled],
                                  np.zeros(filled, dtype=bool)))
             weights = [config.mix_real / n_real, (1.0 - config.mix_real) / filled]
         W = _bellman_iterate(blocks, weights, basis, config.gamma, config.q_ridge,
-                             config.q_iterations, None if q is None else q.weights)
-        q = QFunction(fm, W, basis)
+                             config.q_iterations, W)
 
-    return ModelBasedTrainResult(QPolicy(q, grid), ens, trace)
+    return ModelBasedTrainResult(QPolicy(QFunction(fm, W, basis), grid), ens, trace)
 
 
 def _grid_action_space(grid: tuple):
@@ -920,7 +924,7 @@ def _grid_action_space(grid: tuple):
 # Policy serialization (round-trip identity is the only contract)
 # ---------------------------------------------------------------------------
 
-POLICY_FORMAT_VERSION = "hybench-policy/3"
+POLICY_FORMAT_VERSION = "hybench-policy/4"
 
 
 @dataclass(frozen=True)

@@ -129,46 +129,37 @@ class FeatureMap:
                    count=count, bandwidth=bandwidth, seed=seed)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        """C-ordered feature rows of ``X`` (a 1-D ``X`` is one row).  When 2
+        to n/2 of its n rows are distinct, keyed on their bytes (-0.0 is not
+        0.0), each distinct row is computed once; else every row is (a lone
+        row's random-Fourier product takes another BLAS kernel, whose bits
+        differ from the same row's inside a batch)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.input_dim:
-            raise ValueError(
-                f"feature map expects input dim {self.input_dim}, got {X.shape[1]}"
-            )
+            raise ValueError(f"feature map expects input dim {self.input_dim}, got {X.shape[1]}")
+        if X.ndim == 2 and len(X) >= 4 and self.input_dim:  # 2 <= distinct <= n/2 needs n >= 4
+            X = np.ascontiguousarray(X)
+            keys = X.view(np.dtype((np.void, X.itemsize * self.input_dim))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            if 2 <= len(first) <= len(X) / 2:
+                return self._expand(X[first])[inverse]
+        return self._expand(X)
+
+    def _expand(self, X: np.ndarray) -> np.ndarray:
+        """Feature rows of every row of a checked (n, input_dim) ``X``."""
         Xs = (X + self._shift) * self._scale
         if self.kind == "polynomial":
             table = np.empty((X.shape[0], len(self._powers) + 1))
             table[:, 0] = 1.0
             for k, (dim, e) in enumerate(self._powers, 1):
                 table[:, k] = Xs[:, dim] ** e
-            cols = table[:, self._factors[0]]
+            cols = np.take(table, self._factors[0], axis=1)  # table[:, idx] is F-ordered
             for idx in self._factors[1:]:
                 cols *= table[:, idx]
             return cols
         Z = Xs @ self._freqs.T + self._phases
         phi = math.sqrt(2.0 / self.count) * np.cos(Z)
         return np.concatenate([np.ones((X.shape[0], 1)), phi], axis=1)
-
-    def transform_distinct(self, X: np.ndarray) -> np.ndarray:
-        """``transform(X)``, bit for bit, computed once per distinct row.
-
-        Rows are keyed on their bytes, so -0.0 and 0.0 (and NaN payloads)
-        stay apart.  The plain transform runs when fewer than 2 rows are
-        distinct (a one-row random-Fourier product goes through a different
-        BLAS kernel than the same row inside a batch, and its bits differ)
-        or when more than half are (continuous inputs; it also keeps the
-        peak memory at the plain transform's).  A gathered result is C-ordered
-        and the plain polynomial transform Fortran-ordered: equal values, whose
-        products can differ in the last bits."""
-        X = np.ascontiguousarray(X, dtype=float)
-        if X.ndim != 2 or not X.size:
-            return self.transform(X)
-        keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if not 2 <= len(first) <= len(X) / 2:
-            return self.transform(X)
-        return self.transform(X[first])[inverse]
 
 
 def _exponent_tuples(dim: int, degree: int):
@@ -297,9 +288,9 @@ def fit_gaussian_regressor(
     val_Y: np.ndarray,
 ) -> GaussianRegressor:
     read_value(Positive, ridge, "ridge")
-    Phi = features.transform_distinct(X)
+    Phi = features.transform(X)
     W = _solve_ridge(Phi, Y, ridge)
-    resid = val_Y - features.transform_distinct(val_X) @ W
+    resid = val_Y - features.transform(val_X) @ W
     noise_var = np.mean(resid**2, axis=0)
     return GaussianRegressor(features, W, noise_var, float(ridge))
 

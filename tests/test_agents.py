@@ -135,6 +135,20 @@ def forbid_lockstep(monkeypatch):
     monkeypatch.setattr(hb.PendulumEnv, "lockstep_returns", fail)
 
 
+def kernel_rows(monkeypatch) -> list:
+    """(feature map, row count) of each call of the row kernel
+    ``FeatureMap._expand`` from now on: the rows actually computed."""
+    calls = []
+    expand = agents.FeatureMap._expand
+
+    def spy(fm, X):
+        calls.append((fm, len(X)))
+        return expand(fm, X)
+
+    monkeypatch.setattr(agents.FeatureMap, "_expand", spy)
+    return calls
+
+
 class TestLockstepEvaluation:
     @pytest.mark.parametrize("episodes", [1, 40])
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -184,12 +198,29 @@ class TestLockstepEvaluation:
         noisy = hb.with_obs_noise(hb.make_env("pendulum"), 0.05)
         assert evaluate_policy(noisy, policy, 3, seed=1) == sequential_evaluate(
             hb.with_obs_noise(hb.make_env("pendulum"), 0.05), policy, 3, seed=1)
-        uniform = UniformPolicy(policy.action_grid, seed=0)
-        assert evaluate_policy(hb.make_env("pendulum"), uniform, 3, seed=1) == (
-            sequential_evaluate(hb.make_env("pendulum"), uniform, 3, seed=1))
         walker = FunctionPolicy(lambda o: 3, (0, 1, 2, 3), epsilon=0.5)
         assert evaluate_policy(hb.make_env("windygrid"), walker, 20, seed=1) == (
             sequential_evaluate(hb.make_env("windygrid"), walker, 20, seed=1))
+
+    @pytest.mark.parametrize("horizon,episodes", [(200, 1), (200, 40), (60, 7), (1, 100)])
+    def test_uniform_policy(self, monkeypatch, horizon, episodes):
+        # every episode's draws are taken first, in the order episodes run
+        # one by one would take them
+        ran = []
+        lockstep = hb.PendulumEnv.lockstep_returns
+
+        def spy(env, *args):
+            ran.append(args[0])
+            return lockstep(env, *args)
+
+        monkeypatch.setattr(hb.PendulumEnv, "lockstep_returns", spy)
+        lock, seq = (hb.make_env("pendulum", {"horizon": horizon}) for _ in range(2))
+        grid = agents.resolve_action_grid(lock, default_agent_config(lock))
+        got = evaluate_policy(lock, UniformPolicy(grid, seed=horizon), episodes, seed=episodes)
+        assert ran == [episodes]
+        assert got == sequential_evaluate(seq, UniformPolicy(grid, seed=horizon), episodes,
+                                          seed=episodes)
+        assert bits(lock.full_state()) == bits(seq.full_state())
 
     @pytest.mark.parametrize("episodes", [True, 2.5, "3", np.float64(4.0), -1])
     def test_non_integer_episodes_rejected(self, episodes):
@@ -237,7 +268,7 @@ class TestOnlineQ:
     ])
     def test_last_fit_equals_a_block_rebuilt_from_the_replay(self, name, params, budget):
         # the block as it was built before its feature rows were kept: every
-        # replay row transformed again, O and O2 through transform_distinct
+        # replay row transformed again, O and O2 in one transform each
         env = hb.make_env(name, params)
         cfg = dataclasses.replace(default_agent_config(env), eval_episodes=3,
                                   q_feature_count=64)
@@ -260,8 +291,7 @@ class TestOnlineQ:
                          ahead == T, np.asarray(tail[::-1])))
         BO, BA, BR, BO2, BD, BG = (np.concatenate(col) for col in zip(*rows))
         fm, basis = res.policy.q.features, res.policy.q.basis
-        block = agents._Block(basis, fm.transform_distinct(BO), BA, BR,
-                              fm.transform_distinct(BO2), BD,
+        block = agents._Block(basis, fm.transform(BO), BA, BR, fm.transform(BO2), BD,
                               mc_returns=BG if cfg.mc_lower_bound else None,
                               boot_gamma=cfg.gamma ** cfg.n_step)
         W = agents._bellman_iterate([block], [1.0 / block.n], basis, cfg.gamma, cfg.q_ridge,
@@ -344,6 +374,17 @@ class TestOfflineBCQ:
         hidden = data.corrupt_hide_dims(ds, [2])
         res = train_offline_bcq(hidden, default_agent_config(grid_env), seed=0)
         assert res.action_index(np.array([0.0, 4.0, 0.0])) in range(4)
+
+    def test_each_dataset_row_is_featurized_once(self, grid_medium_dataset, grid_env,
+                                                 monkeypatch):
+        # O and O2 are expanded once each (one row per distinct observation);
+        # the behavior fit, the Bellman mask and the block share them
+        cfg = dataclasses.replace(default_agent_config(grid_env), bc_threshold=0.2)
+        calls = kernel_rows(monkeypatch)
+        train_offline_bcq(grid_medium_dataset, cfg, seed=0)
+        O, _, _, O2, _ = grid_medium_dataset.arrays()
+        assert [rows for _, rows in calls] == [len(np.unique(X, axis=0)) for X in (O, O2)]
+        assert [f.name for f in dataclasses.fields(agents.BehaviorModel)] == ["weights"]
 
     def test_empty_dataset_rejected(self, grid_env):
         with pytest.raises(ValueError):
@@ -494,19 +535,34 @@ class TestModelBased:
         O, idx, R, O2, D = agents._dataset_fit_arrays(
             grid_medium_dataset, res.policy.action_grid, cfg, 0)
         fm = res.policy.q.features
-        real = agents._Block(basis, fm.transform_distinct(O), idx, R,
-                             fm.transform_distinct(O2), D)
+        real = agents._Block(basis, fm.transform(O), idx, R, fm.transform(O2), D)
         W = None
         for epoch in range(cfg.epochs):
             rows = tr.epoch <= epoch
-            syn = agents._Block(basis, fm.transform_distinct(tr.obs[rows]),
+            syn = agents._Block(basis, fm.transform(tr.obs[rows]),
                                 tr.action_index[rows], tr.penalized_reward[rows],
-                                fm.transform_distinct(tr.next_obs[rows]),
+                                fm.transform(tr.next_obs[rows]),
                                 np.zeros(rows.sum(), dtype=bool))
             W = agents._bellman_iterate(
                 [real, syn], [cfg.mix_real / real.n, (1.0 - cfg.mix_real) / syn.n],
                 basis, cfg.gamma, cfg.q_ridge, cfg.q_iterations, W)
         assert np.array_equal(W, res.policy.q.weights)
+
+    def test_each_synthetic_row_is_featurized_once(self, monkeypatch):
+        # the real block's rows once, then per epoch the rollout starts and
+        # each step's next observations: no epoch expands an earlier row
+        env = hb.make_env("pendulum", {"horizon": 30})
+        base = default_agent_config(env)
+        grid = agents.resolve_action_grid(env, base)
+        ds = data.collect_dataset(env, UniformPolicy(grid, seed=0), 300, "observed", seed=0)
+        cfg = dataclasses.replace(base, q_feature_count=32, epochs=4, rollout_horizon=3,
+                                  rollout_batch=8, model=dataclasses.replace(
+                                      base.model, n_members=2, feature_count=32))
+        calls = kernel_rows(monkeypatch)
+        res = train_mopo_lite(ds, cfg, seed=0)
+        q_rows = sum(rows for fm, rows in calls if fm == res.policy.q.features)
+        b = cfg.rollout_batch
+        assert q_rows == 2 * len(ds) + cfg.epochs * (b + cfg.rollout_horizon * b)
 
     def test_perfect_sim_hybrid_at_least_mopo(self):
         # three-seed mean comparison on the pendulum with an exact simulator
@@ -639,7 +695,7 @@ class TestPolicySerialization:
         (lambda d: d["q"]["weights"][3].append("x"), r"q.weights must be a nested list"),
         (lambda d: d["q"]["features"].update(kind="x"),
          r"q.features.kind must be one of 'polynomial', 'random_fourier', got 'x'"),
-        (lambda d: d["behavior"]["features"].pop("seed"), r"behavior.features: .*seed"),
+        (lambda d: d["q"]["features"].pop("seed"), r"q.features: .*seed"),
         (lambda d: d.update(format_version="hybench-policy/1"),
          r"unsupported policy format 'hybench-policy/1'"),
     ], ids=["missing", "unknown", "type", "ragged", "kind", "seed", "version"])
@@ -657,7 +713,8 @@ def direct_action_index(policy, obs):
     row = np.asarray(obs, dtype=float)[None, :]
     scores = policy.q.values(row)[0]
     if policy.behavior is not None and policy.bc_threshold > 0.0:
-        mask = policy.behavior.probs_batch(row)[0] >= policy.bc_threshold
+        mask = policy.behavior.probs_batch(policy.q.features.transform(row))[0] >= \
+            policy.bc_threshold
         if mask.any():
             scores = np.where(mask, scores, -np.inf)
     return int(np.argmax(scores))
@@ -696,6 +753,13 @@ class TestActionMemo:
         monkeypatch.setattr(agents.FeatureMap, "transform", counting)
         evaluate_policy(hb.make_env("windygrid"), policy, episodes=50, seed=4)
         assert len(seen) == len(set(seen)) <= 50
+
+    def test_masked_batch_is_featurized_once(self, pendulum_bcq_policy, monkeypatch):
+        # the Q scores and the behavior mask share one expansion
+        obs = np.stack([hb.make_env("pendulum").reset(seed=s) for s in range(50)])
+        calls = kernel_rows(monkeypatch)
+        pendulum_bcq_policy.action_indices(obs)
+        assert [rows for _, rows in calls] == [50]
 
     def test_memo_stops_at_cap(self):
         env = hb.make_env("pendulum")
@@ -789,8 +853,8 @@ class TestBellmanKernel:
             if blocks:
                 mask2 = np.random.default_rng(seed).random((n, len(grid))) < 0.4
                 mask2[:5] = False  # empty masks fall back to every action
-            blocks.append(agents._Block(basis, fm.transform_distinct(O), idx, R,
-                                        fm.transform_distinct(O2), D, mask2=mask2))
+            blocks.append(agents._Block(basis, fm.transform(O), idx, R, fm.transform(O2), D,
+                                        mask2=mask2))
         weights = [1.0 / blocks[0].n] if not masked else [0.7 / blocks[0].n, 0.3 / blocks[1].n]
         return blocks, weights, grid, basis, config
 
@@ -813,13 +877,13 @@ class TestBellmanKernel:
 
     @pytest.mark.parametrize("kind", ["polynomial", "random_fourier"])
     def test_block_features_equal_the_plain_transform(self, grid_env, kind):
-        # offline and model-based blocks take transform_distinct rows, which
-        # transform each distinct windygrid observation once
+        # blocks take transform rows, which compute each distinct windygrid
+        # observation once, with the bits of computing every row
         config = dataclasses.replace(default_agent_config(grid_env), q_feature_kind=kind)
         grid = agents.resolve_action_grid(grid_env, config)
         fm = agents._build_q_features(grid_env.obs_dim, config, seed=0)
         ds = data.collect_dataset(grid_env, UniformPolicy(grid, seed=1), 3000, "observed", 1)
         O, _, _, O2, _ = ds.arrays()
         assert 2 * len(np.unique(O, axis=0)) < len(O)
-        assert bits(fm.transform_distinct(O)) == bits(fm.transform(O))
-        assert bits(fm.transform_distinct(O2)) == bits(fm.transform(O2))
+        assert bits(fm.transform(O)) == bits(fm._expand(O))
+        assert bits(fm.transform(O2)) == bits(fm._expand(O2))

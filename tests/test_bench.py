@@ -10,6 +10,7 @@ from hybench import agents, bench, data
 from hybench.bench import BenchAgent, BenchConfig, BenchEnv, DatasetFile, RunResult
 from hybench.data import DatasetRecipe
 from hybench.records import read_record, write_record
+from hybench.seeding import REFS, derived_seed
 
 
 def load(d: dict) -> BenchConfig:
@@ -55,6 +56,16 @@ class TestReferencePair:
             mdp, oracle.exact_policy_eval(mdp, table, env.params.discount, 1e-12)
         )
         assert abs(oracle.start_state_value(mdp, V) - v_pol) <= 1e-3
+        # the random reference lies within 4 standard errors of the uniform
+        # policy's exact finite-horizon value; the error is read off the
+        # spread of the reference's own 100 episodes
+        uniform = np.full((mdp.n_states, mdp.transitions.shape[1]), 0.25)
+        exact_random = oracle.finite_horizon_policy_value(mdp, uniform, env.params.horizon)
+        grid = agents.resolve_action_grid(env, agents.default_agent_config(env))
+        mean, std = agents.evaluate_policy(hb.clone_env(env), agents.UniformPolicy(grid),
+                                           100, derived_seed(0, REFS, 0))
+        assert mean == windygrid_refs.random_ref
+        assert abs(mean - exact_random) <= 4 * std / np.sqrt(100)
 
     def test_deterministic_and_cached(self):
         env = hb.make_env("windygrid")

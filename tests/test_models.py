@@ -88,24 +88,24 @@ def windygrid_model_map(seed=3) -> FeatureMap:
 
 
 def transform_rows(monkeypatch) -> list:
-    """The row count of each ``FeatureMap.transform`` call from now on."""
+    """The row count of each call of the row kernel ``FeatureMap._expand``
+    from now on: the rows actually computed."""
     calls = []
-    plain = FeatureMap.transform
+    expand = FeatureMap._expand
 
     def spy(self, rows):
-        calls.append(len(np.atleast_2d(rows)))
-        return plain(self, rows)
+        calls.append(len(rows))
+        return expand(self, rows)
 
-    monkeypatch.setattr(FeatureMap, "transform", spy)
+    monkeypatch.setattr(FeatureMap, "_expand", spy)
     return calls
 
 
 def transformed_rows(monkeypatch, fm, X):
-    """``fm.transform_distinct(X)`` and the row count of each ``transform``
-    call it made."""
+    """``fm.transform(X)`` and the row count of each kernel call it made."""
     with monkeypatch.context() as m:
         calls = transform_rows(m)
-        return fm.transform_distinct(X), calls
+        return fm.transform(X), calls
 
 
 class TestFeatureMap:
@@ -191,14 +191,17 @@ FEATURE_MAPS = {
 
 
 class TestTransformDistinct:
+    """``FeatureMap.transform`` computes each distinct row once when 2 to
+    n/2 of its n rows are distinct, with the bits of computing every row."""
+
     @pytest.mark.parametrize("kind", sorted(FEATURE_MAPS))
     @pytest.mark.parametrize("distinct,transformed", [
-        (1, 120),  # one distinct row: the plain transform of all 120
+        (1, 120),  # one distinct row: every row is computed
         (2, 2),
         (3, 3),
         (50, 50),
         (60, 60),  # exactly half
-        (61, 120),  # more than half: the plain transform
+        (61, 120),  # more than half: every row is computed
         (120, 120),  # all distinct
     ])
     def test_equals_transform_bit_for_bit(self, monkeypatch, kind, distinct, transformed):
@@ -208,7 +211,8 @@ class TestTransformDistinct:
         X = base[rng.permutation(np.resize(np.arange(distinct), 120))]
         out, calls = transformed_rows(monkeypatch, fm, X)
         assert calls == [transformed]
-        assert same_bits(out, fm.transform(X))
+        assert same_bits(out, fm._expand(X))
+        assert out.flags.c_contiguous
 
     @pytest.mark.parametrize("kind", sorted(FEATURE_MAPS))
     def test_rows_keyed_on_their_bytes(self, monkeypatch, kind):
@@ -220,18 +224,20 @@ class TestTransformDistinct:
         fm = FEATURE_MAPS[kind]
         out, calls = transformed_rows(monkeypatch, fm, X)
         assert calls == [len(keys)]
-        assert same_bits(out, fm.transform(X))
+        assert same_bits(out, fm._expand(X))
+        assert out.flags.c_contiguous
 
     @pytest.mark.parametrize("kind", sorted(FEATURE_MAPS))
     def test_one_dimensional_input_is_one_row(self, kind):
         fm = FEATURE_MAPS[kind]
         x = np.array([0.3, -1.0, 2.0])
-        assert same_bits(fm.transform_distinct(x), fm.transform(x))
-        assert fm.transform_distinct(x).shape == (1, fm.output_dim)
+        assert same_bits(fm.transform(x), fm._expand(x[None, :]))
+        assert fm.transform(x).shape == (1, fm.output_dim)
+        assert fm.transform(x).flags.c_contiguous
 
     def test_wrong_input_dim_named(self):
         with pytest.raises(ValueError, match="input dim 3, got 2"):
-            FEATURE_MAPS["polynomial"].transform_distinct(np.zeros((10, 2)))
+            FEATURE_MAPS["polynomial"].transform(np.zeros((10, 2)))
 
     def test_nan_input_still_raises_fit_error(self, windygrid_model_data):
         X, Y = windygrid_model_data
@@ -249,13 +255,13 @@ class TestTransformDistinct:
         # depend on the other rows of a batch of 2 or more (a batch of one
         # goes through a different BLAS kernel, so it is not used)
         X = np.random.default_rng(4).normal(size=(300, fm.input_dim))
-        full = fm.transform(X)
+        full = fm._expand(X)
         for size in (2, 3, 5, 17, 64, 139, 299):
             for start in (0, 1):
                 rows = slice(start, start + size)
-                assert same_bits(fm.transform(X[rows]), full[rows]), (size, start)
+                assert same_bits(fm._expand(X[rows]), full[rows]), (size, start)
         order = np.random.default_rng(5).permutation(len(X))
-        assert same_bits(fm.transform(X[order]), full[order])
+        assert same_bits(fm._expand(X[order]), full[order])
 
     def test_fit_on_repeated_rows_equals_hand_solve(self, windygrid_model_data,
                                                     monkeypatch):
@@ -269,8 +275,8 @@ class TestTransformDistinct:
         # the fit transformed the distinct rows of its training and validation inputs
         assert calls == [len(np.unique(X[rows], axis=0)), len(np.unique(X[val], axis=0))]
         assert calls[0] < 200
-        W = models._solve_ridge(fm.transform(X[rows]), Y[rows], 1e-3)
-        noise_var = np.mean((Y[val] - fm.transform(X[val]) @ W) ** 2, axis=0)
+        W = models._solve_ridge(fm._expand(X[rows]), Y[rows], 1e-3)
+        noise_var = np.mean((Y[val] - fm._expand(X[val]) @ W) ** 2, axis=0)
         assert same_bits(reg.weights, W)
         assert same_bits(reg.noise_var, noise_var)
 
