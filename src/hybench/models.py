@@ -137,10 +137,9 @@ class FeatureMap:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.input_dim:
             raise ValueError(f"feature map expects input dim {self.input_dim}, got {X.shape[1]}")
-        if X.ndim == 2 and len(X) >= 4 and self.input_dim:  # 2 <= distinct <= n/2 needs n >= 4
+        if X.ndim == 2 and len(X) >= 4:  # 2 <= distinct <= n/2 needs n >= 4
             X = np.ascontiguousarray(X)
-            keys = X.view(np.dtype((np.void, X.itemsize * self.input_dim))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            first, inverse, _ = _distinct_rows(X)
             if 2 <= len(first) <= len(X) / 2:
                 return self._expand(X[first])[inverse]
         return self._expand(X)
@@ -160,6 +159,16 @@ class FeatureMap:
         Z = Xs @ self._freqs.T + self._phases
         phi = math.sqrt(2.0 / self.count) * np.cos(Z)
         return np.concatenate([np.ones((X.shape[0], 1)), phi], axis=1)
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct row's first index (in byte order), each row's distinct-row
+    index and each distinct row's count, for a C-contiguous 2-D ``X``, keyed
+    on the rows' bytes (-0.0 is not 0.0)."""
+    if not X.shape[1]:  # rows of no columns are all one row
+        return np.zeros(1, int), np.zeros(len(X), int), np.array([len(X)])
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
 
 
 def _exponent_tuples(dim: int, degree: int):
@@ -287,9 +296,24 @@ def fit_gaussian_regressor(
     val_X: np.ndarray,
     val_Y: np.ndarray,
 ) -> GaussianRegressor:
+    """Ridge regression of ``Y`` on the features of ``X``, solved once per
+    distinct row of ``X``: with c its count and S its targets' sum, the row
+    sqrt(c) phi and target S / sqrt(c) give the per-row problem's gram,
+    right-hand side and condition bound."""
     read_value(Positive, ridge, "ridge")
-    Phi = features.transform(X)
-    W = _solve_ridge(Phi, Y, ridge)
+    for x_name, x, y_name, y in (("X", X, "Y", Y), ("val_X", val_X, "val_Y", val_Y)):
+        if np.ndim(y) != 2:
+            raise ValueError(f"{y_name} must be a 2-D (rows, targets) array, "
+                             f"got shape {np.shape(y)}")
+        if np.ndim(x) != 2 or len(x) != len(y):
+            raise ValueError(f"{x_name} must be a 2-D array with one row per row of "
+                             f"{y_name} ({len(y)}), got shape {np.shape(x)}")
+    X = np.ascontiguousarray(X, dtype=float)
+    first, inverse, counts = _distinct_rows(X)
+    S = np.zeros((len(first), Y.shape[1]))
+    np.add.at(S, inverse, Y)
+    root = np.sqrt(counts)[:, None]
+    W = _solve_ridge(root * features.transform(X[first]), S / root, ridge)
     resid = val_Y - features.transform(val_X) @ W
     noise_var = np.mean(resid**2, axis=0)
     return GaussianRegressor(features, W, noise_var, float(ridge))

@@ -476,6 +476,26 @@ class TestModelBased:
         v_mopo = exact_value(grid_mdp, res.policy, grid_env.params.discount)
         assert abs(v_mopo - v_off) <= 1.0
 
+    @pytest.mark.parametrize("trainer", ["mopo_lite", "hymopo"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_return_matches_exact_value(self, grid_medium_dataset, grid_env,
+                                                    grid_mdp, trainer, seed):
+        # the evaluation a score is made of lies within 4 standard errors of
+        # the trained policy's exact finite-horizon value; at the default 30
+        # epochs each of these policies reaches the goal (at 4 to 15 epochs
+        # most return -50 with std 0, which checks little)
+        cfg = default_agent_config(grid_env)
+        if trainer == "mopo_lite":
+            res = train_mopo_lite(grid_medium_dataset, cfg, seed=seed)
+        else:
+            sim = hb.with_transition_error(hb.make_env("windygrid"), {"wind_prob": 0.5})
+            res = train_hymopo(grid_medium_dataset, sim, cfg, seed=seed)
+        episodes = 100
+        mean, std = evaluate_policy(hb.make_env("windygrid"), res.policy, episodes, seed=seed)
+        table = oracle.policy_table_from_agent(grid_mdp, res.policy)
+        exact = oracle.finite_horizon_policy_value(grid_mdp, table, grid_env.params.horizon)
+        assert abs(mean - exact) <= 4 * std / np.sqrt(episodes) + 1e-9
+
     def test_rollout_starts_come_from_dataset(self, grid_medium_dataset, grid_env):
         cfg = dataclasses.replace(default_agent_config(grid_env), epochs=4)
         res = train_mopo_lite(grid_medium_dataset, cfg, seed=0)

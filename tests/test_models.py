@@ -275,10 +275,57 @@ class TestTransformDistinct:
         # the fit transformed the distinct rows of its training and validation inputs
         assert calls == [len(np.unique(X[rows], axis=0)), len(np.unique(X[val], axis=0))]
         assert calls[0] < 200
-        W = models._solve_ridge(fm._expand(X[rows]), Y[rows], 1e-3)
+        # each distinct training row once, in byte order, scaled by the root
+        # of its count c, against the sum S of its targets over c
+        keys = [x.tobytes() for x in X[rows]]
+        distinct = sorted(set(keys))
+        slot = {key: i for i, key in enumerate(distinct)}
+        S = np.zeros((len(distinct), Y.shape[1]))
+        for key, y in zip(keys, Y[rows]):
+            S[slot[key]] += y
+        root = np.sqrt([keys.count(key) for key in distinct])[:, None]
+        first = [keys.index(key) for key in distinct]
+        W = models._solve_ridge(root * fm._expand(X[rows][first]), S / root, 1e-3)
         noise_var = np.mean((Y[val] - fm._expand(X[val]) @ W) ** 2, axis=0)
         assert same_bits(reg.weights, W)
         assert same_bits(reg.noise_var, noise_var)
+
+    def test_fit_on_rows_without_columns(self):
+        # rows of no columns are one distinct row, counted n times: the fit
+        # is the bias alone, sum(Y) / (n + ridge)
+        X, Y = np.zeros((6, 0)), np.arange(12.0).reshape(6, 2)
+        reg = models.fit_gaussian_regressor(FeatureMap.polynomial(0, 1), X, Y, 1e-3, X, Y)
+        assert np.allclose(reg.weights, Y.sum(axis=0) / (6 + 1e-3), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case,path", [
+        ("windygrid_model", "cholesky"),
+        ("pendulum_model", "cholesky"),
+        ("pendulum_polynomial", "lstsq"),  # condition bound about 2.5e10
+    ])
+    def test_count_weighted_fit_matches_per_row_solve(self, windygrid_model_data,
+                                                      pendulum_random_dataset, monkeypatch,
+                                                      case, path):
+        # a bootstrap resample: the windygrid rows repeat about 20 times
+        # each, the pendulum rows about 1.6 times
+        if case == "windygrid_model":
+            X, Y = windygrid_model_data
+            fm, ridge = windygrid_model_map(), 1e-3
+        else:
+            O, A, R, O2, _ = (col[:4000] for col in pendulum_random_dataset.arrays())
+            X = encode_model_input(O, A, hb.make_env("pendulum").action_space)
+            Y = np.concatenate([O2, R[:, None]], axis=1)
+            fm, ridge = ((model_config().feature_map(4, 11), 1e-3) if case == "pendulum_model"
+                         else (FeatureMap.polynomial(4, 3, scale=(1, 1, 0.125, 0.5)), 1e-6))
+        rows = np.random.default_rng(7).integers(len(X), size=len(X))
+        Phi = fm._expand(X[rows])
+        bound = (np.linalg.norm(Phi) ** 2 + Phi.shape[1] * ridge) / ridge
+        assert (bound > models._CHOLESKY_MAX_COND) == (path == "lstsq")
+        with monkeypatch.context() as m:  # the other path must not run
+            m.setattr(np.linalg, "lstsq" if path == "cholesky" else "cholesky", None)
+            W = models.fit_gaussian_regressor(fm, X[rows], Y[rows], ridge, X[:10],
+                                              Y[:10]).weights
+            ref = models._solve_ridge(Phi, Y[rows], ridge)
+        assert np.abs(W - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 class TestAugmentation:
@@ -463,6 +510,21 @@ class TestCorrectionEnsemble:
                 models._solve_ridge(Phi, np.zeros((10, 1)), 1e-3)
         # named before any LAPACK call, which would complain on stderr
         assert "DLASCL" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("Y,val_Y,message", [
+        (np.zeros((9, 2)), np.zeros((10, 2)),
+         r"X must be a 2-D array with one row per row of Y \(9\), got shape \(10, 2\)"),
+        (np.zeros(10), np.zeros((10, 2)),
+         r"Y must be a 2-D \(rows, targets\) array, got shape \(10,\)"),
+        (np.zeros((10, 2)), np.zeros((9, 2)),
+         r"val_X must be a 2-D array with one row per row of val_Y \(9\)"),
+    ], ids=["rows", "one_dimensional", "validation_rows"])
+    def test_mismatched_targets_named(self, Y, val_Y, message):
+        # a row mismatch used to surface as a raw matmul error; a 1-D Y
+        # passed the factored solve and would fail only in the orthogonal one
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match=message):
+            models.fit_gaussian_regressor(FeatureMap.polynomial(2, 1), X, Y, 1e-3, X, val_Y)
 
     def test_singular_normal_equations_named(self):
         X = np.zeros((10, 2))

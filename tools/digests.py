@@ -14,7 +14,8 @@ curve or a dataset hash.  Covered:
 
 * the hash of a 5,000-record windygrid medium dataset;
 * windygrid offline BCQ, mopo and hymopo: Q weights, rollout traces and
-  evaluations, on that dataset and on a copy with observation noise 0.1;
+  evaluations, on that dataset and on a copy with observation noise 0.1,
+  and the mopo and hymopo ensembles' member weights and ``noise_var``;
 * the same three agents on a 3,000-record uniform pendulum dataset;
 * the pendulum reference pair at budget 3000 and seed 3, with every
   online Q weight array and the training curve behind it;
@@ -56,7 +57,8 @@ def show_trace(name: str, trace: agents.RolloutTrace) -> None:
 
 
 def offline_agents(name: str, dataset, simulator, config, eval_env) -> None:
-    """Q weights, traces and evaluations of BCQ, mopo and hymopo."""
+    """Q weights, traces and evaluations of BCQ, mopo and hymopo, and the
+    two model-based runs' ensembles."""
     bcq = agents.train_offline_bcq(dataset, config, seed=0)
     mopo = agents.train_mopo_lite(dataset, config, seed=0)
     hymopo = agents.train_hymopo(dataset, simulator, config, seed=0)
@@ -65,8 +67,11 @@ def offline_agents(name: str, dataset, simulator, config, eval_env) -> None:
         show(f"{name}.{agent}.eval",
              agents.evaluate_policy(hb.clone_env(eval_env), policy, 50, seed=7))
     show(f"{name}.bcq.behavior_weights", bcq.behavior.weights)
-    show_trace(f"{name}.mopo.trace", mopo.trace)
-    show_trace(f"{name}.hymopo.trace", hymopo.trace)
+    for agent, result in (("mopo", mopo), ("hymopo", hymopo)):
+        show_trace(f"{name}.{agent}.trace", result.trace)
+        members = result.ensemble.members
+        show(f"{name}.{agent}.ensemble_weights", np.stack([m.weights for m in members]))
+        show(f"{name}.{agent}.ensemble_noise_var", np.stack([m.noise_var for m in members]))
 
 
 def main() -> None:
