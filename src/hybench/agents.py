@@ -255,10 +255,10 @@ class Policy:
     def __init__(self, action_grid, epsilon: float = 0.0, seed: int = 0):
         self.action_grid = tuple(action_grid)
         self.epsilon = float(read_value(Probability, epsilon, "epsilon"))
-        self._rng = derived_rng(int(seed), POLICY)
+        self._rng = derived_rng(seed, POLICY)
 
     def reseed(self, seed: int) -> None:
-        self._rng = derived_rng(int(seed), POLICY)
+        self._rng = derived_rng(seed, POLICY)
 
     def action_index(self, obs) -> int:
         """Greedy action index for this observation."""
@@ -311,6 +311,12 @@ class BehaviorModel:
         uniform = np.full_like(raw, 1.0 / raw.shape[1])
         return np.where(sums > 1e-12, raw / np.where(sums > 0, sums, 1.0), uniform)
 
+    def allowed(self, Phi: np.ndarray, threshold: float) -> np.ndarray:
+        """The actions whose probability clears ``threshold``; a row where
+        none does allows every action."""
+        mask = self.probs_batch(Phi) >= threshold
+        return mask | ~mask.any(axis=1, keepdims=True)
+
 
 ACTION_MEMO_CAP = 256  # observations a QPolicy remembers its greedy action for
 
@@ -349,9 +355,7 @@ class QPolicy(Policy):
         Phi = self.q.features.transform(obs_batch)
         scores = Phi @ self.q.weights @ self.q.basis
         if self.behavior is not None and self.bc_threshold > 0.0:
-            # rows where no action clears the threshold keep every action
-            mask = self.behavior.probs_batch(Phi) >= self.bc_threshold
-            scores = np.where(mask | ~mask.any(axis=1, keepdims=True), scores, -np.inf)
+            scores = np.where(self.behavior.allowed(Phi, self.bc_threshold), scores, -np.inf)
         return np.argmax(scores, axis=1)
 
     def action_index(self, obs) -> int:
@@ -418,34 +422,47 @@ def check_feature_maps(env: Environment, config: AgentConfig, model_based: bool)
 
 
 class _Block:
-    """Feature-expanded transition block for one data source.
-
-    ``grams`` holds the per-action feature grams Phi_k^T Phi_k, which add
-    across blocks and rows.  ``mask2`` optionally restricts which next-state
-    actions the Bellman argmax may consider (rows with an empty mask fall
-    back to all actions).  ``mc_returns`` holds the observed discounted
-    reward-to-go, an exact lower bound on the optimal episodic action value
-    when the dynamics are deterministic.
+    """The fitted-Q rows of one data source, in tables of ``capacity`` rows
+    that ``append`` fills in order; ``Phi``, ``A``, ``R``, ``Phi2``, ``D``
+    and ``G`` are the filled rows (``G``, kept only with ``returns``, is the
+    observed discounted reward-to-go: an exact lower bound on the optimal
+    episodic action value when the dynamics are deterministic).  Reading
+    ``grams``, the per-action grams Phi_k^T Phi_k, adds only the rows
+    appended since the last read, so each row's gram is summed once.
+    ``mask2`` optionally restricts the next-state actions of the Bellman max.
     """
 
-    def __init__(self, basis: np.ndarray, Phi, A, R, Phi2, D,
-                 mask2=None, mc_returns=None, boot_gamma=None):
-        self.A = np.asarray(A, dtype=int)
-        self.R = np.asarray(R, dtype=float)
-        self.D = np.asarray(D, dtype=bool)
-        self.Phi, self.Phi2 = Phi, Phi2  # feature rows of the observations and next ones
-        self.n = len(self.A)
+    def __init__(self, basis: np.ndarray, capacity: int, width: int,
+                 boot_gamma=None, returns: bool = False):
         self.boot_gamma = boot_gamma  # bootstrap discount (gamma^n for n-step rows)
-        F = self.Phi.shape[1]
-        self.grams = np.empty((basis.shape[1], F, F))
-        for k, gram in enumerate(self.grams):
-            Phi_k = self.Phi[self.A == k]
-            np.matmul(Phi_k.T, Phi_k, out=gram)
-        if mask2 is not None:
-            mask2 = np.array(mask2, dtype=bool)
-            mask2[~mask2.any(axis=1)] = True
-        self.mask2 = mask2
-        self.G = None if mc_returns is None else np.asarray(mc_returns, float)
+        self.mask2 = None
+        self._tables = (np.empty((capacity, width)), np.empty(capacity, int), np.empty(capacity),
+                        np.empty((capacity, width)), np.empty(capacity, bool),
+                        np.empty(capacity) if returns else None)
+        self._grams = np.zeros((basis.shape[1], width, width))
+        self.n = self._summed = 0
+        self.append(*(t if t is None else t[:0] for t in self._tables))  # sets the empty views
+
+    def append(self, Phi, A, R, Phi2, D, G=None) -> None:
+        n = self.n + len(A)
+        for table, rows in zip(self._tables, (Phi, A, R, Phi2, D, G)):
+            if table is not None:
+                table[self.n:n] = rows
+        self.n = n
+        self.Phi, self.A, self.R, self.Phi2, self.D, self.G = (
+            t if t is None else t[:n] for t in self._tables)
+
+    @property
+    def grams(self) -> np.ndarray:
+        if self._summed < self.n:
+            self._add_grams(self.Phi[self._summed:], self.A[self._summed:])
+            self._summed = self.n
+        return self._grams
+
+    def _add_grams(self, Phi: np.ndarray, A: np.ndarray) -> None:
+        for k, gram in enumerate(self._grams):
+            Phi_k = Phi[A == k]
+            gram += Phi_k.T @ Phi_k
 
 
 def _bellman_iterate(
@@ -605,23 +622,18 @@ def train_online_q(
 
     sweeps = config.sweeps
     horizon = getattr(env.params, "horizon", 1)
-    if budget is not None:
+    if read_value(Count | None, budget, "budget") is not None:
         per_sweep = max(config.episodes_per_sweep * horizon, 1)
         sweeps = max(1, min(sweeps, int(np.ceil(budget / per_sweep))))
 
     policy = None  # greedy policy of the latest fit
     grid_arr = np.asarray(grid)
-    # per env step, written once: the features of its observation and of
-    # the one n steps ahead; each sweep fits the filled prefix
-    Phi, Phi2 = (np.empty((sweeps * config.episodes_per_sweep * horizon, fm.output_dim))
-                 for _ in range(2))
+    n_step = int(config.n_step)
+    block = _Block(basis, sweeps * config.episodes_per_sweep * horizon, fm.output_dim,
+                   boot_gamma=config.gamma ** n_step, returns=config.mc_lower_bound)
     replay: list[tuple] = []  # per episode: (O, A, R, O2, D) columns
-    fit_rows: list[tuple] = []  # per episode: n-step (A index, R, D, G)
     curve: list[tuple[int, float]] = []
     weights: list[np.ndarray] = []
-    steps = 0
-
-    n_step = int(config.n_step)
     gtail = config.gamma ** np.arange(n_step)
 
     for sweep in range(sweeps):
@@ -650,9 +662,9 @@ def train_online_q(
                 return grid[a_idx]
 
             ep_O, _, ep_r = env.run_episode(
-                explore_or_act, seed=derived_seed(seed, TRAIN_ENV) if steps == 0 else None)
+                explore_or_act, seed=derived_seed(seed, TRAIN_ENV) if block.n == 0 else None)
             T = len(ep_a)
-            if T > horizon:  # it would not fit the tables
+            if T > horizon:  # it would not fit the block
                 raise EnvError(f"{env.name}: an episode of {T} steps exceeds horizon {horizon}")
             rew = np.asarray(ep_r)
             t = np.arange(T)
@@ -668,22 +680,14 @@ def train_online_q(
                 g = r + config.gamma * g
                 tail.append(g)
             ep_Phi = fm.transform(ep_O)  # T + 1 >= 2 rows: the bits of any batch
-            Phi[steps:steps + T] = ep_Phi[:-1]
-            Phi2[steps:steps + T] = ep_Phi[ahead]
-            fit_rows.append((np.asarray(ep_a), rew_n, ahead == T, np.asarray(tail[::-1])))
-            steps += T
-        A, R, D, G = (np.concatenate(col) for col in zip(*fit_rows))
-        block = None  # free the previous sweep's block before this one is built
-        block = _Block(basis, Phi[:steps], A, R, Phi2[:steps], D,
-                       mc_returns=G if config.mc_lower_bound else None,
-                       boot_gamma=config.gamma ** n_step)
+            block.append(ep_Phi[:-1], ep_a, rew_n, ep_Phi[ahead], ahead == T, tail[::-1])
         W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
                              config.q_ridge, config.q_iterations,
                              None if policy is None else policy.q.weights)
         policy = QPolicy(QFunction(fm, W, basis), grid)
         score, _ = evaluate_policy(eval_env, policy, config.eval_episodes,
                                    derived_seed(seed, EVAL_ENV, sweep))
-        curve.append((steps, score))
+        curve.append((block.n, score))
         weights.append(W)
 
     # batch fitted-Q is not monotone across sweeps; deliver the latest tail
@@ -705,14 +709,19 @@ def train_online_q(
 # ---------------------------------------------------------------------------
 
 
-def _dataset_fit_arrays(dataset: Dataset, grid: tuple, config: AgentConfig, seed: int):
+def _real_block(dataset: Dataset, grid: tuple, basis: np.ndarray, fm: FeatureMap,
+                config: AgentConfig, seed: int) -> tuple[np.ndarray, _Block]:
+    """The observations and the block of the dataset's rows, at most
+    ``fit_cap`` of them: a seeded subsample, kept in order."""
     O, A, R, O2, D = dataset.arrays()
-    idx = actions_to_indices(A, grid)
+    cols = (O, actions_to_indices(A, grid), R, O2, D)
     if len(O) > config.fit_cap:
-        keep = derived_rng(seed, 0x5B5).choice(len(O), config.fit_cap, replace=False)
-        keep.sort()
-        O, idx, R, O2, D = O[keep], idx[keep], R[keep], O2[keep], D[keep]
-    return O, idx, R, O2, D
+        keep = np.sort(derived_rng(seed, 0x5B5).choice(len(O), config.fit_cap, replace=False))
+        cols = tuple(col[keep] for col in cols)
+    O, idx, R, O2, D = cols
+    block = _Block(basis, len(O), fm.output_dim)
+    block.append(fm.transform(O), idx, R, fm.transform(O2), D)
+    return O, block
 
 
 def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0) -> QPolicy:
@@ -728,17 +737,13 @@ def train_offline_bcq(dataset: Dataset, config: AgentConfig, seed: int = 0) -> Q
         raise ValueError("offline training requires a non-empty dataset")
     grid = _grid_from_dataset(dataset, config)
     basis = _action_basis(grid, config.q_action_design)
-    K = len(grid)
     fm = _build_q_features(dataset.O.shape[1], config, seed)
-    O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
+    _, block = _real_block(dataset, grid, basis, fm, config, seed)
 
-    onehot = np.eye(K)[idx]
-    Phi, Phi2 = fm.transform(O), fm.transform(O2)
-    G = Phi.T @ Phi + config.q_ridge * np.eye(fm.output_dim)
-    behavior = BehaviorModel(np.linalg.solve(G, Phi.T @ onehot))
-
-    mask2 = behavior.probs_batch(Phi2) >= config.bc_threshold if config.bc_threshold else None
-    block = _Block(basis, Phi, idx, R, Phi2, D, mask2=mask2)
+    G = block.Phi.T @ block.Phi + config.q_ridge * np.eye(fm.output_dim)
+    behavior = BehaviorModel(np.linalg.solve(G, block.Phi.T @ np.eye(len(grid))[block.A]))
+    if config.bc_threshold:
+        block.mask2 = behavior.allowed(block.Phi2, config.bc_threshold)
     W = _bellman_iterate([block], [1.0 / block.n], basis, config.gamma,
                          config.q_ridge, config.offline_iterations, None)
     return QPolicy(QFunction(fm, W, basis), grid, behavior=behavior,
@@ -843,24 +848,19 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
         ens = fit_ensemble(dataset, model_cfg, sim_preds, action_space=space)
         noise_sd = np.sqrt(np.stack([m.noise_var for m in ens.members]))
 
-    O, idx, R, O2, D = _dataset_fit_arrays(dataset, grid, config, seed)
-    real = _Block(basis, fm.transform(O), idx, R, fm.transform(O2), D)
-    n_real = real.n
+    O, real = _real_block(dataset, grid, basis, fm, config, seed)
 
     rollout_rng = derived_rng(seed, ROLLOUT)
     W = None
     rows = config.epochs * config.rollout_horizon * b
     trace = RolloutTrace.empty(rows, obs_dim, simulator is not None)
-    # per trace row, written once: the features of its observation and of
-    # its next one; each epoch fits the filled prefix
-    Phi, Phi2 = (np.empty((rows, fm.output_dim)) for _ in range(2))
-    filled = 0  # trace rows written so far
+    syn = _Block(basis, rows, fm.output_dim)  # a row per trace row
     grid_arr = np.asarray(grid)
     discrete = isinstance(space, DiscreteActions)
 
     for epoch in range(config.epochs):
         if rollouts:
-            starts = rollout_rng.integers(0, n_real, size=b)
+            starts = rollout_rng.integers(0, real.n, size=b)
             cur = O[starts]
             phi = fm.transform(cur)
             for j in range(config.rollout_horizon):
@@ -896,17 +896,14 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                        pen, r_tilde)
                 for field, value in zip(fields(RolloutTrace), row):
                     if value is not None:  # sim_next without a simulator
-                        getattr(trace, field.name)[filled:filled + b] = value
-                Phi[filled:filled + b], Phi2[filled:filled + b] = phi, phi2
-                filled += b
+                        getattr(trace, field.name)[syn.n:syn.n + b] = value
+                syn.append(phi, a_idx, r_tilde, phi2, np.zeros(b, dtype=bool))
                 cur, phi = next_obs, phi2
 
-        blocks, weights = [real], [1.0 / n_real]
-        if filled:
-            blocks.append(_Block(basis, Phi[:filled], trace.action_index[:filled],
-                                 trace.penalized_reward[:filled], Phi2[:filled],
-                                 np.zeros(filled, dtype=bool)))
-            weights = [config.mix_real / n_real, (1.0 - config.mix_real) / filled]
+        blocks, weights = [real], [1.0 / real.n]
+        if syn.n:
+            blocks.append(syn)
+            weights = [config.mix_real / real.n, (1.0 - config.mix_real) / syn.n]
         W = _bellman_iterate(blocks, weights, basis, config.gamma, config.q_ridge,
                              config.q_iterations, W)
 

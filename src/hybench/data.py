@@ -256,9 +256,8 @@ def corrupt_obs_noise(dataset: Dataset, sigma: float, seed: int | None = None) -
     seed defaults to the dataset's own.
     """
     read_value(NonNegative, sigma, "sigma")
-    if seed is None:
-        seed = dataset.meta.seed
-    tag = {"kind": "obs_noise", "sigma": float(sigma), "seed": int(seed)}
+    seed = read_value(int, dataset.meta.seed if seed is None else seed, "seed")
+    tag = {"kind": "obs_noise", "sigma": float(sigma), "seed": seed}
     O, O2 = dataset.O, dataset.O2
     # without observation dimensions there is nothing to perturb
     changed = sigma != 0.0 and O.shape[1] > 0

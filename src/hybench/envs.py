@@ -106,7 +106,7 @@ class Environment:
         """Start an episode and return its first observation; without a seed
         the dynamics stream carries on, so the first reset needs one."""
         if seed is not None:
-            self._rng = derived_rng(int(seed), DYNAMICS)
+            self._rng = derived_rng(seed, DYNAMICS)
         elif self._rng is None:
             raise EnvError(f"{self.name}: first reset() requires an integer seed")
         self._t = 0

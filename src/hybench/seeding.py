@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .records import read_value
+
 # Stream tags.  Values are arbitrary but frozen: changing them changes every
 # derived stream and therefore every persisted artifact.
 DYNAMICS = 0x01
@@ -32,13 +34,9 @@ TRAIN_ENV = 0x0F
 
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     """Generator for the stream identified by ``(seed, *tags)``."""
-    if seed < 0:
-        raise ValueError("seeds must be non-negative integers")
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(tags)))
+    return np.random.default_rng(np.random.SeedSequence((read_value(int, seed, "seed"), *tags)))
 
 
 def derived_seed(seed: int, *tags: int) -> int:
     """A plain integer sub-seed for components that take one."""
-    if seed < 0:
-        raise ValueError("seeds must be non-negative integers")
-    return int(np.random.SeedSequence((int(seed),) + tuple(tags)).generate_state(1)[0])
+    return int(np.random.SeedSequence((read_value(int, seed, "seed"), *tags)).generate_state(1)[0])

@@ -143,7 +143,7 @@ class ObsNoiseWrapper(EnvWrapper):
 
     def _start(self, seed: int | None) -> None:
         if seed is not None:
-            self._noise_rng = derived_rng(int(seed), OBS_NOISE)
+            self._noise_rng = derived_rng(seed, OBS_NOISE)
 
     def _observe(self, obs: np.ndarray) -> np.ndarray:
         if self.sigma == 0.0:
@@ -212,7 +212,7 @@ class ActionNoiseWrapper(EnvWrapper):
 
     def _start(self, seed: int | None) -> None:
         if seed is not None:
-            self._noise_rng = derived_rng(int(seed), ACTION_NOISE)
+            self._noise_rng = derived_rng(seed, ACTION_NOISE)
         self.last_executed_action = None
 
     def _execute(self, action):

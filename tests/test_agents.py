@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hybench as hb
-from hybench import agents, data, models, oracle
+from hybench import agents, bench, data, models, oracle
 from hybench.records import read_record
 from hybench.seeding import EVAL_ENV, EVAL_POLICY, derived_seed
 from hybench.wrappers import clone_env
@@ -267,8 +267,9 @@ class TestOnlineQ:
         ("windygrid", {}, 2_000),  # polynomial over few distinct observations
     ])
     def test_last_fit_equals_a_block_rebuilt_from_the_replay(self, name, params, budget):
-        # the block as it was built before its feature rows were kept: every
-        # replay row transformed again, O and O2 in one transform each
+        # the block rebuilt from the replay: each sweep's rows transformed
+        # again, O and O2 in one transform each, appended at the curve's step
+        # counts with the grams read after each sweep, as each fit reads them
         env = hb.make_env(name, params)
         cfg = dataclasses.replace(default_agent_config(env), eval_episodes=3,
                                   q_feature_count=64)
@@ -291,9 +292,15 @@ class TestOnlineQ:
                          ahead == T, np.asarray(tail[::-1])))
         BO, BA, BR, BO2, BD, BG = (np.concatenate(col) for col in zip(*rows))
         fm, basis = res.policy.q.features, res.policy.q.basis
-        block = agents._Block(basis, fm.transform(BO), BA, BR, fm.transform(BO2), BD,
-                              mc_returns=BG if cfg.mc_lower_bound else None,
-                              boot_gamma=cfg.gamma ** cfg.n_step)
+        block = agents._Block(basis, len(BA), fm.output_dim, boot_gamma=cfg.gamma ** cfg.n_step,
+                              returns=cfg.mc_lower_bound)
+        start = 0
+        for steps, _ in res.curve:
+            sweep = slice(start, steps)
+            block.append(fm.transform(BO[sweep]), BA[sweep], BR[sweep], fm.transform(BO2[sweep]),
+                         BD[sweep], BG[sweep])
+            block.grams
+            start = steps
         W = agents._bellman_iterate([block], [1.0 / block.n], basis, cfg.gamma, cfg.q_ridge,
                                     cfg.q_iterations, res.weights[-2])
         assert bits(W) == bits(res.weights[-1])
@@ -319,6 +326,19 @@ class TestOnlineQ:
         episodes = len(res.curve) * cfg.episodes_per_sweep
         assert len(res.curve) == 7 and steps == 630
         assert sum(fit_rows) == steps + episodes
+
+    @pytest.mark.parametrize("train", [
+        lambda env, budget: train_online_q(env, default_agent_config(env), 0, budget=budget),
+        lambda env, budget: data.online_training_run(env, budget, 0),
+        lambda env, budget: bench.compute_reference_pair(env, episodes=2, budget=budget),
+        lambda env, budget: data.train_tier_policy(env, "expert", budget),
+    ], ids=["train_online_q", "online_training_run", "compute_reference_pair",
+            "train_tier_policy"])
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, True])
+    def test_budget_must_be_a_count(self, train, budget):
+        # each of these used to train one sweep
+        with pytest.raises(ValueError, match=r"^budget must be "):
+            train(hb.make_env("windygrid"), budget)
 
     def test_episode_past_the_horizon_raises(self):
         class Overrun(hb.WindyGridEnv):
@@ -385,6 +405,15 @@ class TestOfflineBCQ:
         O, _, _, O2, _ = grid_medium_dataset.arrays()
         assert [rows for _, rows in calls] == [len(np.unique(X, axis=0)) for X in (O, O2)]
         assert [f.name for f in dataclasses.fields(agents.BehaviorModel)] == ["weights"]
+
+    def test_allowed_actions_fall_back_to_every_action(self):
+        # the one rule of the deployed policy and of the Bellman mask: a row
+        # where no action clears the threshold allows every action
+        behavior = agents.BehaviorModel(np.array([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0]]))
+        Phi = np.array([[1.0, 0.0], [0.4, 0.6]])  # probabilities .7 .3 0 and .28 .12 .6
+        assert behavior.allowed(Phi, 0.5).tolist() == [[True, False, False],
+                                                       [False, False, True]]
+        assert behavior.allowed(Phi, 0.65).tolist() == [[True, False, False], [True] * 3]
 
     def test_empty_dataset_rejected(self, grid_env):
         with pytest.raises(ValueError):
@@ -545,24 +574,24 @@ class TestModelBased:
 
     def test_trace_is_the_synthetic_fit_data(self, grid_medium_dataset, grid_env):
         # each epoch fits Q on the real block and a block of every trace row
-        # generated so far, warm-started from the previous epoch's weights
+        # generated so far, its grams summed per epoch, warm-started from the
+        # previous epoch's weights
         base = default_agent_config(grid_env)
         cfg = dataclasses.replace(base, epochs=2, model=dataclasses.replace(
             base.model, n_members=2, feature_count=64))
         res = train_mopo_lite(grid_medium_dataset, cfg, seed=0)
         tr = res.trace
         basis = res.policy.q.basis
-        O, idx, R, O2, D = agents._dataset_fit_arrays(
-            grid_medium_dataset, res.policy.action_grid, cfg, 0)
         fm = res.policy.q.features
-        real = agents._Block(basis, fm.transform(O), idx, R, fm.transform(O2), D)
+        _, real = agents._real_block(grid_medium_dataset, res.policy.action_grid, basis, fm,
+                                     cfg, 0)
+        syn = agents._Block(basis, len(tr), fm.output_dim)
         W = None
         for epoch in range(cfg.epochs):
-            rows = tr.epoch <= epoch
-            syn = agents._Block(basis, fm.transform(tr.obs[rows]),
-                                tr.action_index[rows], tr.penalized_reward[rows],
-                                fm.transform(tr.next_obs[rows]),
-                                np.zeros(rows.sum(), dtype=bool))
+            rows = tr.epoch == epoch
+            syn.append(fm.transform(tr.obs[rows]), tr.action_index[rows],
+                       tr.penalized_reward[rows], fm.transform(tr.next_obs[rows]),
+                       np.zeros(rows.sum(), dtype=bool))
             W = agents._bellman_iterate(
                 [real, syn], [cfg.mix_real / real.n, (1.0 - cfg.mix_real) / syn.n],
                 basis, cfg.gamma, cfg.q_ridge, cfg.q_iterations, W)
@@ -844,6 +873,69 @@ def bellman_two_solves(blocks, weights, grid, design, gamma, ridge, iterations, 
     return W
 
 
+def gram_updates(monkeypatch) -> dict:
+    """Per block, the row count of each call of ``_Block._add_grams`` from
+    now on, checking that each call adds the rows after those added before."""
+    updates = {}
+    add = agents._Block._add_grams
+
+    def spy(block, Phi, A):
+        done = sum(updates.setdefault(block, []))
+        assert bits(Phi) == bits(block.Phi[done:done + len(A)])
+        assert np.array_equal(A, block.A[done:done + len(A)])
+        updates[block].append(len(A))
+        add(block, Phi, A)
+
+    monkeypatch.setattr(agents._Block, "_add_grams", spy)
+    return updates
+
+
+def assert_one_shot_grams(block, grams):
+    one_shot = np.stack([block.Phi[block.A == k].T @ block.Phi[block.A == k]
+                         for k in range(len(grams))])
+    assert np.abs(grams - one_shot).max() <= 1e-12 * np.abs(one_shot).max()
+
+
+class TestBlock:
+    def test_grams_read_between_appends(self):
+        # a 1-row chunk, an empty one and the rest; reading twice adds nothing
+        blocks, _, _, basis, _ = TestBellmanKernel._blocks("quadratic", masked=False)
+        whole = blocks[0]
+        block = agents._Block(basis, whole.n, whole.Phi.shape[1])
+        for rows in np.split(np.arange(whole.n), [1, 1, 90, 91, 260]):
+            block.append(whole.Phi[rows], whole.A[rows], whole.R[rows], whole.Phi2[rows],
+                         whole.D[rows])
+            grams = block.grams.copy()
+            assert_one_shot_grams(block, grams)
+            assert bits(block.grams) == bits(grams)
+        assert bits(block.Phi) == bits(whole.Phi) and bits(block.Phi2) == bits(whole.Phi2)
+        assert block.n == whole.n and block.G is None
+
+    @pytest.mark.parametrize("agent", ["online", "mopo_lite"])
+    def test_each_row_enters_the_grams_once(self, agent, monkeypatch):
+        # each fit adds the grams of its new rows only, so a block takes one
+        # update per sweep or epoch that appended rows, over its rows in order
+        env = hb.make_env("pendulum", {"horizon": 30})
+        base = default_agent_config(env)
+        updates = gram_updates(monkeypatch)
+        if agent == "online":
+            cfg = dataclasses.replace(base, eval_episodes=3, q_feature_count=64)
+            res = train_online_q(env, cfg, seed=0, budget=600)
+            fits = {res.curve[-1][0]: len(res.curve)}
+        else:
+            grid = agents.resolve_action_grid(env, base)
+            ds = data.collect_dataset(env, UniformPolicy(grid, seed=0), 300, "observed", seed=0)
+            cfg = dataclasses.replace(base, q_feature_count=32, epochs=4, rollout_horizon=3,
+                                      rollout_batch=8, model=dataclasses.replace(
+                                          base.model, n_members=2, feature_count=32))
+            res = train_mopo_lite(ds, cfg, seed=0)
+            fits = {len(ds): 1, len(res.trace): cfg.epochs}
+        assert {blk.n: len(sizes) for blk, sizes in updates.items()} == fits
+        for blk, sizes in updates.items():
+            assert sum(sizes) == blk.n
+            assert_one_shot_grams(blk, blk.grams)
+
+
 class TestBellmanKernel:
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 1539])
     def test_tril_inverse_inverts(self, n):
@@ -869,12 +961,12 @@ class TestBellmanKernel:
             O, A, R, O2, D = ds.arrays()
             idx = actions_to_indices(A, grid)
             assert len(np.unique(idx)) == len(grid)
-            mask2 = None
+            block = agents._Block(basis, n, fm.output_dim)
+            block.append(fm.transform(O), idx, R, fm.transform(O2), D)
             if blocks:
-                mask2 = np.random.default_rng(seed).random((n, len(grid))) < 0.4
-                mask2[:5] = False  # empty masks fall back to every action
-            blocks.append(agents._Block(basis, fm.transform(O), idx, R, fm.transform(O2), D,
-                                        mask2=mask2))
+                block.mask2 = np.random.default_rng(seed).random((n, len(grid))) < 0.4
+                block.mask2[:5] = True  # rows that allow every action
+            blocks.append(block)
         weights = [1.0 / blocks[0].n] if not masked else [0.7 / blocks[0].n, 0.3 / blocks[1].n]
         return blocks, weights, grid, basis, config
 

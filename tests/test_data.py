@@ -249,6 +249,13 @@ class TestObsNoiseCorruption:
         diffs = (out.O - ds.O).ravel()
         assert abs(diffs.std() - 0.05) / 0.05 < 0.05
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_non_integer_seed_rejected(self, grid_dataset, sigma, seed):
+        # the tag used to record int(seed), and the noise stream to draw from it
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            data.corrupt_obs_noise(grid_dataset, sigma, seed=seed)
+
     def test_same_seed_identical(self, grid_dataset):
         a = data.corrupt_obs_noise(grid_dataset, 0.05, seed=9)
         b = data.corrupt_obs_noise(grid_dataset, 0.05, seed=9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hybench as hb
+from hybench import seeding
 from hybench.envs import (ContinuousActions, DiscreteActions, EnvError, pendulum_energy,
                           wrap_angle)
 
@@ -450,3 +451,28 @@ class TestConstruction:
             w = wrap_angle(float(x))
             assert -math.pi < w <= math.pi
         assert wrap_angle(math.pi) == math.pi
+
+
+class TestSeeds:
+    """A seed is an integer >= 0 wherever it is given; 2.5 and True used to
+    be truncated to the streams of seeds 2 and 1."""
+
+    @pytest.mark.parametrize("use", [
+        lambda seed: seeding.derived_rng(seed, seeding.DYNAMICS),
+        lambda seed: seeding.derived_seed(seed, seeding.REFS),
+        lambda seed: hb.make_env("windygrid").reset(seed=seed),
+        lambda seed: hb.with_obs_noise(hb.make_env("pendulum"), 0.1).reset(seed=seed),
+        lambda seed: hb.UniformPolicy((0, 1), seed=seed),
+        lambda seed: hb.UniformPolicy((0, 1)).reseed(seed),
+        lambda seed: hb.evaluate_policy(hb.make_env("windygrid"), hb.UniformPolicy((0, 1, 2, 3)),
+                                        5, seed=seed),
+    ], ids=["derived_rng", "derived_seed", "reset", "obs_noise_reset", "policy", "reseed",
+            "evaluate_policy"])
+    @pytest.mark.parametrize("seed", [2.5, 3.7, True, -1])
+    def test_non_integer_seed_rejected(self, use, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            use(seed)
+
+    def test_numpy_integer_seed_reads_as_int(self):
+        a = seeding.derived_rng(np.uint64(7), seeding.DYNAMICS).random(3)
+        assert np.array_equal(a, seeding.derived_rng(7, seeding.DYNAMICS).random(3))

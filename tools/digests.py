@@ -1,16 +1,21 @@
 """Print one ``name digest`` line for each result a bit-identical change
 must leave unchanged.
 
-    PYTHONPATH=../old/src python tools/digests.py > before.txt
-    PYTHONPATH=src python tools/digests.py > after.txt
+    PYTHONPATH=../old/src python tools/digests.py --save before.npz > before.txt
+    PYTHONPATH=src python tools/digests.py --save after.npz > after.txt
     diff before.txt after.txt
+    PYTHONPATH=src python tools/digests.py --compare before.npz after.npz
 
 Run it on two versions of ``src/`` at the same BLAS thread count and
 compare the outputs; the first line names the thread setting (set
 ``OPENBLAS_NUM_THREADS`` before Python starts to fix it).  A digest is the
 first 16 hex digits of the SHA-256 of an array's bytes (with its shape and
 dtype), of a rollout trace's column bytes, or of the ``repr`` of a return, a
-curve or a dataset hash.  Covered:
+curve or a dataset hash.  ``--save PATH`` also writes each digested value
+to an ``.npz``, as one array (a rollout trace's columns side by side, a
+nest of numbers flattened); ``--compare OLD NEW`` prints, per name in two
+such files, ``equal`` or the largest absolute difference relative to the
+largest entry of OLD's array.  Covered:
 
 * the hash of a 5,000-record windygrid medium dataset;
 * windygrid offline BCQ, mopo and hymopo: Q weights, rollout traces and
@@ -26,6 +31,7 @@ Takes about 10 s on a 2-CPU x86-64 VM.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -46,14 +52,42 @@ def digest(value) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-def show(name: str, value) -> None:
+SHOWN: dict[str, np.ndarray] = {}  # name -> the digested value, for --save
+
+
+def as_array(value) -> np.ndarray:
+    if isinstance(value, (tuple, list)):
+        return np.concatenate([as_array(v) for v in value]) if value else np.empty(0)
+    if dataclasses.is_dataclass(value):
+        return as_array(dataclasses.astuple(value))
+    return np.ravel(value) if isinstance(value, str) else np.ravel(np.asarray(value, float))
+
+
+def show(name: str, value, saved=None) -> None:
     print(name, digest(value), flush=True)
+    SHOWN[name] = as_array(value) if saved is None else saved
 
 
 def show_trace(name: str, trace: agents.RolloutTrace) -> None:
-    show(name, b"".join(np.ascontiguousarray(getattr(trace, f.name)).tobytes()
-                        for f in dataclasses.fields(trace)
-                        if getattr(trace, f.name) is not None))
+    columns = [getattr(trace, f.name) for f in dataclasses.fields(trace)
+               if getattr(trace, f.name) is not None]
+    show(name, b"".join(np.ascontiguousarray(col).tobytes() for col in columns),
+         saved=np.column_stack([col.reshape(len(col), -1) for col in columns]).astype(float))
+
+
+def compare(old_path: str, new_path: str) -> None:
+    old, new = np.load(old_path), np.load(new_path)
+    for name in [*old.files, *(f for f in new.files if f not in old.files)]:
+        if name not in old.files or name not in new.files:
+            print(name, "only in", new_path if name in new.files else old_path)
+            continue
+        a, b = old[name], new[name]
+        if a.shape == b.shape and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
+            print(name, "equal")
+        elif a.shape != b.shape or a.dtype.kind != "f":
+            print(name, "differs", a.shape, b.shape)
+        else:
+            print(name, f"{np.abs(a - b).max() / max(np.abs(a).max(), 1e-300):.2e}")
 
 
 def offline_agents(name: str, dataset, simulator, config, eval_env) -> None:
@@ -75,6 +109,13 @@ def offline_agents(name: str, dataset, simulator, config, eval_env) -> None:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", metavar="PATH", help="also write the values to PATH (.npz)")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --save files instead of computing digests")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     print("blas_threads", " ".join(f"{var}={os.environ.get(var, 'unset')}"
                                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")))
 
@@ -108,6 +149,8 @@ def main() -> None:
         show(f"pendulum.uniform_eval.h{horizon}.e{episodes}",
              (agents.evaluate_policy(env, policy, episodes, seed=episodes),
               env.full_state().tolist()))
+    if args.save:
+        np.savez(args.save, **SHOWN)
 
 
 if __name__ == "__main__":
