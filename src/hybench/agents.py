@@ -245,9 +245,6 @@ class QFunction:
     weights: np.ndarray  # (F, m)
     basis: np.ndarray  # (m, K)
 
-    def values(self, obs_batch: np.ndarray) -> np.ndarray:
-        return self.features.transform(obs_batch) @ self.weights @ self.basis
-
 
 class Policy:
     """Base policy over a fixed action grid with owned exploration RNG."""
@@ -872,7 +869,7 @@ def _train_model_based(dataset: Dataset, config: AgentConfig, seed: int,
                     a_idx = np.where(explore_mask, randoms, (phi @ W @ basis).argmax(axis=1))
                 # the model consumes action values; on discrete grids value == index
                 a_model = a_idx if discrete else grid_arr[a_idx]
-                members = rollout_rng.integers(ens.n_members, size=b)
+                members = rollout_rng.integers(len(ens.members), size=b)
                 draws_z = rollout_rng.standard_normal((b, obs_dim + 1))
 
                 mus = ens.member_means(cur, a_model)  # (N, b, T)
@@ -921,7 +918,7 @@ def _grid_action_space(grid: tuple):
 # Policy serialization (round-trip identity is the only contract)
 # ---------------------------------------------------------------------------
 
-POLICY_FORMAT_VERSION = "hybench-policy/4"
+POLICY_FORMAT_VERSION = "hybench-policy/5"
 
 
 @dataclass(frozen=True)

@@ -156,9 +156,16 @@ class FeatureMap:
             for idx in self._factors[1:]:
                 cols *= table[:, idx]
             return cols
+        # float32 cos (float64's is a scalar loop) after a float64 reduction to [-pi, pi]
         Z = Xs @ self._freqs.T + self._phases
-        phi = math.sqrt(2.0 / self.count) * np.cos(Z)
-        return np.concatenate([np.ones((X.shape[0], 1)), phi], axis=1)
+        turns = Z / (2.0 * math.pi)
+        Z -= np.multiply(np.rint(turns, out=turns), 2.0 * math.pi, out=turns)
+        cos = Z.astype(np.float32)
+        del Z, turns  # free before the output is allocated
+        out = np.empty((X.shape[0], self.count + 1))
+        out[:, 0] = 1.0
+        np.multiply(np.cos(cos, out=cos), math.sqrt(2.0 / self.count), out=out[:, 1:], dtype=float)
+        return out
 
 
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,10 +379,6 @@ class CorrectionEnsemble:
         if len(dims) != 1:
             raise ValueError("ensemble members must share input/target dimensions")
 
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
-
     def member_means(self, obs, actions) -> np.ndarray:
         """Raw member mean targets, shape (N, n, T)."""
         X = encode_model_input(obs, actions, self.action_space)
@@ -439,7 +442,7 @@ def fit_ensemble(dataset: Dataset, config: ModelConfig, sim_next_obs=None,
 # Serialization (round-trip identity is the only contract)
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_FORMAT_VERSION = "hybench-ensemble/2"
+ENSEMBLE_FORMAT_VERSION = "hybench-ensemble/3"
 
 
 def ensemble_to_dict(ens: CorrectionEnsemble) -> dict:

@@ -176,7 +176,7 @@ class TestLockstepEvaluation:
         policy = pendulum_bcq_policy
         obs = np.stack([hb.make_env("pendulum").reset(seed=s) for s in range(200)])
         masked = policy.action_indices(obs)
-        unmasked = np.argmax(policy.q.values(obs), axis=1)
+        unmasked = np.argmax(q_values(policy.q, obs), axis=1)
         assert (masked != unmasked).any()  # the mask decides some actions
         assert list(masked) == [direct_action_index(policy, o) for o in obs]
         got = evaluate_policy(hb.make_env("pendulum"), policy, 30, seed=2)
@@ -252,7 +252,7 @@ class TestOnlineQ:
         res = train_online_q(hb.make_env("windygrid"), cfg, seed=0, budget=10_000)
         O, A, R, _, _ = res.replay
         q = res.policy.q
-        preds = q.values(O)[np.arange(len(A)), actions_to_indices(A, res.policy.action_grid)]
+        preds = q_values(q, O)[np.arange(len(A)), actions_to_indices(A, res.policy.action_grid)]
         assert np.sqrt(np.mean((preds - R) ** 2)) <= 0.1
 
     def test_deterministic_bit_exact(self, grid_env):
@@ -722,6 +722,16 @@ class TestPolicySerialization:
         back = agents.load_policy(path)
         assert np.array_equal(back.q.weights, res.q.weights)
 
+    def test_previous_format_file_refused(self, tmp_path, pendulum_bcq_policy):
+        # a /4 random-Fourier policy was fit on float64-cosine features, so it
+        # would score other actions than it was trained to
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(dict(policy_to_dict(pendulum_bcq_policy),
+                                        format_version="hybench-policy/4")))
+        with pytest.raises(ValueError, match=r"unsupported policy format 'hybench-policy/4'; "
+                                             r"expected 'hybench-policy/5'"):
+            agents.load_policy(path)
+
 
     def test_json_round_trip_is_bit_exact(self, pendulum_bcq_policy):
         # a float grid, the quadratic design and a behavior mask, through JSON text
@@ -757,10 +767,16 @@ class TestPolicySerialization:
         assert len(str(err.value)) < 300
 
 
+def q_values(q, obs_batch):
+    """Q(s, a_k) of each row of an observation batch, from the Q-function's
+    own features, weights and action basis."""
+    return q.features.transform(obs_batch) @ q.weights @ q.basis
+
+
 def direct_action_index(policy, obs):
     """The greedy action of ``QPolicy.action_index`` computed without its memo."""
     row = np.asarray(obs, dtype=float)[None, :]
-    scores = policy.q.values(row)[0]
+    scores = q_values(policy.q, row)[0]
     if policy.behavior is not None and policy.bc_threshold > 0.0:
         mask = policy.behavior.probs_batch(policy.q.features.transform(row))[0] >= \
             policy.bc_threshold
@@ -781,7 +797,7 @@ class TestActionMemo:
             assert [policy.action_index(obs) for obs in observations] == expected
         assert len(policy._memo) == len(observations)
         if bc_threshold > 0.0:  # the mask decides some of these actions
-            unmasked = [int(np.argmax(policy.q.values(obs[None, :])[0]))
+            unmasked = [int(np.argmax(q_values(policy.q, obs[None, :])[0]))
                         for obs in observations]
             assert unmasked != expected
         # copies and round trips start empty

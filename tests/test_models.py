@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +250,15 @@ class TestTransformDistinct:
         with pytest.raises(models.ModelFitError, match="non-finite features"):
             models.fit_gaussian_regressor(windygrid_model_map(), X, Y, 1e-3, X[:50], Y[:50])
 
+    def test_inf_input_still_raises_fit_error(self, windygrid_model_data):
+        # the cosine's range reduction turns inf into NaN (inf - inf), not a
+        # finite feature
+        X, Y = windygrid_model_data
+        X = X.copy()
+        X[7, 0] = np.inf
+        with pytest.raises(models.ModelFitError, match="non-finite features"):
+            models.fit_gaussian_regressor(windygrid_model_map(), X, Y, 1e-3, X[:50], Y[:50])
+
     @pytest.mark.parametrize("fm", [
         windygrid_model_map(),
         FeatureMap.random_fourier(4, 256, 1.0, seed=11, scale=(1.0, 1.0, 0.125, 0.5)),
@@ -326,6 +339,66 @@ class TestTransformDistinct:
                                               Y[:10]).weights
             ref = models._solve_ridge(Phi, Y[rows], ridge)
         assert np.abs(W - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+RFF_MAPS = {
+    "pendulum_q": agents._build_q_features(
+        3, agents.default_agent_config(hb.make_env("pendulum")), seed=0),
+    "pendulum_model": FeatureMap.random_fourier(4, 256, 1.0, seed=11,
+                                                scale=(1.0, 1.0, 0.125, 0.5)),
+}
+
+
+def wide_rff_input(fm) -> np.ndarray:
+    """A fixed batch whose rows grow from unit scale to 1e4, so that the
+    cosine's argument reaches past 1e4."""
+    rng = np.random.default_rng(8)
+    return rng.normal(size=(400, fm.input_dim)) * np.geomspace(1.0, 1e4, 400)[:, None]
+
+
+class TestRandomFourierCosine:
+    """The cosine runs in float32 on its argument reduced to [-pi, pi] in
+    float64, so its error does not grow with the argument."""
+
+    @pytest.mark.parametrize("name", sorted(RFF_MAPS))
+    def test_within_float32_bound_of_float64_cosine(self, name):
+        fm = RFF_MAPS[name]
+        X = wide_rff_input(fm)
+        Z = ((X + fm._shift) * fm._scale) @ fm._freqs.T + fm._phases
+        assert np.abs(Z).max() >= 1e4
+        scale = math.sqrt(2.0 / fm.count)
+        out = fm.transform(X)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert (out[:, 0] == 1.0).all()
+        # a plain float32 cast of Z puts the cosine off by ~3e-3 here
+        assert np.abs(out[:, 1:] - scale * np.cos(Z)).max() <= 2.5e-7 * scale
+
+    @pytest.mark.skipif(not np._core._multiarray_umath.__cpu_features__.get("X86_V4"),
+                        reason="needs a CPU on which numpy dispatches X86_V4")
+    def test_bits_equal_under_x86_v4_and_v3_dispatch(self):
+        # numpy's float32 cosine has the same bits in its AVX-512 and AVX2
+        # kernels, not in its baseline (X86_V2) one
+        script = (
+            "import sys, numpy as np\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "import test_models as t\n"
+            "out = [t.RFF_MAPS[k].transform(t.wide_rff_input(t.RFF_MAPS[k]))"
+            " for k in sorted(t.RFF_MAPS)]\n"
+            "print(__cpu_features__['X86_V4'], __cpu_features__['X86_V3'])\n"
+            "sys.stdout.write(b''.join(o.tobytes() for o in out).hex())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(hb.__file__).parents[1]),
+                                             str(Path(__file__).parent)])
+        runs = [subprocess.run([sys.executable, "-c", script], env=extra, text=True,
+                               capture_output=True, timeout=120)
+                for extra in (env, dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL "
+                                                                    "AVX512_SPR"))]
+        for run in runs:
+            assert run.returncode == 0, run.stderr[-2000:]
+        (full, full_bits), (v3, v3_bits) = (run.stdout.split("\n", 1) for run in runs)
+        assert (full, v3) == ("True True", "False True")
+        assert full_bits == v3_bits
 
 
 class TestAugmentation:
@@ -599,6 +672,16 @@ class TestEnsembleSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": "nope"}')
         with pytest.raises(ValueError):
+            models.load_ensemble(path)
+
+    def test_previous_format_file_refused(self, pendulum_random_dataset, tmp_path):
+        # a /2 random-Fourier member was fit on float64-cosine features
+        tr, *_ = split(pendulum_random_dataset, 300)
+        d = models.ensemble_to_dict(models.fit_ensemble(tr, model_config(n_members=1)))
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(dict(d, format_version="hybench-ensemble/2")))
+        with pytest.raises(ValueError, match=r"unsupported ensemble format "
+                                             r"'hybench-ensemble/2'; expected 'hybench-ensemble/3'"):
             models.load_ensemble(path)
 
     def test_only_onehot_encoding_read(self, pendulum_random_dataset):
