@@ -476,12 +476,13 @@ def _bellman_iterate(
     # sum_k B[p, k] B[q, k] C_k over the per-action grams C_k.  The ridge gram
     # G = L L^T is fixed across iterations, so it is factored and L inverted
     # once per call; each iteration then solves G w = rhs with two
-    # matrix-vector products, w = L^-T (L^-1 rhs).
+    # matrix-vector products, w = L^-T (L^-1 rhs).  The Cholesky factor reads
+    # only the lower triangle, so only the blocks p >= q are filled.
     m = basis.shape[0]
     F = blocks[0].Phi.shape[1]
     G = np.zeros((m * F, m * F))
     for p in range(m):
-        for q in range(m):
+        for q in range(p + 1):
             coef = basis[p] * basis[q]
             if coef.any():
                 G[p * F:(p + 1) * F, q * F:(q + 1) * F] = sum(

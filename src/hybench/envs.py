@@ -238,15 +238,6 @@ def _pendulum_obs(theta, omega) -> np.ndarray:
     return obs
 
 
-def pendulum_energy(state: tuple[float, float], params: PendulumParams) -> float:
-    """Mechanical energy with the potential zero at the hanging rest state."""
-    theta, omega = state
-    p = params
-    kinetic = 0.5 * p.mass * p.length**2 * omega**2
-    potential = p.mass * p.gravity * p.length * (1.0 + math.cos(theta))
-    return kinetic + potential
-
-
 class PendulumEnv(Environment):
     """Continuous pendulum swing-up with observation (cos theta, sin theta, omega)."""
 

@@ -259,7 +259,12 @@ def _solve_ridge(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
     # Every eigenvalue of G = Phi^T Phi + ridge I lies in [ridge, tr(G)], so
     # kappa_2(G) <= tr(G) / ridge, read off Phi before G is formed.  Within
     # _CHOLESKY_MAX_COND, G is factored, G = L L^T, and W = L^-T (L^-1 Phi^T Y)
-    # as in fitted-Q.  Random-Fourier rows have squared norm about 2, so their
+    # as in fitted-Q.  With fewer rows d than features F (a windygrid member:
+    # at most 200 distinct rows, 769 features), the d x d dual gram
+    # K = Phi Phi^T + ridge I = L L^T is factored instead, and
+    # W = Phi^T L^-T (L^-1 Y), since G^-1 Phi^T = Phi^T K^-1; K's eigenvalues
+    # are Phi's nonzero squared singular values plus the ridge, so the same
+    # bound covers it.  Random-Fourier rows have squared norm about 2, so their
     # bound is about 2n / ridge (4e7 for 18k rows at ridge 1e-3).  Monomial
     # bases read 1e12 and up; for them, and when the factor fails or W is not
     # finite, the augmented least-squares problem is solved instead: its
@@ -269,8 +274,9 @@ def _solve_ridge(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
     if not np.isfinite(bound):  # NaN/inf features would reach LAPACK
         raise ModelFitError("non-finite features: the feature matrix holds NaN or inf")
     if bound <= _CHOLESKY_MAX_COND:
-        G = Phi.T @ Phi
-        G[np.diag_indices(F)] += ridge
+        dual = len(Phi) < F
+        G = Phi @ Phi.T if dual else Phi.T @ Phi
+        G[np.diag_indices(len(G))] += ridge
         try:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
@@ -278,7 +284,7 @@ def _solve_ridge(Phi: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
         else:
             del G  # free the gram before the inverse's temporaries are allocated
             linv = _tril_inverse(L)
-            W = linv.T @ (linv @ (Phi.T @ Y))
+            W = Phi.T @ (linv.T @ (linv @ Y)) if dual else linv.T @ (linv @ (Phi.T @ Y))
             if np.isfinite(W).all():
                 return W
     A = np.concatenate([Phi, math.sqrt(ridge) * np.eye(F)], axis=0)

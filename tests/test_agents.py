@@ -960,6 +960,15 @@ class TestBellmanKernel:
         L = np.linalg.cholesky(A @ A.T + np.eye(n))
         assert np.abs(agents._tril_inverse(L.copy()) @ L - np.eye(n)).max() < 1e-10
 
+    def test_cholesky_reads_only_the_lower_triangle(self):
+        # _bellman_iterate fills only the gram blocks p >= q: a numpy whose
+        # cholesky read the strict upper triangle would fail here
+        A = np.random.default_rng(0).standard_normal((600, 600))
+        G = A @ A.T + np.eye(600)
+        lower = G.copy()
+        lower[np.triu_indices(600, 1)] = np.nan
+        assert bits(np.linalg.cholesky(lower)) == bits(np.linalg.cholesky(G))
+
     @staticmethod
     def _blocks(design, masked):
         """One pendulum block of weight 1/n or, with ``masked``, two blocks of

@@ -7,8 +7,7 @@ import pytest
 
 import hybench as hb
 from hybench import seeding
-from hybench.envs import (ContinuousActions, DiscreteActions, EnvError, pendulum_energy,
-                          wrap_angle)
+from hybench.envs import ContinuousActions, DiscreteActions, EnvError, wrap_angle
 
 
 def rollout(env, actions, seed=0):
@@ -19,6 +18,15 @@ def rollout(env, actions, seed=0):
         rewards.append(res.reward)
         obs.append(env.reset() if res.done else res.obs)
     return np.stack(obs), np.array(rewards)
+
+
+def pendulum_energy(state: tuple[float, float], params: hb.PendulumParams) -> float:
+    """Mechanical energy with the potential zero at the hanging rest state."""
+    theta, omega = state
+    p = params
+    kinetic = 0.5 * p.mass * p.length**2 * omega**2
+    potential = p.mass * p.gravity * p.length * (1.0 + math.cos(theta))
+    return kinetic + potential
 
 
 class TestPendulumStep:

@@ -91,6 +91,27 @@ def windygrid_model_map(seed=3) -> FeatureMap:
     return model_config("windygrid").feature_map(7, seed)
 
 
+def augmented_lstsq(Phi, Y, ridge):
+    """The ridge solution by least squares on Phi stacked over sqrt(ridge) I."""
+    F = Phi.shape[1]
+    W, *_ = np.linalg.lstsq(np.concatenate([Phi, math.sqrt(ridge) * np.eye(F)]),
+                            np.concatenate([Y, np.zeros((F, Y.shape[1]))]), rcond=None)
+    return W
+
+
+def cholesky_shapes(monkeypatch) -> list:
+    """The shape of each matrix ``np.linalg.cholesky`` factors from now on."""
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def spy(G):
+        shapes.append(G.shape)
+        return cholesky(G)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return shapes
+
+
 def transform_rows(monkeypatch) -> list:
     """The row count of each call of the row kernel ``FeatureMap._expand``
     from now on: the rows actually computed."""
@@ -547,7 +568,7 @@ class TestCorrectionEnsemble:
 
     def test_well_conditioned_fit_takes_the_factor(self, pendulum_random_dataset,
                                                    monkeypatch):
-        # a member of the windygrid workload's size: 4500 rows, 769 features
+        # more rows than features, 4500 x 769: the F x F gram is factored
         O, A, R, O2, _ = (col[:4500] for col in pendulum_random_dataset.arrays())
         X = encode_model_input(O, A, hb.make_env("pendulum").action_space)
         Y = np.concatenate([O2, R[:, None]], axis=1)
@@ -555,12 +576,53 @@ class TestCorrectionEnsemble:
         ridge = 1e-3
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "lstsq", None)  # the orthogonal path must not run
+            shapes = cholesky_shapes(m)
             W = models._solve_ridge(Phi, Y, ridge)
-        F = Phi.shape[1]
-        ref, *_ = np.linalg.lstsq(
-            np.concatenate([Phi, math.sqrt(ridge) * np.eye(F)]),
-            np.concatenate([Y, np.zeros((F, Y.shape[1]))]), rcond=None)
+        assert shapes == [(769, 769)]
+        ref = augmented_lstsq(Phi, Y, ridge)
         assert np.linalg.norm(W - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_fit_of_fewer_rows_than_features_factors_the_dual(self, windygrid_model_data,
+                                                              monkeypatch):
+        # a windygrid member's problem: its distinct rows, each scaled by the
+        # root of its count, against 769 features
+        X, Y = windygrid_model_data
+        first, inverse, counts = models._distinct_rows(np.ascontiguousarray(X))
+        S = np.zeros((len(first), Y.shape[1]))
+        np.add.at(S, inverse, Y)
+        root = np.sqrt(counts)[:, None]
+        Phi, Y = root * windygrid_model_map()._expand(X[first]), S / root
+        d = len(Phi)
+        assert 50 <= d <= 200
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "lstsq", None)
+            shapes = cholesky_shapes(m)
+            W = models._solve_ridge(Phi, Y, 1e-3)
+        assert shapes == [(d, d)]
+        ref = augmented_lstsq(Phi, Y, 1e-3)
+        assert np.abs(W - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_fit_of_as_many_rows_as_features_keeps_the_primal_bits(self, windygrid_model_data):
+        X, Y = windygrid_model_data
+        Phi = FeatureMap.random_fourier(7, 96, 1.0, seed=2)._expand(X[:97])
+        Y = Y[:97]
+        G = Phi.T @ Phi
+        G[np.diag_indices(97)] += 1e-3
+        linv = models._tril_inverse(np.linalg.cholesky(G))
+        assert same_bits(models._solve_ridge(Phi, Y, 1e-3), linv.T @ (linv @ (Phi.T @ Y)))
+
+    def test_failed_dual_factor_falls_back_to_least_squares(self, windygrid_model_data,
+                                                            monkeypatch):
+        X, Y = windygrid_model_data
+        Phi, Y = windygrid_model_map()._expand(X[:100]), Y[:100]
+
+        def fail(G):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", fail)
+            W = models._solve_ridge(Phi, Y, 1e-3)
+        assert np.array_equal(W, augmented_lstsq(Phi, Y, 1e-3))
 
     def test_ill_conditioned_fit_is_orthogonal(self):
         # the interpolation system above: condition bound about 2.8e17
@@ -569,11 +631,7 @@ class TestCorrectionEnsemble:
         Y = rng.normal(size=(20, 2))
         Phi = FeatureMap.polynomial(2, 5).transform(X)
         ridge = 1e-12
-        F = Phi.shape[1]
-        ref, *_ = np.linalg.lstsq(
-            np.concatenate([Phi, math.sqrt(ridge) * np.eye(F)]),
-            np.concatenate([Y, np.zeros((F, 2))]), rcond=None)
-        assert np.array_equal(models._solve_ridge(Phi, Y, ridge), ref)
+        assert np.array_equal(models._solve_ridge(Phi, Y, ridge), augmented_lstsq(Phi, Y, ridge))
 
     def test_non_finite_features_raise_fit_error(self, capfd):
         for bad in (np.nan, np.inf):
